@@ -37,7 +37,8 @@ struct IoRow
 
 IoRow
 measureSize(std::size_t qubits, std::size_t repeats,
-            const std::string &label)
+            const std::string &label, const char *text_phase,
+            const char *bin_phase)
 {
     IoRow row;
     row.qubits = qubits;
@@ -56,8 +57,6 @@ measureSize(std::size_t qubits, std::size_t repeats,
 
     // Both loaders run through loadChipAuto, so the magic sniff is part
     // of the measured cost on both sides.
-    const std::string text_phase = "io.text_load_" + label;
-    const std::string bin_phase = "io.bin_load_" + label;
     ChipTopology from_text, from_binary;
     {
         const metrics::ScopedTimer timer(text_phase);
@@ -108,8 +107,9 @@ main(int argc, char **argv)
     // counts are sized so even the fast binary loads clear the 0.01 s
     // perf_check floor.
     const IoRow rows[] = {
-        measureSize(1000, 100, "1k"),
-        measureSize(10000, 12, "10k"),
+        measureSize(1000, 100, "1k", "io.text_load_1k", "io.bin_load_1k"),
+        measureSize(10000, 12, "10k", "io.text_load_10k",
+                    "io.bin_load_10k"),
     };
     for (const IoRow &row : rows) {
         std::printf("%8zu %8zu %10zu %10zu %11.4f %11.4f %7.1fx\n",

@@ -20,6 +20,7 @@
 #include <variant>
 #include <vector>
 
+#include "common/cancel.hpp"
 #include "common/error.hpp"
 #include "common/flight.hpp"
 
@@ -126,6 +127,43 @@ struct DesignError
     }
 };
 
+/** A cooperative abort surfaced as a structured error: which reason,
+ *  and which poll site observed it (context "where=<site>"). */
+[[nodiscard]] inline DesignError
+cancelledError(const cancel::Cancelled &e)
+{
+    const DesignErrorCode code =
+        e.reason() == cancel::Reason::DeadlineExceeded
+            ? DesignErrorCode::DeadlineExceeded
+            : DesignErrorCode::Cancelled;
+    return DesignError(DesignStage::Validation, e.what(), code)
+        .with("where", e.where());
+}
+
+/**
+ * Raise @p error the way the throwing entry points report failure: the
+ * cancellation codes become cancel::Cancelled again (same reason, same
+ * poll site when the context names one), every other failure a
+ * ConfigError carrying error.toString().
+ */
+[[noreturn]] inline void
+throwDesignError(const DesignError &error)
+{
+    if (error.isCancellation()) {
+        std::string where = designStageName(error.stage);
+        for (const std::string &kv : error.context) {
+            if (kv.rfind("where=", 0) == 0)
+                where = kv.substr(6);
+        }
+        throw cancel::Cancelled(error.code ==
+                                        DesignErrorCode::DeadlineExceeded
+                                    ? cancel::Reason::DeadlineExceeded
+                                    : cancel::Reason::Cancelled,
+                                where);
+    }
+    throw ConfigError(error.toString());
+}
+
 inline const char *
 designErrorCodeName(DesignErrorCode code)
 {
@@ -172,10 +210,11 @@ designStageName(DesignStage stage)
  * Minimal result-or-error holder (std::expected arrives in C++23; this
  * covers the subset the pipeline needs). Implicitly constructible from
  * either alternative; value() on an error throws InternalError, so
- * unchecked access fails loudly instead of reading garbage.
+ * unchecked access fails loudly instead of reading garbage. Discarding
+ * one is a compile warning: a dropped result is a dropped error.
  */
 template <typename T, typename E>
-class Expected
+class [[nodiscard]] Expected
 {
   public:
     Expected(T value)
@@ -230,6 +269,17 @@ class Expected
   private:
     std::variant<T, E> storage_;
 };
+
+/** The value of @p result, or throwDesignError() on its error: the
+ *  bridge from a structured entry point to its throwing twin. */
+template <typename T>
+T
+valueOrThrow(Expected<T, DesignError> result)
+{
+    if (!result.hasValue())
+        throwDesignError(result.error());
+    return std::move(result.value());
+}
 
 } // namespace youtiao
 

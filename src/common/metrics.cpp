@@ -14,9 +14,11 @@
 #include <sys/resource.h>
 #endif
 
+#include "common/flight.hpp"
 #include "common/json.hpp"
 #include "common/parallel.hpp"
 #include "common/simd.hpp"
+#include "common/trace.hpp"
 #include "common/watchdog.hpp"
 
 namespace youtiao::metrics {
@@ -247,17 +249,18 @@ Registry::reset()
     }
 }
 
-ScopedTimer::ScopedTimer(std::string name, Registry *registry)
-    : name_(std::move(name)),
+ScopedTimer::ScopedTimer(const char *name, Registry *registry)
+    : name_(name),
       registry_(registry != nullptr ? registry : &Registry::global()),
-      start_(std::chrono::steady_clock::now())
+      start_(std::chrono::steady_clock::now()),
+      watchdogTracked_(watchdog::enabled()),
+      traced_(trace::enabled()),
+      flightTracked_(flight::enabled())
 {
-    // Stall detection rides on the existing phase timers: when the
-    // watchdog runs, budgeted phases are tracked from begin to end.
-    if (watchdog::enabled()) {
+    // Stall detection rides on the phase scope: when the watchdog runs,
+    // budgeted phases are tracked from begin to end.
+    if (watchdogTracked_)
         watchdog::phaseBegin(name_);
-        watchdogTracked_ = true;
-    }
 }
 
 ScopedTimer::~ScopedTimer()
@@ -267,6 +270,16 @@ ScopedTimer::~ScopedTimer()
         watchdog::phaseEnd(name_);
     registry_->addPhase(
         name_, std::chrono::duration<double>(elapsed).count());
+    const auto dur_ns = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
+            .count());
+    if (traced_ && trace::enabled()) {
+        trace::Tracer &tracer = trace::Tracer::global();
+        tracer.recordComplete(name_, nullptr, tracer.sinceEnableNs(start_),
+                              dur_ns);
+    }
+    if (flightTracked_ && flight::enabled())
+        flight::recordSpan(name_, dur_ns);
 }
 
 std::string

@@ -128,26 +128,36 @@ class Registry
 };
 
 /**
- * RAII wall-clock timer: records elapsed seconds into @p registry under
- * @p name on destruction (default: the global registry).
+ * RAII phase scope, the one instrumentation point of a named phase. Two
+ * clock readings feed every consumer: the elapsed seconds go into
+ * @p registry under @p name (default: the global registry), the
+ * watchdog's stall detector tracks the phase from begin to end, and --
+ * when tracing / the flight recorder were on at construction -- the
+ * phase lands as a trace span (common/trace.hpp; category = the name's
+ * subsystem prefix) and a flight-ring span entry (common/flight.hpp).
+ *
+ * @p name must be a string literal: the tracer keeps the pointer until
+ * the trace is exported.
  */
 class ScopedTimer
 {
   public:
-    explicit ScopedTimer(std::string name,
-                         Registry *registry = nullptr);
+    explicit ScopedTimer(const char *name, Registry *registry = nullptr);
     ~ScopedTimer();
 
     ScopedTimer(const ScopedTimer &) = delete;
     ScopedTimer &operator=(const ScopedTimer &) = delete;
 
   private:
-    std::string name_;
+    const char *name_;
     Registry *registry_;
     std::chrono::steady_clock::time_point start_;
-    /** True when the watchdog was told about this phase, so the end
-     *  hook fires even if the watchdog stops mid-phase. */
+    /** Consumers told about the start, so the end reaches them even if
+     *  they are switched off mid-phase (watchdog) -- or skipped when
+     *  they were switched on mid-phase (trace, flight). */
     bool watchdogTracked_ = false;
+    bool traced_ = false;
+    bool flightTracked_ = false;
 };
 
 /** Add @p delta to the global registry's counter @p name. */

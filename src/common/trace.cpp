@@ -5,6 +5,7 @@
 #include <array>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <mutex>
@@ -31,7 +32,8 @@ currentThreadTag()
 namespace {
 
 /** One buffered trace event. Names are string literals at every call
- *  site, so storing the pointers is allocation-free and safe. */
+ *  site, so storing the pointers is allocation-free and safe. A null
+ *  category (ScopedTimer spans) is derived from the name at export. */
 struct Event
 {
     const char *name = nullptr;
@@ -161,9 +163,16 @@ Tracer::disable()
 std::uint64_t
 Tracer::nowNs() const
 {
+    return sinceEnableNs(std::chrono::steady_clock::now());
+}
+
+std::uint64_t
+Tracer::sinceEnableNs(std::chrono::steady_clock::time_point t) const
+{
+    if (t < impl_->t0)
+        return 0;
     return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - impl_->t0)
+        std::chrono::duration_cast<std::chrono::nanoseconds>(t - impl_->t0)
             .count());
 }
 
@@ -229,6 +238,17 @@ micros(std::uint64_t ns)
     return buf;
 }
 
+/** @p e's own category, else its name's subsystem prefix
+ *  ("design.partition" -> "design"). */
+std::string
+categoryOf(const Event &e)
+{
+    if (e.category != nullptr)
+        return e.category;
+    const char *dot = std::strchr(e.name, '.');
+    return dot != nullptr ? std::string(e.name, dot) : "youtiao";
+}
+
 } // namespace
 
 std::string
@@ -255,7 +275,7 @@ Tracer::toJson() const
             out << (first ? "\n" : ",\n");
             first = false;
             out << "    {\"name\": \"" << json::escape(e.name)
-                << "\", \"cat\": \"" << json::escape(e.category)
+                << "\", \"cat\": \"" << json::escape(categoryOf(e))
                 << "\", \"ph\": \"" << e.phase
                 << "\", \"pid\": 1, \"tid\": " << buffer->tid
                 << ", \"ts\": " << micros(e.tsNs);

@@ -34,6 +34,7 @@
 #define YOUTIAO_COMMON_TRACE_HPP
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <string>
 
@@ -93,7 +94,9 @@ class Tracer
     /** Events dropped because a thread hit its buffer cap. */
     std::uint64_t droppedEvents() const;
 
-    // Internal: called by TraceSpan / instant() / counter().
+    // Internal: called by TraceSpan / metrics::ScopedTimer / instant() /
+    // counter(). A null span category is derived from the name's
+    // subsystem prefix at export ("design.partition" -> "design").
     void recordComplete(const char *name, const char *category,
                         std::uint64_t start_ns, std::uint64_t dur_ns);
     void recordInstant(const char *name, const char *category,
@@ -103,6 +106,10 @@ class Tracer
 
     /** Nanoseconds since enable() on the tracer's clock. */
     std::uint64_t nowNs() const;
+
+    /** Nanoseconds from enable() to @p t (0 if @p t came first). */
+    std::uint64_t
+    sinceEnableNs(std::chrono::steady_clock::time_point t) const;
 
   private:
     Tracer();
@@ -117,7 +124,8 @@ class Tracer
  * nest like scopes do, so per-thread tracks are always well-nested.
  * When the flight recorder is armed (flight::install) each completed
  * span also lands in the calling thread's crash ring, so every traced
- * site doubles as post-mortem breadcrumbs for free.
+ * site doubles as post-mortem breadcrumbs for free. A phase timed by
+ * metrics::ScopedTimer needs no TraceSpan: the timer records both.
  */
 class TraceSpan
 {

@@ -14,7 +14,6 @@
 #include "common/log.hpp"
 #include "common/metrics.hpp"
 #include "common/prng.hpp"
-#include "common/trace.hpp"
 #include "core/checkpoint_codec.hpp"
 #include "noise/crosstalk_data.hpp"
 #include "routing/chip_router.hpp"
@@ -31,13 +30,10 @@ runOne(const ChipTopology &chip, const FaultCampaignConfig &config,
     FaultCampaignRun run;
     run.defectRate = rate;
     run.seed = run_seed;
-    const trace::TraceSpan span("campaign.run", "campaign");
     const metrics::ScopedTimer timer("campaign.run");
     metrics::count("campaign.runs");
     try {
         const ChipDefects defects = [&] {
-            const trace::TraceSpan defects_span("campaign.defects",
-                                                "campaign");
             const metrics::ScopedTimer defects_timer("campaign.defects");
             return randomDefects(chip, uniformDefectRates(rate),
                                  run_seed);
@@ -57,8 +53,6 @@ runOne(const ChipTopology &chip, const FaultCampaignConfig &config,
             characterizeChip(degraded.chip, prng);
 
         Expected<YoutiaoDesign, DesignError> result = [&] {
-            const trace::TraceSpan design_span("campaign.design",
-                                               "campaign");
             const metrics::ScopedTimer design_timer("campaign.design");
             return designer.designFromMeasurementsRobust(degraded.chip,
                                                          data);
@@ -73,8 +67,6 @@ runOne(const ChipTopology &chip, const FaultCampaignConfig &config,
         design.degradation.excludedCouplers = degraded.removedCouplers;
 
         if (config.route) {
-            const trace::TraceSpan route_span("campaign.route",
-                                              "campaign");
             const metrics::ScopedTimer route_timer("campaign.route");
             ChipRoutingConfig routing_cfg;
             routing_cfg.blockedCells = defects.blockedRoutingCells;

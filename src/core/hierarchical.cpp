@@ -13,7 +13,6 @@
 #include "common/metrics.hpp"
 #include "common/parallel.hpp"
 #include "common/prng.hpp"
-#include "common/trace.hpp"
 #include "common/units.hpp"
 #include "multiplex/parallelism_index.hpp"
 #include "multiplex/plan_merge.hpp"
@@ -120,18 +119,6 @@ struct SeamNeighbor
     std::size_t other = 0;
     double crosstalk = 0.0;
 };
-
-/** Map a cooperative abort onto the structured error ladder. */
-DesignError
-cancelledError(const cancel::Cancelled &e)
-{
-    const DesignErrorCode code =
-        e.reason() == cancel::Reason::DeadlineExceeded
-            ? DesignErrorCode::DeadlineExceeded
-            : DesignErrorCode::Cancelled;
-    return DesignError(DesignStage::Validation, e.what(), code)
-        .with("where", e.where());
-}
 
 // Checkpoint payloads for the per-tile barriers. Every field the merge,
 // seam stitch, and hierarchical router read from a tile design is
@@ -363,9 +350,6 @@ HierarchicalDesigner::designFromMeasurements(
     const ChipTopology &chip, const TileMap &map,
     const ChipCharacterization &data, double w_phy) const
 {
-    requireConfig(data.xyCrosstalk.size() == chip.qubitCount() &&
-                      data.zzCrosstalkMHz.size() == chip.qubitCount(),
-                  "characterization does not match the chip");
     return designTiles(chip, map, &data, w_phy);
 }
 
@@ -390,23 +374,7 @@ HierarchicalDesigner::designSynthesizedRobust(
     const ChipTopology &chip, double w_phy,
     DegradationReport *partial) const
 {
-    std::atomic<std::size_t> done{0};
-    std::size_t total = 0;
-    try {
-        return designTiles(chip,
-                           makeUniformTileMap(chip, hier_.tileSizeQubits),
-                           nullptr, w_phy, &done, &total);
-    } catch (const cancel::Cancelled &e) {
-        if (partial != nullptr)
-            partial->notes.push_back(
-                "cancelled after " + std::to_string(done.load()) +
-                " of " + std::to_string(total) + " tiles designed");
-        return cancelledError(e)
-            .with("tiles_designed", done.load())
-            .with("tiles_total", total);
-    } catch (const std::exception &e) {
-        return DesignError(DesignStage::Validation, e.what());
-    }
+    return designTilesRobust(chip, nullptr, w_phy, partial);
 }
 
 Expected<HierarchicalDesign, DesignError>
@@ -414,15 +382,21 @@ HierarchicalDesigner::designFromMeasurementsRobust(
     const ChipTopology &chip, const ChipCharacterization &data,
     double w_phy, DegradationReport *partial) const
 {
+    return designTilesRobust(chip, &data, w_phy, partial);
+}
+
+Expected<HierarchicalDesign, DesignError>
+HierarchicalDesigner::designTilesRobust(const ChipTopology &chip,
+                                        const ChipCharacterization *data,
+                                        double w_phy,
+                                        DegradationReport *partial) const
+{
     std::atomic<std::size_t> done{0};
     std::size_t total = 0;
     try {
-        requireConfig(data.xyCrosstalk.size() == chip.qubitCount() &&
-                          data.zzCrosstalkMHz.size() == chip.qubitCount(),
-                      "characterization does not match the chip");
         return designTiles(chip,
                            makeUniformTileMap(chip, hier_.tileSizeQubits),
-                           &data, w_phy, &done, &total);
+                           data, w_phy, &done, &total);
     } catch (const cancel::Cancelled &e) {
         if (partial != nullptr)
             partial->notes.push_back(
@@ -444,8 +418,11 @@ HierarchicalDesigner::designTiles(const ChipTopology &chip, TileMap map,
                                   std::size_t *tiles_total) const
 {
     const metrics::ScopedTimer timer("hier.design");
-    const trace::TraceSpan span("hier.design", "hier");
     validateTileMap(map, chip.qubitCount());
+    requireConfig(data == nullptr ||
+                      (data->xyCrosstalk.size() == chip.qubitCount() &&
+                       data->zzCrosstalkMHz.size() == chip.qubitCount()),
+                  "characterization does not match the chip");
 
     HierarchicalDesign out;
     out.map = std::move(map);
@@ -555,18 +532,8 @@ HierarchicalDesigner::designTiles(const ChipTopology &chip, TileMap map,
             const YoutiaoDesigner designer(tile_config);
             auto result = designer.designFromMeasurementsRobust(
                 tile.chip, tile_data, w_phy);
-            if (!result.hasValue()) {
-                if (result.error().isCancellation())
-                    throw cancel::Cancelled(
-                        result.error().code ==
-                                DesignErrorCode::DeadlineExceeded
-                            ? cancel::Reason::DeadlineExceeded
-                            : cancel::Reason::Cancelled,
-                        "hier.tile");
-                throw ConfigError("tile " + std::to_string(t) +
-                                  " design failed: " +
-                                  result.error().toString());
-            }
+            if (!result.hasValue())
+                throwDesignError(result.error().with("tile", t));
             if (!single_tile && checkpoint::active())
                 checkpoint::store(ckpt_key,
                                   packTileDesign(result.value()));
@@ -576,6 +543,9 @@ HierarchicalDesigner::designTiles(const ChipTopology &chip, TileMap map,
         });
     for (std::size_t t = 0; t < out.tiles.size(); ++t)
         out.tiles[t].design = std::move(designs[t]);
+    // Merge barrier: tiles replayed from a checkpoint never polled, so
+    // a deadline that expired during the fan-out is observed here.
+    cancel::poll("hier.merge");
 
     if (single_tile) {
         // Identity maps: the merged design IS the tile design, field for
@@ -664,6 +634,7 @@ HierarchicalDesigner::designTiles(const ChipTopology &chip, TileMap map,
 
     // Boundary-aware frequency stitch across the seams.
     stitchSeamsImpl(chip, data, out);
+    cancel::poll("hier.finish");
 
     agg.residualCrosstalkCost = out.merged.frequencyPlan.crosstalkCost;
     out.merged.counts = multiplexedWiringCounts(
@@ -807,6 +778,7 @@ HierarchicalDesigner::stitchSeamsImpl(const ChipTopology &chip,
     // a degree of freedom. Deterministic: pairs in ascending order,
     // cells in ascending order, strict improvement required.
     for (std::size_t pass = 0; pass < hier_.maxSeamPasses; ++pass) {
+        cancel::poll("hier.seam_stitch");
         std::size_t retunes_this_pass = 0;
         for (const auto &[a, b] : cross_pairs) {
             double xt = 0.0;
@@ -931,7 +903,6 @@ routeHierarchical(const ChipTopology &chip,
                   const HierarchicalRoutingConfig &config)
 {
     const metrics::ScopedTimer timer("hier.route");
-    const trace::TraceSpan span("hier.route", "hier");
     requireConfig(!design.tiles.empty(),
                   "hierarchical design has no tiles to route");
 

@@ -176,12 +176,13 @@ class HierarchicalDesigner
 
     /**
      * Structured-error variants of the two entry points above. A tile
-     * whose design fails, or a cooperative abort (common/cancel.hpp),
-     * comes back as a DesignError instead of an exception; cancellation
-     * carries code Cancelled/DeadlineExceeded and, when @p partial is
-     * non-null, records how far the tile fan-out got ("cancelled after
-     * N of M tiles") so a deadline-killed run still reports structured
-     * progress.
+     * whose design fails, or a cooperative abort (common/cancel.hpp;
+     * polled per tile, at the merge barrier, per seam-stitch pass and
+     * before returning), comes back as a DesignError instead of an
+     * exception; cancellation carries code Cancelled/DeadlineExceeded
+     * and, when @p partial is non-null, records how far the tile fan-out
+     * got ("cancelled after N of M tiles") so a deadline-killed run
+     * still reports structured progress.
      */
     Expected<HierarchicalDesign, DesignError>
     designSynthesizedRobust(const ChipTopology &chip, double w_phy = 0.6,
@@ -201,6 +202,13 @@ class HierarchicalDesigner
                                    = nullptr,
                                    std::size_t *tiles_total
                                    = nullptr) const;
+
+    /** designTiles on the uniform tile map, every failure caught into a
+     *  DesignError (the shared body of both *Robust entry points). */
+    Expected<HierarchicalDesign, DesignError>
+    designTilesRobust(const ChipTopology &chip,
+                      const ChipCharacterization *data, double w_phy,
+                      DegradationReport *partial) const;
 
     /** Boundary-aware frequency retune over the seam band. */
     void stitchSeamsImpl(const ChipTopology &chip,

@@ -13,23 +13,6 @@
 
 namespace youtiao {
 
-namespace {
-
-/** A cooperative abort surfaced as a structured error: which reason,
- *  and which poll site observed it. */
-DesignError
-cancelledError(const cancel::Cancelled &e)
-{
-    const DesignErrorCode code =
-        e.reason() == cancel::Reason::DeadlineExceeded
-            ? DesignErrorCode::DeadlineExceeded
-            : DesignErrorCode::Cancelled;
-    return DesignError(DesignStage::Validation, e.what(), code)
-        .with("where", e.where());
-}
-
-} // namespace
-
 bool
 DegradationReport::empty() const
 {
@@ -82,15 +65,7 @@ YoutiaoDesign
 YoutiaoDesigner::design(const ChipTopology &chip,
                         const ChipCharacterization &data) const
 {
-    CrosstalkModel xy, zz;
-    {
-        const metrics::ScopedTimer timer("design.characterization_fit");
-        const trace::TraceSpan span("design.characterization_fit",
-                                    "design");
-        xy = CrosstalkModel::fit(data.xySamples, config_.fit);
-        zz = CrosstalkModel::fit(data.zzSamples, config_.fit);
-    }
-    return designWithModels(chip, xy, zz);
+    return valueOrThrow(designRobust(chip, data));
 }
 
 YoutiaoDesign
@@ -98,20 +73,7 @@ YoutiaoDesigner::designWithModels(const ChipTopology &chip,
                                   const CrosstalkModel &xy_model,
                                   const CrosstalkModel &zz_model) const
 {
-    YoutiaoDesign out;
-    out.xyModel = xy_model;
-    out.zzModel = zz_model;
-    SymmetricMatrix predicted_xy, predicted_zz;
-    {
-        const metrics::ScopedTimer timer("design.crosstalk_predict");
-        const trace::TraceSpan span("design.crosstalk_predict",
-                                    "design");
-        predicted_xy = xy_model.predictQubitMatrix(chip);
-        predicted_zz = zz_model.predictQubitMatrix(chip);
-    }
-    return finishDesign(chip, std::move(predicted_xy),
-                        std::move(predicted_zz), xy_model.wPhy(),
-                        std::move(out));
+    return valueOrThrow(designWithModelsRobust(chip, xy_model, zz_model));
 }
 
 YoutiaoDesign
@@ -119,99 +81,7 @@ YoutiaoDesigner::designFromMeasurements(const ChipTopology &chip,
                                         const ChipCharacterization &data,
                                         double w_phy) const
 {
-    requireConfig(data.xyCrosstalk.size() == chip.qubitCount() &&
-                      data.zzCrosstalkMHz.size() == chip.qubitCount(),
-                  "characterization does not match the chip");
-    return finishDesign(chip, data.xyCrosstalk, data.zzCrosstalkMHz,
-                        w_phy, YoutiaoDesign{});
-}
-
-YoutiaoDesign
-YoutiaoDesigner::finishDesign(const ChipTopology &chip,
-                              SymmetricMatrix predicted_xy,
-                              SymmetricMatrix predicted_zz, double w_phy,
-                              YoutiaoDesign out) const
-{
-    requireConfig(chip.qubitCount() > 0, "cannot design an empty chip");
-    cancel::poll("design.start");
-    out.predictedXy = std::move(predicted_xy);
-    out.predictedZzMHz = std::move(predicted_zz);
-
-    // Equivalent-distance matrix under the chosen weights drives both
-    // FDM grouping and region growth.
-    SymmetricMatrix d_equiv;
-    {
-        const metrics::ScopedTimer timer("design.distance_matrices");
-        const trace::TraceSpan span("design.distance_matrices", "design");
-        const SymmetricMatrix d_phy = qubitPhysicalDistanceMatrix(chip);
-        const SymmetricMatrix d_top = qubitTopologicalDistanceMatrix(chip);
-        d_equiv =
-            equivalentDistanceMatrix(d_phy, d_top, w_phy, 1.0 - w_phy);
-    }
-
-    Prng prng(config_.seed);
-    cancel::poll("design.partition");
-    {
-        const metrics::ScopedTimer timer("design.partition");
-        const trace::TraceSpan span("design.partition", "design");
-        if (chip.qubitCount() > config_.partitionThresholdQubits) {
-            out.partition = generativePartition(chip, d_equiv,
-                                                config_.partition, prng);
-        } else {
-            out.partition.regions.push_back({});
-            out.partition.regionOfQubit.assign(chip.qubitCount(), 0);
-            for (std::size_t q = 0; q < chip.qubitCount(); ++q)
-                out.partition.regions[0].push_back(q);
-            out.partition.seeds.push_back(0);
-        }
-    }
-
-    cancel::poll("design.allocate");
-    {
-        const metrics::ScopedTimer timer("design.xy_grouping");
-        const trace::TraceSpan span("design.xy_grouping", "design");
-        out.xyPlan =
-            groupFdmPartitioned(out.partition, d_equiv, config_.fdm);
-    }
-    {
-        const metrics::ScopedTimer timer("design.frequency_allocation");
-        const trace::TraceSpan span("design.frequency_allocation",
-                                    "design");
-        const NoiseModel noise(config_.noise);
-        out.frequencyPlan = allocateFrequencies(
-            out.xyPlan, out.predictedXy, noise, config_.frequency);
-    }
-    cancel::poll("design.tdm");
-    {
-        const metrics::ScopedTimer timer("design.tdm_grouping");
-        const trace::TraceSpan span("design.tdm_grouping", "design");
-        out.zPlan = groupTdmPartitioned(chip, out.partition,
-                                        out.predictedZzMHz, config_.tdm);
-    }
-
-    cancel::poll("design.readout");
-    {
-        const metrics::ScopedTimer timer("design.readout_planning");
-        const trace::TraceSpan span("design.readout_planning", "design");
-        ReadoutConfig readout_cfg = config_.readout;
-        readout_cfg.feedlineCapacity = config_.cost.readoutFeedCapacity;
-        out.readout = planReadout(d_equiv, readout_cfg);
-        out.readoutPlan.lines = out.readout.feedlines;
-        out.readoutPlan.lineOfQubit = out.readout.feedlineOfQubit;
-    }
-
-    out.counts = multiplexedWiringCounts(chip.qubitCount(), out.xyPlan,
-                                         out.zPlan, config_.cost);
-    out.costUsd = wiringCostUsd(out.counts, config_.cost);
-    metrics::count("design.chips_designed");
-    metrics::count("design.qubits_designed", chip.qubitCount());
-    log::info("chip designed",
-              {{"qubits", chip.qubitCount()},
-               {"regions", out.partition.regions.size()},
-               {"xy_lines", out.xyPlan.lines.size()},
-               {"z_groups", out.zPlan.groups.size()},
-               {"cost_usd", out.costUsd}});
-    return out;
+    return valueOrThrow(designFromMeasurementsRobust(chip, data, w_phy));
 }
 
 Expected<YoutiaoDesign, DesignError>
@@ -221,8 +91,6 @@ YoutiaoDesigner::designRobust(const ChipTopology &chip,
     CrosstalkModel xy, zz;
     try {
         const metrics::ScopedTimer timer("design.characterization_fit");
-        const trace::TraceSpan span("design.characterization_fit",
-                                    "design");
         xy = CrosstalkModel::fit(data.xySamples, config_.fit);
         zz = CrosstalkModel::fit(data.zzSamples, config_.fit);
     } catch (const cancel::Cancelled &e) {
@@ -245,8 +113,6 @@ YoutiaoDesigner::designWithModelsRobust(const ChipTopology &chip,
     SymmetricMatrix predicted_xy, predicted_zz;
     try {
         const metrics::ScopedTimer timer("design.crosstalk_predict");
-        const trace::TraceSpan span("design.crosstalk_predict",
-                                    "design");
         predicted_xy = xy_model.predictQubitMatrix(chip);
         predicted_zz = zz_model.predictQubitMatrix(chip);
     } catch (const cancel::Cancelled &e) {
@@ -292,10 +158,10 @@ YoutiaoDesigner::finishDesignRobust(const ChipTopology &chip,
                                     SymmetricMatrix predicted_zz,
                                     double w_phy, YoutiaoDesign out) const
 {
-    // The clean path below runs the exact stage sequence of
-    // finishDesign() -- same calls, same PRNG consumption -- so a run
-    // where no ladder step engages is bit-identical to the throwing
-    // entry points (pinned by tests/test_degradation.cpp).
+    // Every entry point, throwing or structured, ends here. On a clean
+    // run no ladder step engages and the stage sequence -- calls and
+    // PRNG consumption alike -- is the plain pipeline's (the designs are
+    // pinned by golden digests in tests/test_degradation.cpp).
     if (chip.qubitCount() == 0)
         return DesignError(DesignStage::Validation,
                            "cannot design an empty chip");
@@ -307,7 +173,6 @@ YoutiaoDesigner::finishDesignRobust(const ChipTopology &chip,
     SymmetricMatrix d_equiv;
     try {
         const metrics::ScopedTimer timer("design.distance_matrices");
-        const trace::TraceSpan span("design.distance_matrices", "design");
         const SymmetricMatrix d_phy = qubitPhysicalDistanceMatrix(chip);
         const SymmetricMatrix d_top = qubitTopologicalDistanceMatrix(chip);
         d_equiv =
@@ -322,7 +187,6 @@ YoutiaoDesigner::finishDesignRobust(const ChipTopology &chip,
     Prng prng(config_.seed);
     {
         const metrics::ScopedTimer timer("design.partition");
-        const trace::TraceSpan span("design.partition", "design");
         bool single_region =
             chip.qubitCount() <= config_.partitionThresholdQubits;
         if (!single_region) {
@@ -379,8 +243,6 @@ YoutiaoDesigner::finishDesignRobust(const ChipTopology &chip,
         try {
             {
                 const metrics::ScopedTimer timer("design.xy_grouping");
-                const trace::TraceSpan span("design.xy_grouping",
-                                            "design");
                 if (fault::site("design.fdm_group"))
                     throw ConfigError(
                         "injected fault: XY grouping failed");
@@ -402,8 +264,6 @@ YoutiaoDesigner::finishDesignRobust(const ChipTopology &chip,
             {
                 const metrics::ScopedTimer timer(
                     "design.frequency_allocation");
-                const trace::TraceSpan span(
-                    "design.frequency_allocation", "design");
                 if (fault::site("freq.allocate"))
                     throw ConfigError("injected fault: frequency "
                                       "allocation infeasible");
@@ -457,7 +317,6 @@ YoutiaoDesigner::finishDesignRobust(const ChipTopology &chip,
     cancel::poll("design.tdm");
     {
         const metrics::ScopedTimer timer("design.tdm_grouping");
-        const trace::TraceSpan span("design.tdm_grouping", "design");
         bool dedicated_fallback = false;
         if (fault::site("design.tdm_group")) {
             degraded.notes.push_back(
@@ -526,7 +385,6 @@ YoutiaoDesigner::finishDesignRobust(const ChipTopology &chip,
     cancel::poll("design.readout");
     {
         const metrics::ScopedTimer timer("design.readout_planning");
-        const trace::TraceSpan span("design.readout_planning", "design");
         ReadoutConfig readout_cfg = config_.readout;
         readout_cfg.feedlineCapacity = config_.cost.readoutFeedCapacity;
         bool dedicated_readout = false;

@@ -83,12 +83,24 @@ struct YoutiaoDesign
     /** Resource tally + cost. */
     WiringCounts counts;
     double costUsd = 0.0;
-    /** What the robust pipeline gave up (empty on clean runs and on
-     *  designs produced by the throwing entry points). */
+    /** What the degradation ladder gave up, whichever entry point ran
+     *  it (empty on clean runs). */
     DegradationReport degradation;
 };
 
-/** The pipeline. */
+/**
+ * The pipeline. Each stage exists once, in the graceful-degradation
+ * ladder behind the *Robust entry points; the three throwing entry
+ * points are thin wrappers over their structured twins. A clean run is
+ * byte-identical through either API. Through the throwing API:
+ *  - a stage failure the ladder rescues returns the degraded design
+ *    with its DegradationReport instead of throwing;
+ *  - armed fault sites (common/fault.hpp) fire as on the robust path;
+ *  - degradation.residualCrosstalkCost is filled in;
+ *  - a failure no rung rescues throws ConfigError (the DesignError's
+ *    toString()), and a cooperative abort throws cancel::Cancelled with
+ *    the original reason and poll site (throwDesignError()).
+ */
 class YoutiaoDesigner
 {
   public:
@@ -123,16 +135,15 @@ class YoutiaoDesigner
                                          double w_phy = 0.6) const;
 
     /**
-     * Graceful-degradation variants: instead of throwing on the first
-     * infeasible stage, these walk the degradation ladder (partition
-     * falls back to a single region, infeasible allocations retry with
+     * Structured variants, and the one implementation of the pipeline:
+     * an infeasible stage walks the degradation ladder (partition falls
+     * back to a single region, infeasible allocations retry with
      * shrunken group sizes and seeded perturbation under
      * RobustnessConfig::maxAllocationAttempts, broken DEMUX channels
-     * strand their device onto a dedicated line) and record every
-     * concession in the design's DegradationReport. When nothing fails
-     * the result is bit-identical to the throwing entry points. A chip
-     * no ladder step can rescue yields a structured DesignError --
-     * these functions do not throw on bad inputs.
+     * strand their device onto a dedicated line) and records every
+     * concession in the design's DegradationReport. A chip no ladder
+     * step can rescue, or a cooperative abort, yields a structured
+     * DesignError -- these functions do not throw on bad inputs.
      */
     Expected<YoutiaoDesign, DesignError>
     designRobust(const ChipTopology &chip,
@@ -157,11 +168,6 @@ class YoutiaoDesigner
                                         const YoutiaoDesign &design) const;
 
   private:
-    YoutiaoDesign finishDesign(const ChipTopology &chip,
-                               SymmetricMatrix predicted_xy,
-                               SymmetricMatrix predicted_zz, double w_phy,
-                               YoutiaoDesign out) const;
-
     Expected<YoutiaoDesign, DesignError>
     finishDesignRobust(const ChipTopology &chip,
                        SymmetricMatrix predicted_xy,

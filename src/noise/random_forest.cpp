@@ -30,7 +30,6 @@ RandomForest::fit(std::span<const double> features,
 {
     requireConfig(!targets.empty(), "cannot fit on zero samples");
     const metrics::ScopedTimer timer("noise.forest_fit");
-    const trace::TraceSpan span("noise.forest_fit", "noise");
     metrics::count("noise.trees_fitted", config_.treeCount);
     const std::size_t n = targets.size();
     const auto draw_count = static_cast<std::size_t>(

@@ -60,8 +60,9 @@ struct AstarConfig
      * weights (up to ~1.0, the new-metal step cost) make the search
      * goal-directed and orders of magnitude faster; paths may then
      * under-reuse trunks but remain valid routes. The hierarchical tile
-     * router runs at 1.0; the flat path keeps the default so existing
-     * results stay bit-identical.
+     * router runs at 2.0 (tunedTileRoutingConfig(), inconsistent and
+     * strongly goal-directed); the flat path keeps the default so
+     * existing results stay bit-identical.
      */
     double heuristicWeight = 0.01;
 };
@@ -167,18 +168,18 @@ class SearchArena
  * success the new cells are claimed for the net and the path returned;
  * on failure nullopt (grid unchanged).
  */
-std::optional<RoutedPath> routeAstar(RoutingGrid &grid, Cell from, Cell to,
-                                     std::int32_t net_id,
-                                     const AstarConfig &config = {});
+[[nodiscard]] std::optional<RoutedPath>
+routeAstar(RoutingGrid &grid, Cell from, Cell to, std::int32_t net_id,
+           const AstarConfig &config = {});
 
 /**
  * Same search reusing @p arena's buffers across calls (the chip router
  * routes one net at a time and passes one arena through the whole chip).
  * Results are identical to the fresh-buffer overload.
  */
-std::optional<RoutedPath> routeAstar(RoutingGrid &grid, Cell from, Cell to,
-                                     std::int32_t net_id, SearchArena &arena,
-                                     const AstarConfig &config = {});
+[[nodiscard]] std::optional<RoutedPath>
+routeAstar(RoutingGrid &grid, Cell from, Cell to, std::int32_t net_id,
+           SearchArena &arena, const AstarConfig &config = {});
 
 } // namespace youtiao
 

@@ -333,7 +333,6 @@ routeChip(const ChipTopology &chip, const std::vector<NetSpec> &nets,
           const ChipRoutingConfig &config)
 {
     const metrics::ScopedTimer timer("routing.route_chip");
-    const trace::TraceSpan span("routing.route_chip", "routing");
     // Short nets route first: pin stubs claim their pad alleys before the
     // long trunks (which have many detour options) weave around. When a
     // net still fails, rip everything up and retry with the failed nets

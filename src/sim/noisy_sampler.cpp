@@ -42,7 +42,6 @@ sampleNoisyExecution(const QuantumCircuit &qc, const Schedule &schedule,
 {
     requireConfig(shots >= 1, "need at least one shot");
     const metrics::ScopedTimer timer("sim.noisy_sampling");
-    const trace::TraceSpan span("sim.noisy_sampling", "sim");
     metrics::count("sim.shots", shots);
 
     // Flatten every independent error channel into one probability list;

@@ -7,7 +7,6 @@
 #include "common/metrics.hpp"
 #include "common/parallel.hpp"
 #include "common/simd.hpp"
-#include "common/trace.hpp"
 
 #if YOUTIAO_SIMD_HAVE_AVX2
 #include <immintrin.h>
@@ -488,7 +487,6 @@ StateVector::run(const QuantumCircuit &qc)
     requireConfig(qc.qubitCount() <= qubitCount_,
                   "circuit wider than the register");
     const metrics::ScopedTimer timer("sim.gate_kernels");
-    const trace::TraceSpan span("sim.gate_kernels", "sim");
     metrics::count("sim.gates_applied", qc.gates().size());
     for (const Gate &g : qc.gates())
         applyGate(g);

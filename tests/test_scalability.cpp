@@ -10,8 +10,9 @@ TEST(Scalability, GridWithExactQubitCount)
     for (std::size_t n : {1u, 7u, 36u, 150u, 1000u}) {
         const ChipTopology chip = makeGridWithQubitCount(n);
         EXPECT_EQ(chip.qubitCount(), n);
-        if (n > 1)
+        if (n > 1) {
             EXPECT_TRUE(chip.qubitGraph().isConnected());
+        }
     }
 }
 

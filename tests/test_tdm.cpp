@@ -120,8 +120,9 @@ TEST(Tdm, SingletonGroupsAreDedicated)
     const ChipTopology chip = makeSquareGrid(3, 3);
     const TdmPlan plan = groupTdm(chip, zzFor(chip));
     for (const TdmGroup &g : plan.groups) {
-        if (g.devices.size() == 1)
+        if (g.devices.size() == 1) {
             EXPECT_EQ(g.fanout, 1u);
+        }
     }
 }
 
