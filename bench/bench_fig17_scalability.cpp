@@ -28,7 +28,6 @@
 #include "multiplex/frequency_allocation.hpp"
 #include "routing/chip_router.hpp"
 #include "sim/fidelity_estimator.hpp"
-#include "sim/statevector.hpp"
 
 namespace {
 
@@ -157,26 +156,6 @@ printPartE()
                 "area\n\n",
                 route.netCount, route.crossovers.size(),
                 route.routingAreaMm2);
-
-    // Statevector stint so sim.gate_kernels joins the perf record: an
-    // 18-qubit brickwork circuit (single-qubit rotations + CZ/SWAP
-    // layers) heavy enough to clear perf_check's timing floor.
-    const std::size_t sv_qubits = 18;
-    QuantumCircuit qc(sv_qubits);
-    for (std::size_t layer = 0; layer < 8; ++layer) {
-        for (std::size_t q = 0; q < sv_qubits; ++q) {
-            qc.rx(q, 0.1 + 0.01 * static_cast<double>(q + layer));
-            qc.rz(q, 0.2 + 0.02 * static_cast<double>(q));
-        }
-        for (std::size_t q = layer % 2; q + 1 < sv_qubits; q += 2)
-            qc.cz(q, q + 1);
-        for (std::size_t q = 0; q + 3 < sv_qubits; q += 4)
-            qc.swap(q, q + 3);
-    }
-    const StateVector state = simulate(qc);
-    std::printf("statevector stint: %zu qubits, %zu gates, norm "
-                "%.12f\n\n",
-                sv_qubits, qc.gates().size(), state.norm());
 }
 
 /**

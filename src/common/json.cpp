@@ -4,7 +4,10 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
+#include <type_traits>
 
 #include "common/error.hpp"
 
@@ -42,6 +45,26 @@ Value::asNumber(const std::string &what) const
     requireConfig(kind == Kind::Number, what + " is not a number");
     return number;
 }
+
+template <typename Int>
+Int
+Value::asInteger(const std::string &what) const
+{
+    const double n = asNumber(what);
+    requireConfig(n == std::trunc(n), what + " is not an integer");
+    // Int holds [-2^digits, 2^digits) when signed and [0, 2^digits)
+    // when not; both bounds are exact doubles, so these comparisons
+    // decide representability exactly.
+    const double bound =
+        std::ldexp(1.0, std::numeric_limits<Int>::digits);
+    const double low = std::is_signed_v<Int> ? -bound : 0.0;
+    requireConfig(n >= low && n < bound, what + " is out of range");
+    return static_cast<Int>(n);
+}
+
+template std::uint64_t
+Value::asInteger<std::uint64_t>(const std::string &what) const;
+template int Value::asInteger<int>(const std::string &what) const;
 
 const std::map<std::string, Value> &
 Value::asObject(const std::string &what) const

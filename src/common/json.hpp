@@ -46,6 +46,11 @@ class Value
     /** Typed getters. @p what names the value in error messages. */
     const std::string &asString(const std::string &what) const;
     double asNumber(const std::string &what) const;
+    /** An integral number that @p Int can hold; throws ConfigError for
+     *  a fraction or an out-of-range value (casting either would be
+     *  lossy or undefined). Instantiated for std::uint64_t and int. */
+    template <typename Int>
+    Int asInteger(const std::string &what) const;
     const std::map<std::string, Value> &
     asObject(const std::string &what) const;
     const std::vector<Value> &asArray(const std::string &what) const;

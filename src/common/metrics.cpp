@@ -17,7 +17,6 @@
 #include "common/flight.hpp"
 #include "common/json.hpp"
 #include "common/parallel.hpp"
-#include "common/simd.hpp"
 #include "common/trace.hpp"
 #include "common/watchdog.hpp"
 
@@ -406,10 +405,6 @@ jsonReport(const std::string &benchmark)
             << jsonEscape(threads_env) << "\",\n";
     else
         out << "    \"youtiao_threads_env\": null,\n";
-    out << "    \"simd_level\": \""
-        << simd::levelName(simd::active()) << "\",\n";
-    out << "    \"cpu_features\": \""
-        << jsonEscape(simd::cpuFeatureString()) << "\",\n";
     out << "    \"build_type\": \"" << jsonEscape(buildType()) << "\",\n";
     out << "    \"peak_rss_bytes\": ";
     if (rss.has_value())

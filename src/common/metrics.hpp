@@ -194,11 +194,11 @@ std::string phaseTable(
  * Machine-readable perf record of the global registry (schema
  * "youtiao-perf-5", see docs/FILE_FORMATS.md): benchmark name, config
  * (resolved thread count, raw YOUTIAO_THREADS, build type, peak RSS or
- * null where the platform cannot report it, active SIMD level, CPU
- * SIMD features), per-phase wall times and call counts, counters,
- * per-histogram bucket counts with derived p50/p90/p99, and the
- * resource watchdog's time series (common/watchdog.hpp) with its stall
- * count -- an empty series when the watchdog never ran.
+ * null where the platform cannot report it), per-phase wall times and
+ * call counts, counters, per-histogram bucket counts with derived
+ * p50/p90/p99, and the resource watchdog's time series
+ * (common/watchdog.hpp) with its stall count -- an empty series when
+ * the watchdog never ran.
  */
 std::string jsonReport(const std::string &benchmark);
 

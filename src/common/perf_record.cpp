@@ -12,20 +12,13 @@ namespace youtiao {
 
 namespace {
 
-std::uint64_t
-asCount(const json::Value &value, const std::string &what)
-{
-    const double n = value.asNumber(what);
-    requireConfig(n >= 0.0, "perf record: " + what + " is negative");
-    return static_cast<std::uint64_t>(n);
-}
-
 HistogramRecord
 parseHistogram(const std::string &name, const json::Value &entry)
 {
     HistogramRecord h;
-    const std::string what = "histogram '" + name + "'";
-    h.count = asCount(entry.field("count"), what + " count");
+    const std::string what = "perf record: histogram '" + name + "'";
+    h.count = entry.field("count").asInteger<std::uint64_t>(what +
+                                                            " count");
     h.min = entry.field("min").asNumber(what + " min");
     h.max = entry.field("max").asNumber(what + " max");
     h.p50 = entry.field("p50").asNumber(what + " p50");
@@ -38,10 +31,9 @@ parseHistogram(const std::string &name, const json::Value &entry)
         requireConfig(end != nullptr && *end == '\0' && index >= 0 &&
                           index < static_cast<long>(
                                       metrics::kHistogramBuckets),
-                      "perf record: " + what + " has bad bucket key '" +
-                          key + "'");
+                      what + " has bad bucket key '" + key + "'");
         h.buckets[static_cast<int>(index)] =
-            asCount(value, what + " bucket " + key);
+            value.asInteger<std::uint64_t>(what + " bucket " + key);
     }
     return h;
 }
@@ -54,10 +46,7 @@ parsePerfRecord(const std::string &text)
     const json::Value root = json::parse(text, "perf record");
     PerfRecord record;
     record.schema = root.field("schema").asString("perf record: schema");
-    requireConfig(record.schema == "youtiao-perf-1" ||
-                      record.schema == "youtiao-perf-2" ||
-                      record.schema == "youtiao-perf-3" ||
-                      record.schema == "youtiao-perf-4" ||
+    requireConfig(record.schema == "youtiao-perf-4" ||
                       record.schema == "youtiao-perf-5",
                   "perf record: unknown schema '" + record.schema + "'");
     record.benchmark =
@@ -70,13 +59,14 @@ parsePerfRecord(const std::string &text)
         requireConfig(stats.seconds >= 0.0,
                       "perf record: phase '" + name +
                           "' has negative time");
-        stats.calls = asCount(entry.field("calls"),
-                              "phase '" + name + "' calls");
+        stats.calls = entry.field("calls").asInteger<std::uint64_t>(
+            "perf record: phase '" + name + "' calls");
         record.phases[name] = stats;
     }
     for (const auto &[name, entry] :
          root.field("counters").asObject("perf record: counters"))
-        record.counters[name] = asCount(entry, "counter '" + name + "'");
+        record.counters[name] = entry.asInteger<std::uint64_t>(
+            "perf record: counter '" + name + "'");
     if (const json::Value *histograms = root.fieldIf("histograms")) {
         for (const auto &[name, entry] :
              histograms->asObject("perf record: histograms"))
@@ -85,15 +75,9 @@ parsePerfRecord(const std::string &text)
     if (const json::Value *config = root.fieldIf("config")) {
         if (const json::Value *rss = config->fieldIf("peak_rss_bytes")) {
             if (!rss->isNull())
-                record.peakRssBytes =
-                    asCount(*rss, "config peak_rss_bytes");
+                record.peakRssBytes = rss->asInteger<std::uint64_t>(
+                    "perf record: config peak_rss_bytes");
         }
-        if (const json::Value *level = config->fieldIf("simd_level"))
-            record.simdLevel =
-                level->asString("perf record: config simd_level");
-        if (const json::Value *cpu = config->fieldIf("cpu_features"))
-            record.cpuFeatures =
-                cpu->asString("perf record: config cpu_features");
     }
     if (const json::Value *series = root.fieldIf("resource_samples")) {
         for (const json::Value &entry :
@@ -102,21 +86,25 @@ parsePerfRecord(const std::string &text)
             sample.tsSeconds = entry.field("ts_s").asNumber(
                 "perf record: resource sample ts_s");
             sample.rssBytes =
-                asCount(entry.field("rss_bytes"), "resource rss_bytes");
+                entry.field("rss_bytes").asInteger<std::uint64_t>(
+                    "perf record: resource rss_bytes");
             sample.cpuSeconds = entry.field("cpu_seconds")
                                     .asNumber("perf record: resource "
                                               "sample cpu_seconds");
             sample.astarArenaBytes =
-                asCount(entry.field("astar_arena_bytes"),
-                        "resource astar_arena_bytes");
+                entry.field("astar_arena_bytes")
+                    .asInteger<std::uint64_t>(
+                        "perf record: resource astar_arena_bytes");
             sample.poolQueueDepth =
-                asCount(entry.field("pool_queue_depth"),
-                        "resource pool_queue_depth");
+                entry.field("pool_queue_depth")
+                    .asInteger<std::uint64_t>(
+                        "perf record: resource pool_queue_depth");
             record.resourceSamples.push_back(sample);
         }
     }
     if (const json::Value *stalls = root.fieldIf("watchdog_stalls"))
-        record.watchdogStalls = asCount(*stalls, "watchdog_stalls");
+        record.watchdogStalls = stalls->asInteger<std::uint64_t>(
+            "perf record: watchdog_stalls");
     return record;
 }
 

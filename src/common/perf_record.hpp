@@ -24,7 +24,7 @@
 
 namespace youtiao {
 
-/** One histogram entry of a perf-3+ record. Quantiles are the writer's
+/** One histogram entry of a perf record. Quantiles are the writer's
  *  derived values; `buckets` maps log2 bucket index -> sample count
  *  (see metrics::HistogramStats). */
 struct HistogramRecord
@@ -48,26 +48,20 @@ struct ResourceSample
     std::uint64_t poolQueueDepth = 0;
 };
 
-/** One parsed `BENCH_<name>.json` record (schema youtiao-perf-1..5). */
+/** One parsed `BENCH_<name>.json` record (schema youtiao-perf-4 or -5).
+ *  Earlier writers also stamped `config.simd_level` and
+ *  `config.cpu_features`; the parser ignores both. */
 struct PerfRecord
 {
     std::string schema;
     std::string benchmark;
     std::map<std::string, metrics::PhaseStats> phases;
     std::map<std::string, std::uint64_t> counters;
-    /** Present for perf-3+ records; empty for older schemas. */
     std::map<std::string, HistogramRecord> histograms;
     /** Peak RSS from the config block; nullopt when the record carries
-     *  JSON null (platform could not measure) or predates the field.
+     *  JSON null (platform could not measure) or omits the field.
      *  Null means "not comparable", never a measured zero. */
     std::optional<std::uint64_t> peakRssBytes;
-    /** Active SIMD dispatch level ("scalar"/"interleaved"/"avx2") from
-     *  the perf-4 config block; nullopt for older schemas. Records at
-     *  different levels time different kernels, so perf_check refuses
-     *  to compare them unless explicitly overridden. */
-    std::optional<std::string> simdLevel;
-    /** CPU feature summary from the perf-4 config block (diagnostic). */
-    std::optional<std::string> cpuFeatures;
     /** Watchdog time series of a perf-5 record; empty when the record
      *  predates perf-5 or the watchdog never ran. */
     std::vector<ResourceSample> resourceSamples;
@@ -77,7 +71,8 @@ struct PerfRecord
 
 /**
  * Parse @p json as a perf record. Throws ConfigError on malformed JSON,
- * a missing/unknown schema, or phase entries without numeric seconds.
+ * a missing or unaccepted schema, phase entries without numeric
+ * seconds, or a count that is not an integer in uint64 range.
  */
 PerfRecord parsePerfRecord(const std::string &json);
 

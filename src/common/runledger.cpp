@@ -19,7 +19,6 @@
 #include "common/json.hpp"
 #include "common/log.hpp"
 #include "common/parallel.hpp"
-#include "common/simd.hpp"
 
 namespace youtiao::runledger {
 
@@ -122,14 +121,6 @@ appendLedgerLine(const char *path, std::string line)
     ::close(fd);
 }
 
-std::uint64_t
-asCount(const json::Value &value, const std::string &what)
-{
-    const double n = value.asNumber(what);
-    requireConfig(n >= 0.0, "run ledger: " + what + " is negative");
-    return static_cast<std::uint64_t>(n);
-}
-
 } // namespace
 
 std::string
@@ -217,8 +208,6 @@ Recorder::manifestJson() const
     out << "]";
     out << ",\"git_sha\":\"" << json::escape(gitSha()) << "\"";
     out << ",\"build_type\":\"" << json::escape(buildType()) << "\"";
-    out << ",\"simd_level\":\"" << simd::levelName(simd::active())
-        << "\"";
     out << ",\"threads\":" << configuredThreadCount();
     if (threads_env != nullptr)
         out << ",\"youtiao_threads_env\":\"" << json::escape(threads_env)
@@ -309,21 +298,20 @@ parseLedgerLine(const std::string &line)
         entry.gitSha = sha->asString("run ledger: git_sha");
     if (const json::Value *build = root.fieldIf("build_type"))
         entry.buildType = build->asString("run ledger: build_type");
-    if (const json::Value *level = root.fieldIf("simd_level"))
-        entry.simdLevel = level->asString("run ledger: simd_level");
     if (const json::Value *threads = root.fieldIf("threads"))
         entry.threads = static_cast<std::size_t>(
-            asCount(*threads, "threads"));
+            threads->asInteger<std::uint64_t>("run ledger: threads"));
     if (const json::Value *status = root.fieldIf("exit_status"))
-        entry.exitStatus = static_cast<int>(
-            status->asNumber("run ledger: exit_status"));
+        entry.exitStatus =
+            status->asInteger<int>("run ledger: exit_status");
     if (const json::Value *wall = root.fieldIf("wall_seconds"))
         entry.wallSeconds = wall->asNumber("run ledger: wall_seconds");
     if (const json::Value *cpu = root.fieldIf("cpu_seconds"))
         entry.cpuSeconds = cpu->asNumber("run ledger: cpu_seconds");
     if (const json::Value *rss = root.fieldIf("peak_rss_bytes")) {
         if (!rss->isNull())
-            entry.peakRssBytes = asCount(*rss, "peak_rss_bytes");
+            entry.peakRssBytes = rss->asInteger<std::uint64_t>(
+                "run ledger: peak_rss_bytes");
     }
     if (const json::Value *hashes = root.fieldIf("hashes")) {
         for (const auto &[key, value] :
@@ -343,16 +331,16 @@ parseLedgerLine(const std::string &line)
             metrics::PhaseStats stats;
             stats.seconds = value.field("seconds").asNumber(
                 "run ledger: phase '" + name + "' seconds");
-            stats.calls = asCount(value.field("calls"),
-                                  "phase '" + name + "' calls");
+            stats.calls = value.field("calls").asInteger<std::uint64_t>(
+                "run ledger: phase '" + name + "' calls");
             entry.phases[name] = stats;
         }
     }
     if (const json::Value *counters = root.fieldIf("counters")) {
         for (const auto &[name, value] :
              counters->asObject("run ledger: counters"))
-            entry.counters[name] =
-                asCount(value, "counter '" + name + "'");
+            entry.counters[name] = value.asInteger<std::uint64_t>(
+                "run ledger: counter '" + name + "'");
     }
     return entry;
 }

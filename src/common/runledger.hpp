@@ -10,7 +10,7 @@
  * $YOUTIAO_RUN_LEDGER names a file, every youtiao_cli, bench, and tool
  * invocation appends a single-line JSON manifest (schema
  * "youtiao-run-1", see docs/FILE_FORMATS.md) recording what ran (argv,
- * git sha, build type, SIMD level, thread config, input hashes), what
+ * git sha, build type, thread config, input hashes), what
  * it cost (wall/CPU seconds, peak RSS, per-phase timings, histogram
  * percentiles), and how it ended (exit status, degradation notes).
  *
@@ -107,7 +107,6 @@ struct LedgerEntry
     std::vector<std::string> argv;
     std::string gitSha;
     std::string buildType;
-    std::string simdLevel;
     std::size_t threads = 0;
     int exitStatus = 0;
     double wallSeconds = 0.0;

@@ -1,95 +1,34 @@
 /**
  * @file
- * Runtime SIMD dispatch for the hot-path kernels.
+ * Provenance shim: every kernel has one portable body, so the only SIMD
+ * "level" is scalar.
  *
- * The flattened SoA layouts from the hot-path optimisation pass
- * (statevector amplitude pairs, FlatTreeNodes, the CSR crosstalk
- * neighborhood) each carry two interchangeable kernel bodies: the
- * original scalar loop and a vectorized one. This header decides, once
- * per process, which body runs:
- *
- *   - `YOUTIAO_SIMD=auto` (default): the widest level this CPU
- *     supports -- AVX2 on x86-64 with the avx2 feature, the portable
- *     lane-interleaved kernels on AArch64 (compiled to NEON by the
- *     baseline toolchain), otherwise scalar.
- *   - `YOUTIAO_SIMD=scalar`: always the scalar bodies.
- *   - `YOUTIAO_SIMD=native`: same resolution as auto, but logs a
- *     warning when the CPU forces a fallback to scalar, so a bench job
- *     that *expects* vector kernels notices silent degradation.
- *
- * Every vector kernel is bit-identical to its scalar twin -- same
- * operations in the same association order, no FMA contraction -- so
- * the level is a pure performance knob: designs, routes, and perf
- * record *values* never depend on it. The active level is stamped into
- * perf records (schema youtiao-perf-4) so `perf_check` can refuse
- * apples-to-oranges comparisons.
- *
- * Vector bodies are compiled with function-level target attributes
- * (`YOUTIAO_TARGET_AVX2`), not global -march flags: the rest of the
- * binary stays baseline-ISA and the scalar twin keeps the exact
- * codegen it had before this layer existed.
+ * This header exists only because the benchmark harness
+ * (perfbench/harness/main.cpp) prints `simd::levelName(simd::active())`
+ * in its provenance line, and the benchmark's files change only
+ * together with the benchmark. Nothing in src/, tools/, tests/ or
+ * bench/ includes it; the benchmark change that drops the provenance
+ * field can delete it.
  */
 
 #ifndef YOUTIAO_COMMON_SIMD_HPP
 #define YOUTIAO_COMMON_SIMD_HPP
 
-#include <string>
-
-// Compile-time availability of the AVX2 kernel bodies. GCC/Clang can
-// compile per-function target("avx2") code on any x86-64 host; other
-// architectures fall back to the portable interleaved kernels.
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define YOUTIAO_SIMD_HAVE_AVX2 1
-#define YOUTIAO_TARGET_AVX2 __attribute__((target("avx2")))
-#else
-#define YOUTIAO_SIMD_HAVE_AVX2 0
-#define YOUTIAO_TARGET_AVX2
-#endif
-
 namespace youtiao::simd {
 
-enum class Level : int {
-    /** Original scalar loop bodies. */
-    Scalar = 0,
-    /** Portable lane-interleaved kernels (plain C++, written so the
-     *  baseline compiler auto-vectorizes them; the "native" level on
-     *  CPUs without AVX2 kernels, e.g. AArch64/NEON). */
-    Interleaved = 1,
-    /** Hand-written AVX2 intrinsic kernels (x86-64 only). */
-    Avx2 = 2,
-};
+enum class Level { Scalar };
 
-/** Widest level supported by this CPU (never consults the env). */
-Level nativeLevel();
+inline Level
+active()
+{
+    return Level::Scalar;
+}
 
-/**
- * The level kernels dispatch on. Resolved from `YOUTIAO_SIMD` and the
- * CPU on first call, then cached; a malformed value raises ConfigError
- * (from the first caller, i.e. the first hot-path entry).
- */
-Level active();
-
-/** "scalar" / "interleaved" / "avx2". */
-const char *levelName(Level level);
-
-/**
- * Space-separated CPU feature summary ("sse2 avx avx2 ..."), stamped
- * into perf records next to the level so cross-machine comparisons can
- * be diagnosed. Stable for the life of the process.
- */
-const std::string &cpuFeatureString();
-
-/**
- * Force the active level -- for the bit-identity property tests, which
- * sweep scalar/native the same way they sweep YOUTIAO_THREADS via
- * ThreadPool::setGlobalThreadCount. Levels above nativeLevel() clamp
- * to it (requesting AVX2 on a non-AVX2 host degrades to the widest
- * level that can actually run).
- */
-void setLevel(Level level);
-
-/** Re-resolve from `YOUTIAO_SIMD`, discarding any setLevel override. */
-void resetFromEnvironment();
+inline const char *
+levelName(Level)
+{
+    return "scalar";
+}
 
 } // namespace youtiao::simd
 

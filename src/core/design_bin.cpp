@@ -193,6 +193,7 @@ designFromReader(const binfmt::Reader &reader)
 std::vector<unsigned char>
 designToBinary(const YoutiaoDesign &design)
 {
+    validateDesign(design);
     binfmt::Writer writer(kDesignBinMagic, kDesignBinVersion);
 
     const FlatGroups xy = flattenGroups(design.xyPlan.lines);

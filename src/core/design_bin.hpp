@@ -35,7 +35,8 @@ inline constexpr char kDesignBinMagic[] = "YTDSGBIN";
 /** Current binary design schema version (youtiao-designbin-1). */
 inline constexpr std::uint32_t kDesignBinVersion = 1;
 
-/** Render @p design as a complete binary file image. */
+/** Render @p design as a complete binary file image. Runs
+ *  validateDesign first (ConfigError), like the text writer. */
 std::vector<unsigned char> designToBinary(const YoutiaoDesign &design);
 
 /** Write @p design to @p path in the binary format. Throws ConfigError

@@ -175,6 +175,7 @@ readGroups(std::istringstream stream)
 void
 saveDesign(std::ostream &out, const YoutiaoDesign &design)
 {
+    validateDesign(design);
     out << "youtiao-design " << kDesignFormatVersion << '\n';
 
     writeGroups(out, "xy.lines", design.xyPlan.lines);

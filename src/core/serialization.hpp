@@ -28,7 +28,9 @@ inline constexpr int kDesignFormatVersion = 1;
 /** Current tile-map format version. */
 inline constexpr int kTileMapFormatVersion = 1;
 
-/** Write @p design to @p out. */
+/** Write @p design to @p out. Runs validateDesign first, so a design
+ *  the loader would reject throws ConfigError before a byte is
+ *  written. */
 void saveDesign(std::ostream &out, const YoutiaoDesign &design);
 
 /** Render to a string (convenience for tests and tools). */
@@ -46,11 +48,12 @@ YoutiaoDesign loadDesign(std::istream &in);
 YoutiaoDesign designFromString(const std::string &text);
 
 /**
- * Structural consistency checks every loader runs before handing a
- * design to callers: per-qubit sections must agree on the qubit count
- * and every per-qubit/per-device map must match its group list, so a
- * corrupt file (text or binary) cannot load "successfully". Throws
- * ConfigError on the first violation.
+ * Structural consistency checks every writer runs before writing and
+ * every loader runs before handing a design to callers: per-qubit
+ * sections must agree on the qubit count and every per-qubit/per-device
+ * map must match its group list, so nothing writes a file the loaders
+ * reject and a corrupt file (text or binary) cannot load
+ * "successfully". Throws ConfigError on the first violation.
  */
 void validateDesign(const YoutiaoDesign &design);
 

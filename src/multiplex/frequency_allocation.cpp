@@ -6,12 +6,7 @@
 
 #include "common/error.hpp"
 #include "common/metrics.hpp"
-#include "common/simd.hpp"
 #include "common/units.hpp"
-
-#if YOUTIAO_SIMD_HAVE_AVX2
-#include <immintrin.h>
-#endif
 
 namespace youtiao {
 
@@ -46,142 +41,6 @@ CrosstalkNeighborhood::CrosstalkNeighborhood(
     offsets_[n] = others_.size();
 }
 
-namespace {
-
-/*
- * Sparse cost kernels. The scalar bodies are the reference; the AVX2
- * bodies compute the identical per-entry terms (same multiply/divide
- * order, no FMA) four entries at a time, force skipped terms to an
- * exact +0.0 with multiplicative masks, and then accumulate the lanes
- * SERIALLY in entry order. Since every term and every partial sum is
- * >= +0.0, adding a masked +0.0 term is bitwise equal to the scalar
- * path's skipped add, so scalar and vector sums match to the last bit.
- */
-
-#if YOUTIAO_SIMD_HAVE_AVX2
-
-/** Four indexed doubles as one vector, via scalar loads. Deliberately
- *  NOT _mm256_i32gather_pd: on gather-mitigated cores the gather
- *  microcode costs more than the whole cost expression, turning the
- *  kernel ~2x slower than scalar. Four plain loads pipeline fine. */
-YOUTIAO_TARGET_AVX2 inline __m256d
-load4Indexed(const double *base, const std::uint32_t *ids)
-{
-    return _mm256_setr_pd(base[ids[0]], base[ids[1]], base[ids[2]],
-                          base[ids[3]]);
-}
-
-/** Masked spatial term of 4 entries: crosstalk * spectralOverlap(df),
- *  zeroed where crosstalk <= 0 or the neighbour is unplaced. */
-YOUTIAO_TARGET_AVX2 inline __m256d
-spatialTermAvx2(__m256d f, __m256d f_other, __m256d xtalk,
-                __m256d placed_mask, double drive_linewidth)
-{
-    const __m256d sign = _mm256_set1_pd(-0.0);
-    const __m256d ones = _mm256_set1_pd(1.0);
-    const __m256d df = _mm256_andnot_pd(sign, _mm256_sub_pd(f, f_other));
-    const __m256d x = _mm256_div_pd(
-        _mm256_mul_pd(_mm256_set1_pd(2.0), df),
-        _mm256_set1_pd(drive_linewidth));
-    const __m256d overlap = _mm256_div_pd(
-        ones, _mm256_add_pd(ones, _mm256_mul_pd(x, x)));
-    const __m256d keep =
-        _mm256_cmp_pd(xtalk, _mm256_setzero_pd(), _CMP_GT_OQ);
-    const __m256d term =
-        _mm256_and_pd(_mm256_mul_pd(xtalk, overlap), keep);
-    return _mm256_mul_pd(term, placed_mask);
-}
-
-YOUTIAO_TARGET_AVX2 double
-qubitCostAvx2(double f_ghz, const double *freq, const double *allocated,
-              const std::uint32_t *ids, const double *xtalk,
-              const double *same_line, std::size_t count,
-              const NoiseModelConfig &noise)
-{
-    const __m256d f = _mm256_set1_pd(f_ghz);
-    const __m256d sign = _mm256_set1_pd(-0.0);
-    const __m256d ones = _mm256_set1_pd(1.0);
-    double cost = 0.0;
-    std::size_t k = 0;
-    alignas(32) double spatial[4];
-    alignas(32) double leak[4];
-    for (; k + 4 <= count; k += 4) {
-        const __m256d fo = load4Indexed(freq, ids + k);
-        const __m256d alloc = load4Indexed(allocated, ids + k);
-        const __m256d xt = _mm256_loadu_pd(xtalk + k);
-        _mm256_store_pd(
-            spatial,
-            spatialTermAvx2(f, fo, xt, alloc, noise.driveLinewidthGHz));
-        const __m256d df =
-            _mm256_andnot_pd(sign, _mm256_sub_pd(f, fo));
-        const __m256d y = _mm256_div_pd(
-            _mm256_mul_pd(_mm256_set1_pd(2.0), df),
-            _mm256_set1_pd(noise.filterLinewidthGHz));
-        const __m256d raw = _mm256_div_pd(
-            _mm256_set1_pd(noise.sharedLineLeakAmplitude),
-            _mm256_add_pd(ones, _mm256_mul_pd(y, y)));
-        const __m256d clamped = _mm256_min_pd(
-            _mm256_max_pd(raw, _mm256_setzero_pd()),
-            _mm256_set1_pd(0.5));
-        const __m256d sl = _mm256_loadu_pd(same_line + k);
-        _mm256_store_pd(
-            leak,
-            _mm256_mul_pd(_mm256_mul_pd(clamped, sl), alloc));
-        for (std::size_t lane = 0; lane < 4; ++lane) {
-            cost += spatial[lane];
-            cost += leak[lane];
-        }
-    }
-    for (; k < count; ++k) {
-        const std::size_t o = ids[k];
-        if (allocated[o] == 0.0)
-            continue;
-        const double df = std::abs(f_ghz - freq[o]);
-        const double x = 2.0 * df / noise.driveLinewidthGHz;
-        if (xtalk[k] > 0.0)
-            cost += xtalk[k] * (1.0 / (1.0 + x * x));
-        if (same_line[k] != 0.0) {
-            const double y = 2.0 * df / noise.filterLinewidthGHz;
-            cost += std::clamp(
-                noise.sharedLineLeakAmplitude / (1.0 + y * y), 0.0, 0.5);
-        }
-    }
-    return cost;
-}
-
-YOUTIAO_TARGET_AVX2 double
-pairCostAvx2(double f_ghz, const double *freq, const double *placed,
-             const std::uint32_t *ids, const double *xtalk,
-             std::size_t count, double drive_linewidth)
-{
-    const __m256d f = _mm256_set1_pd(f_ghz);
-    double cost = 0.0;
-    std::size_t k = 0;
-    alignas(32) double spatial[4];
-    for (; k + 4 <= count; k += 4) {
-        const __m256d fo = load4Indexed(freq, ids + k);
-        const __m256d pl = load4Indexed(placed, ids + k);
-        const __m256d xt = _mm256_loadu_pd(xtalk + k);
-        _mm256_store_pd(spatial,
-                        spatialTermAvx2(f, fo, xt, pl, drive_linewidth));
-        for (std::size_t lane = 0; lane < 4; ++lane)
-            cost += spatial[lane];
-    }
-    for (; k < count; ++k) {
-        const std::size_t o = ids[k];
-        if (placed[o] == 0.0 || xtalk[k] <= 0.0)
-            continue;
-        const double x =
-            2.0 * std::abs(f_ghz - freq[o]) / drive_linewidth;
-        cost += xtalk[k] * (1.0 / (1.0 + x * x));
-    }
-    return cost;
-}
-
-#endif // YOUTIAO_SIMD_HAVE_AVX2
-
-} // namespace
-
 IncrementalAllocationCost::IncrementalAllocationCost(
     const CrosstalkNeighborhood &neighborhood, const NoiseModel &noise)
     : neighborhood_(neighborhood),
@@ -196,13 +55,6 @@ IncrementalAllocationCost::pairCostAgainstPlaced(std::size_t q,
 {
     const auto ids = neighborhood_.neighborIds(q);
     const auto xtalk = neighborhood_.neighborCrosstalk(q);
-#if YOUTIAO_SIMD_HAVE_AVX2
-    if (simd::active() == simd::Level::Avx2) {
-        return pairCostAvx2(f_ghz, frequencyGHz_.data(), placed_.data(),
-                            ids.data(), xtalk.data(), ids.size(),
-                            noise_.config().driveLinewidthGHz);
-    }
-#endif
     double cost = 0.0;
     for (std::size_t k = 0; k < ids.size(); ++k) {
         if (placed_[ids[k]] == 0.0 || xtalk[k] <= 0.0)
@@ -262,13 +114,6 @@ qubitCost(std::size_t q, double f, const std::vector<double> &freq,
     const auto ids = neighborhood.neighborIds(q);
     const auto xtalk = neighborhood.neighborCrosstalk(q);
     const auto mate = neighborhood.neighborSameLine(q);
-#if YOUTIAO_SIMD_HAVE_AVX2
-    if (simd::active() == simd::Level::Avx2) {
-        return qubitCostAvx2(f, freq.data(), allocated.data(),
-                             ids.data(), xtalk.data(), mate.data(),
-                             ids.size(), noise.config());
-    }
-#endif
     double cost = 0.0;
     for (std::size_t k = 0; k < ids.size(); ++k) {
         if (allocated[ids[k]] == 0.0)

@@ -70,11 +70,9 @@ struct FrequencyAllocationConfig
  * of spatial crosstalk), stored CSR-style in ascending qubit order so a
  * sparse cost scan visits pairs in exactly the dense scan's order.
  *
- * Storage is struct-of-arrays: the cost kernels stream the crosstalk
- * and line-mate arrays contiguously (and gather frequencies by the id
- * array), so the same layout feeds the scalar loop and the SIMD
- * kernels. The line-mate flag is kept as a 0.0/1.0 double so vector
- * code applies it with a multiply instead of a branch.
+ * Storage is struct-of-arrays: the cost loops stream the crosstalk and
+ * line-mate arrays contiguously and look frequencies up by the id
+ * array. The line-mate flag is a 0.0/1.0 double.
  */
 class CrosstalkNeighborhood
 {
@@ -146,8 +144,7 @@ class IncrementalAllocationCost
     const CrosstalkNeighborhood &neighborhood_;
     const NoiseModel &noise_;
     std::vector<double> frequencyGHz_;
-    /** 1.0 = placed, 0.0 = not -- a gatherable mask, same trick as
-     *  CrosstalkNeighborhood::neighborSameLine. */
+    /** 1.0 = placed, 0.0 = not. */
     std::vector<double> placed_;
     double total_ = 0.0;
 };

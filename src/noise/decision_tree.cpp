@@ -9,40 +9,6 @@
 
 namespace youtiao {
 
-void
-predictRows4Interleaved(const FlatTreeNodes &nodes,
-                        std::span<const std::uint32_t> roots,
-                        const double *rows, std::size_t feature_count,
-                        double out_sums[4])
-{
-    double sum[4] = {0.0, 0.0, 0.0, 0.0};
-    for (const std::uint32_t root : roots) {
-        std::uint32_t at[4] = {root, root, root, root};
-        // Advance the four cursors in lockstep; finished lanes idle at
-        // their leaf. Each lane takes exactly the predictRow path.
-        bool active = true;
-        while (active) {
-            active = false;
-            for (std::size_t lane = 0; lane < 4; ++lane) {
-                const std::int32_t f = nodes.feature[at[lane]];
-                if (f == FlatTreeNodes::kFlatLeaf)
-                    continue;
-                active = true;
-                const double x =
-                    rows[lane * feature_count +
-                         static_cast<std::size_t>(f)];
-                at[lane] = x <= nodes.threshold[at[lane]]
-                               ? nodes.left[at[lane]]
-                               : nodes.right[at[lane]];
-            }
-        }
-        for (std::size_t lane = 0; lane < 4; ++lane)
-            sum[lane] += nodes.value[at[lane]];
-    }
-    for (std::size_t lane = 0; lane < 4; ++lane)
-        out_sums[lane] = sum[lane];
-}
-
 DecisionTree::DecisionTree(DecisionTreeConfig config)
     : config_(config)
 {

@@ -50,25 +50,6 @@ struct FlatTreeNodes
     }
 };
 
-/**
- * Walk every tree in @p nodes for four consecutive feature rows at
- * once (rows r..r+3 starting at @p rows, each @p feature_count wide),
- * writing the per-row *sums* over tree roots to @p out_sums. Lanes are
- * independent: each performs exactly the scalar predictRow walk and
- * tree-order accumulation, so dividing by the tree count afterwards
- * reproduces RandomForest::predict bit for bit.
- *
- * The body is plain C++ and serves every vector level: the walk is a
- * chain of dependent random loads, so cross-row lockstep is the whole
- * win; an intrinsic variant built on AVX2 gathers was measured ~3x
- * slower than scalar on gather-mitigated cores and removed.
- */
-void predictRows4Interleaved(const FlatTreeNodes &nodes,
-                             std::span<const std::uint32_t> roots,
-                             const double *rows,
-                             std::size_t feature_count,
-                             double out_sums[4]);
-
 /** Hyper-parameters of a regression tree. */
 struct DecisionTreeConfig
 {

@@ -9,7 +9,6 @@
 #include "common/error.hpp"
 #include "common/metrics.hpp"
 #include "common/parallel.hpp"
-#include "common/simd.hpp"
 #include "common/trace.hpp"
 
 namespace youtiao {
@@ -170,22 +169,18 @@ RandomForest::predictBatch(std::span<const double> features,
                   "feature matrix does not match the output size");
     const metrics::ScopedTimer timer("noise.forest_predict");
     metrics::count("noise.rows_predicted", out.size());
-    const auto tree_count = static_cast<double>(roots_.size());
-    const simd::Level level = simd::active();
     // Rows are independent and each writes only its own slot, so chunking
     // is deterministic; within a row trees accumulate in tree order and
-    // divide exactly as predict() does, matching it bit for bit. The
-    // 4-row lockstep kernels keep each lane on the scalar walk, so block
-    // boundaries (and hence thread counts) cannot change any row.
+    // divide exactly as predict() does, matching it bit for bit.
     parallelChunks(0, out.size(), 0, [&](std::size_t b, std::size_t e) {
-        // Single-feature forests take the interval-table sweep: sort
-        // the block by x and advance each tree's split cursor once,
-        // replacing per-row chains of dependent random loads with
-        // sequential scans. NaN rows would foil the sort (and belong
-        // in every tree's rightmost leaf), so such blocks fall back to
-        // the walk -- which computes the identical values anyway.
-        if (level != simd::Level::Scalar && featureCount_ == 1 &&
-            e - b >= 8 &&
+        // Single-feature forests (the crosstalk model's shape) take the
+        // interval-table sweep: sort the block by x and advance each
+        // tree's split cursor once, replacing per-row chains of
+        // dependent random loads with sequential scans. NaN rows would
+        // foil the sort (and belong in every tree's rightmost leaf), and
+        // tiny blocks do not repay the sort, so those take the per-row
+        // walk -- which computes the identical values anyway.
+        if (featureCount_ == 1 && e - b >= 8 &&
             std::none_of(features.begin() +
                              static_cast<std::ptrdiff_t>(b),
                          features.begin() +
@@ -194,32 +189,9 @@ RandomForest::predictBatch(std::span<const double> features,
             predictMergeRange(features, out, b, e);
             return;
         }
-        std::size_t r = b;
-        if (level != simd::Level::Scalar) {
-            // The 4-row lockstep kernel serves every vector level: a
-            // tree walk is a chain of dependent random loads, so the
-            // only exploitable parallelism is across rows. A
-            // gather-based AVX2 walk was tried and retired -- on
-            // gather-mitigated cores the microcoded gathers made it
-            // ~3x slower than scalar.
-            double sums[4];
-            for (; r + 4 <= e; r += 4) {
-                const double *rows =
-                    features.data() + r * feature_count;
-                predictRows4Interleaved(flat_, roots_, rows,
-                                        feature_count, sums);
-                for (std::size_t lane = 0; lane < 4; ++lane)
-                    out[r + lane] = sums[lane] / tree_count;
-            }
-        }
-        for (; r < e; ++r) {
-            const std::span<const double> row =
-                features.subspan(r * feature_count, feature_count);
-            double sum = 0.0;
-            for (const std::uint32_t root : roots_)
-                sum += flat_.predictRow(root, row);
-            out[r] = sum / tree_count;
-        }
+        for (std::size_t r = b; r < e; ++r)
+            out[r] = predict(
+                features.subspan(r * feature_count, feature_count));
     });
 }
 

@@ -47,10 +47,13 @@ class RandomForest
 
     /**
      * Mean prediction for every row of @p features (row-major,
-     * out.size() x feature_count), parallelized over row blocks. Each
-     * row's trees are summed in tree order into a per-row slot, so the
-     * result is bit-identical to calling predict() per row at any
-     * YOUTIAO_THREADS setting.
+     * out.size() x feature_count), parallelized over row blocks. A
+     * block of at least 8 NaN-free rows of a single-feature forest takes
+     * the interval-table sweep (predictMergeRange); every other block
+     * takes predict()'s per-row walk. Either way each row's trees are
+     * summed in tree order into a per-row slot, so the result is
+     * bit-identical to calling predict() per row at any YOUTIAO_THREADS
+     * setting.
      */
     void predictBatch(std::span<const double> features,
                       std::size_t feature_count,

@@ -15,12 +15,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "chip/topology_builder.hpp"
 #include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "common/prng.hpp"
+#include "core/design_bin.hpp"
 #include "core/hierarchical.hpp"
 #include "core/scalability.hpp"
 #include "core/serialization.hpp"
@@ -265,6 +268,28 @@ TEST(HierarchicalDesign, MergedPlansAreInternallyConsistent)
     // Round-trips through the design serializer (which re-validates the
     // plan cross-references on load).
     EXPECT_NO_THROW(designFromString(designToString(merged)));
+}
+
+TEST(HierarchicalDesign, WritersRefuseMergeWithoutPredictions)
+{
+    // The synthesized merge carries no chip-wide crosstalk predictions,
+    // which both loaders reject; the writers must refuse it at save
+    // time rather than emit a file that cannot be read back.
+    const ChipTopology chip = makeSquareGrid(8, 8);
+    HierarchicalConfig hier;
+    hier.tileSizeQubits = 16;
+    const HierarchicalDesigner designer({}, hier);
+    const HierarchicalDesign design = designer.designSynthesized(chip);
+    ASSERT_EQ(design.tiles.size(), 4u);
+    ASSERT_EQ(design.merged.predictedXy.size(), 0u);
+
+    std::ostringstream out;
+    EXPECT_THROW(saveDesign(out, design.merged), ConfigError);
+    EXPECT_TRUE(out.str().empty());
+    EXPECT_THROW((void)designToString(design.merged), ConfigError);
+    EXPECT_THROW((void)designToBinary(design.merged), ConfigError);
+    // Each tile is a complete design and still saves.
+    EXPECT_NO_THROW((void)designToBinary(design.tiles[0].design));
 }
 
 TEST(HierarchicalDesign, DeterministicAcrossThreadCounts)

@@ -12,6 +12,7 @@
 #include <cfloat>
 #include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <numbers>
@@ -129,6 +130,23 @@ TEST(Json, ParseReadsFormatDoubleOutput)
             sameBits(parsed.field("v").asNumber("v"), value))
             << text;
     }
+}
+
+TEST(Json, AsIntegerChecksIntegralityAndRange)
+{
+    const auto value = [](const char *text) {
+        return json::parse(text, "test");
+    };
+    EXPECT_EQ(value("2147483647").asInteger<int>("v"),
+              std::numeric_limits<int>::max());
+    EXPECT_EQ(value("-2147483648").asInteger<int>("v"),
+              std::numeric_limits<int>::min());
+    EXPECT_THROW(value("2147483648").asInteger<int>("v"), ConfigError);
+    EXPECT_THROW(value("-2147483649").asInteger<int>("v"), ConfigError);
+    EXPECT_EQ(value("-0").asInteger<std::uint64_t>("v"), 0u);
+    EXPECT_THROW(value("-1").asInteger<std::uint64_t>("v"), ConfigError);
+    EXPECT_THROW(value("0.5").asInteger<std::uint64_t>("v"), ConfigError);
+    EXPECT_THROW(value("\"7\"").asInteger<int>("v"), ConfigError);
 }
 
 TEST(Json, EscapeHandlesControlCharacters)

@@ -26,11 +26,6 @@ TEST(PerfRecord, ParsesLiveJsonReport)
         parsePerfRecord(metrics::jsonReport("round_trip"));
     EXPECT_EQ(record.schema, "youtiao-perf-5");
     EXPECT_EQ(record.benchmark, "round_trip");
-    // perf-4+ config block: the live report always stamps the active
-    // SIMD level and the host CPU feature summary.
-    ASSERT_TRUE(record.simdLevel.has_value());
-    EXPECT_FALSE(record.simdLevel->empty());
-    ASSERT_TRUE(record.cpuFeatures.has_value());
     ASSERT_EQ(record.phases.count("phase.alpha"), 1u);
     ASSERT_EQ(record.phases.count("phase.beta"), 1u);
     EXPECT_EQ(record.phases.at("phase.alpha").calls, 1u);
@@ -54,7 +49,7 @@ PerfRecord
 makeRecord(double alpha_seconds, double beta_seconds)
 {
     PerfRecord r;
-    r.schema = "youtiao-perf-2";
+    r.schema = "youtiao-perf-5";
     r.benchmark = "synthetic";
     r.phases["phase.alpha"] = metrics::PhaseStats{alpha_seconds, 3};
     r.phases["phase.beta"] = metrics::PhaseStats{beta_seconds, 1};
@@ -138,25 +133,10 @@ TEST(PerfRecord, ComparisonSortsBestImprovementFirst)
     EXPECT_EQ(cmp.improvements[1].phase, "phase.alpha");
 }
 
-TEST(PerfRecord, AcceptsLegacySchemaV2WithoutHistograms)
-{
-    const PerfRecord record = parsePerfRecord(R"({
-        "schema": "youtiao-perf-2",
-        "benchmark": "legacy2",
-        "config": {"threads": 1, "peak_rss_bytes": 1048576},
-        "phases": {"phase.alpha": {"seconds": 0.5, "calls": 2}},
-        "counters": {}
-    })");
-    EXPECT_EQ(record.schema, "youtiao-perf-2");
-    EXPECT_TRUE(record.histograms.empty());
-    ASSERT_TRUE(record.peakRssBytes.has_value());
-    EXPECT_EQ(*record.peakRssBytes, 1048576u);
-}
-
 TEST(PerfRecord, NullPeakRssMeansNotComparable)
 {
     const PerfRecord record = parsePerfRecord(R"({
-        "schema": "youtiao-perf-3",
+        "schema": "youtiao-perf-5",
         "benchmark": "rssless",
         "config": {"threads": 1, "peak_rss_bytes": null},
         "phases": {},
@@ -168,7 +148,7 @@ TEST(PerfRecord, NullPeakRssMeansNotComparable)
 TEST(PerfRecord, ParsesHistogramBlock)
 {
     const PerfRecord record = parsePerfRecord(R"({
-        "schema": "youtiao-perf-3",
+        "schema": "youtiao-perf-5",
         "benchmark": "hist",
         "phases": {},
         "counters": {},
@@ -193,7 +173,7 @@ TEST(PerfRecord, ParsesHistogramBlock)
 TEST(PerfRecord, RejectsBadHistogramBucketKeys)
 {
     EXPECT_THROW(parsePerfRecord(R"({
-        "schema": "youtiao-perf-3",
+        "schema": "youtiao-perf-5",
         "benchmark": "hist",
         "phases": {}, "counters": {},
         "histograms": {"h": {"count": 1, "min": 1, "max": 1,
@@ -202,7 +182,7 @@ TEST(PerfRecord, RejectsBadHistogramBucketKeys)
     })"),
                  ConfigError);
     EXPECT_THROW(parsePerfRecord(R"({
-        "schema": "youtiao-perf-3",
+        "schema": "youtiao-perf-5",
         "benchmark": "hist",
         "phases": {}, "counters": {},
         "histograms": {"h": {"count": 1, "min": 1, "max": 1,
@@ -214,47 +194,62 @@ TEST(PerfRecord, RejectsBadHistogramBucketKeys)
 
 TEST(PerfRecord, ParsesPerf4SimdFields)
 {
+    // The committed perf-4 baselines stamp a SIMD level and CPU
+    // features; the parser accepts both and ignores them.
     const PerfRecord record = parsePerfRecord(R"({
         "schema": "youtiao-perf-4",
         "benchmark": "simd",
         "config": {"threads": 1, "peak_rss_bytes": 1,
                    "simd_level": "avx2",
                    "cpu_features": "avx2 fma"},
-        "phases": {}, "counters": {}
-    })");
-    ASSERT_TRUE(record.simdLevel.has_value());
-    EXPECT_EQ(*record.simdLevel, "avx2");
-    ASSERT_TRUE(record.cpuFeatures.has_value());
-    EXPECT_EQ(*record.cpuFeatures, "avx2 fma");
-}
-
-TEST(PerfRecord, OlderSchemasCarryNoSimdLevel)
-{
-    // perf-1..3 predate SIMD dispatch; the parser must leave the fields
-    // unset instead of inventing a level (perf_check treats "unknown"
-    // as compatible with anything).
-    const PerfRecord record = parsePerfRecord(R"({
-        "schema": "youtiao-perf-3",
-        "benchmark": "old",
-        "config": {"threads": 1},
-        "phases": {}, "counters": {}
-    })");
-    EXPECT_FALSE(record.simdLevel.has_value());
-    EXPECT_FALSE(record.cpuFeatures.has_value());
-}
-
-TEST(PerfRecord, AcceptsLegacySchemaV1)
-{
-    const PerfRecord record = parsePerfRecord(R"({
-        "schema": "youtiao-perf-1",
-        "benchmark": "legacy",
-        "config": {"threads": 1},
         "phases": {"phase.alpha": {"seconds": 0.5, "calls": 2}},
         "counters": {"counter.rows": 7}
     })");
-    EXPECT_EQ(record.schema, "youtiao-perf-1");
+    EXPECT_EQ(record.schema, "youtiao-perf-4");
+    ASSERT_TRUE(record.peakRssBytes.has_value());
+    EXPECT_EQ(*record.peakRssBytes, 1u);
     EXPECT_EQ(record.phases.at("phase.alpha").calls, 2u);
     EXPECT_EQ(record.counters.at("counter.rows"), 7u);
+}
+
+TEST(PerfRecord, RejectsRetiredSchemas)
+{
+    for (const char *schema :
+         {"youtiao-perf-1", "youtiao-perf-2", "youtiao-perf-3"}) {
+        EXPECT_THROW(parsePerfRecord(std::string(R"({"schema": ")") +
+                                     schema + R"(",
+            "benchmark": "old", "config": {"threads": 1},
+            "phases": {}, "counters": {}})"),
+                     ConfigError)
+            << schema;
+    }
+}
+
+TEST(PerfRecord, RejectsFractionalAndOutOfRangeCounts)
+{
+    // A plain cast read 1e20 calls as 0 (undefined behaviour) and 2.5
+    // as 2; every count must be an exact integer in uint64 range.
+    const auto record = [](const std::string &phases,
+                           const std::string &counters) {
+        return R"({"schema": "youtiao-perf-5", "benchmark": "x",
+            "phases": {)" + phases + R"(}, "counters": {)" + counters +
+               "}}";
+    };
+    EXPECT_THROW(parsePerfRecord(record(
+                     R"("p": {"seconds": 1, "calls": 1e20})", "")),
+                 ConfigError);
+    EXPECT_THROW(parsePerfRecord(record(
+                     R"("p": {"seconds": 1, "calls": 2.5})", "")),
+                 ConfigError);
+    EXPECT_THROW(parsePerfRecord(record("", R"("c": 2.5)")), ConfigError);
+    EXPECT_THROW(parsePerfRecord(record("", R"("c": -1)")), ConfigError);
+    // 2^64 is one past the largest count.
+    EXPECT_THROW(parsePerfRecord(
+                     record("", R"("c": 18446744073709551616)")),
+                 ConfigError);
+    const PerfRecord largest = parsePerfRecord(
+        record("", R"("c": 18446744073709549568)"));
+    EXPECT_EQ(largest.counters.at("c"), 18446744073709549568u);
 }
 
 TEST(PerfRecord, RejectsMalformedRecords)
@@ -266,19 +261,19 @@ TEST(PerfRecord, RejectsMalformedRecords)
         "benchmark": "x", "phases": {}, "counters": {}})"),
                  ConfigError);
     // Phase seconds must be a non-negative number.
-    EXPECT_THROW(parsePerfRecord(R"({"schema": "youtiao-perf-2",
+    EXPECT_THROW(parsePerfRecord(R"({"schema": "youtiao-perf-5",
         "benchmark": "x",
         "phases": {"p": {"seconds": -1.0, "calls": 1}},
         "counters": {}})"),
                  ConfigError);
-    EXPECT_THROW(parsePerfRecord(R"({"schema": "youtiao-perf-2",
+    EXPECT_THROW(parsePerfRecord(R"({"schema": "youtiao-perf-5",
         "benchmark": "x",
         "phases": {"p": {"seconds": "fast", "calls": 1}},
         "counters": {}})"),
                  ConfigError);
     // Trailing junk after the closing brace is a truncated/concatenated
     // record, not a valid one.
-    EXPECT_THROW(parsePerfRecord(R"({"schema": "youtiao-perf-2",
+    EXPECT_THROW(parsePerfRecord(R"({"schema": "youtiao-perf-5",
         "benchmark": "x", "phases": {}, "counters": {}} trailing)"),
                  ConfigError);
 }

@@ -68,7 +68,6 @@ TEST(RunLedger, ManifestRoundTripsThroughParser)
     EXPECT_EQ(entry.argv[1], "4");
     EXPECT_EQ(entry.exitStatus, 3);
     EXPECT_FALSE(entry.gitSha.empty());
-    EXPECT_FALSE(entry.simdLevel.empty());
     EXPECT_GE(entry.threads, 1u);
     EXPECT_GE(entry.wallSeconds, 0.0);
     ASSERT_EQ(entry.hashes.count("chip"), 1u);
@@ -128,6 +127,29 @@ TEST(RunLedger, ParserRejectsGarbageNamingTheLine)
     }
 }
 
+TEST(RunLedger, ParserRejectsFractionalAndOutOfRangeIntegers)
+{
+    const std::string head =
+        "{\"schema\":\"youtiao-run-1\",\"tool\":\"t\",";
+    // Older manifests carry simd_level; the parser ignores it.
+    const runledger::LedgerEntry legacy = runledger::parseLedgerLine(
+        head + "\"simd_level\":\"avx2\",\"exit_status\":-2,"
+               "\"counters\":{\"c\":9007199254740992}}");
+    EXPECT_EQ(legacy.exitStatus, -2);
+    EXPECT_EQ(legacy.counters.at("c"), 9007199254740992u);
+    // A plain cast would truncate these or be undefined.
+    for (const char *bad :
+         {"\"exit_status\":1e10", "\"exit_status\":-3e9",
+          "\"exit_status\":2.5", "\"threads\":-1", "\"threads\":1.5",
+          "\"peak_rss_bytes\":1e20",
+          "\"counters\":{\"c\":2.5}", "\"counters\":{\"c\":1e20}",
+          "\"phases\":{\"p\":{\"seconds\":1,\"calls\":1e20}}"}) {
+        EXPECT_THROW(runledger::parseLedgerLine(head + bad + "}"),
+                     ConfigError)
+            << bad;
+    }
+}
+
 /** Manifest of one fit-free seeded design run, from a fresh registry. */
 std::string
 seededRunManifest()
@@ -163,7 +185,6 @@ TEST(RunLedger, IdenticalSeededRunsAgreeModuloTimings)
     EXPECT_EQ(a.tool, b.tool);
     EXPECT_EQ(a.argv, b.argv);
     EXPECT_EQ(a.gitSha, b.gitSha);
-    EXPECT_EQ(a.simdLevel, b.simdLevel);
     EXPECT_EQ(a.threads, b.threads);
     EXPECT_EQ(a.exitStatus, b.exitStatus);
     EXPECT_EQ(a.hashes, b.hashes);

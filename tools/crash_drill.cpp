@@ -57,7 +57,6 @@
 #include "core/fault_campaign.hpp"
 #include "core/hierarchical.hpp"
 #include "core/report.hpp"
-#include "core/serialization.hpp"
 #include "core/youtiao.hpp"
 
 namespace {
@@ -82,6 +81,31 @@ usage(const char *argv0)
         "    snapshot, and require the survivor to reject it\n",
         argv0);
     std::exit(2);
+}
+
+/**
+ * Text fingerprint of a merged hierarchical design. The synthesized
+ * merge never builds chip-wide crosstalk predictions, so it is not a
+ * saveable design (saveDesign refuses it); its per-qubit and per-device
+ * plan maps and its cost pin everything the merge and seam stitch
+ * produce.
+ */
+void
+writeMergedPlans(std::ostream &out, const YoutiaoDesign &merged)
+{
+    const auto row = [&out](const char *key, const auto &values) {
+        out << key;
+        for (const auto &value : values)
+            out << ' ' << value;
+        out << '\n';
+    };
+    out.precision(17);
+    row("xy.line_of_qubit", merged.xyPlan.lineOfQubit);
+    row("freq.ghz", merged.frequencyPlan.frequencyGHz);
+    row("z.group_of_device", merged.zPlan.groupOfDevice);
+    row("readout.feedline_of_qubit", merged.readout.feedlineOfQubit);
+    row("readout.resonator_ghz", merged.readout.resonatorGHz);
+    out << "cost.usd " << merged.costUsd << '\n';
 }
 
 /**
@@ -126,7 +150,7 @@ runWorkload(const std::string &mode, const std::string &artifact_path,
         out << "nets=" << routing.totalNets
             << " failed=" << routing.failedConnections
             << " clean=" << routing.clean() << "\n";
-        saveDesign(out, design.merged);
+        writeMergedPlans(out, design.merged);
         artifact = out.str();
     } else if (mode == "campaign") {
         const ChipTopology chip = makeSquareGrid(5, 5);

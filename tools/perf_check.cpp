@@ -5,10 +5,9 @@
  *
  *   perf_check --baseline FILE --current FILE
  *              [--max-regression R] [--min-seconds S]
- *              [--allow-simd-mismatch]
  *
  * Both files are `BENCH_<name>.json` records (docs/FILE_FORMATS.md,
- * schemas youtiao-perf-1 through -4 accepted). Every baseline phase
+ * schemas youtiao-perf-4 and -5 accepted). Every baseline phase
  * with at least S seconds of wall time (default 0.01 -- faster phases
  * are timing noise) is compared; the check fails when any current
  * phase exceeds baseline * (1 + R) (default R = 0.25). Baseline phases
@@ -20,14 +19,8 @@
  * baseline gets refreshed instead of hiding later regressions inside
  * the slack; improvements never fail the check.
  *
- * When both records carry a perf-4 `simd_level` and the levels differ,
- * the comparison is refused (exit 2): the two runs timed different
- * kernels, so a ratio between them is not a regression signal.
- * `--allow-simd-mismatch` overrides this for intentional cross-level
- * comparisons (e.g. quantifying the native-vs-scalar speedup in CI).
- *
  * Exit codes: 0 within budget, 1 regression or missing phase found,
- * 2 usage / bad input / refused SIMD-level mismatch.
+ * 2 usage / bad input.
  */
 
 #include <cstdio>
@@ -46,12 +39,9 @@ usage(const char *argv0)
     std::fprintf(stderr,
                  "usage: %s --baseline FILE --current FILE\n"
                  "          [--max-regression R] [--min-seconds S]\n"
-                 "          [--allow-simd-mismatch]\n"
                  "  R: allowed slowdown fraction (default 0.25 = +25%%)\n"
                  "  S: ignore phases faster than S seconds in the "
-                 "baseline (default 0.01)\n"
-                 "  --allow-simd-mismatch: compare records taken at\n"
-                 "     different SIMD dispatch levels anyway\n",
+                 "baseline (default 0.01)\n",
                  argv0);
     std::exit(2);
 }
@@ -67,7 +57,6 @@ main(int argc, char **argv)
     std::string current_path;
     double max_regression = 0.25;
     double min_seconds = 0.01;
-    bool allow_simd_mismatch = false;
 
     try {
         for (int i = 1; i < argc; ++i) {
@@ -87,8 +76,6 @@ main(int argc, char **argv)
             else if (arg == "--min-seconds")
                 min_seconds =
                     parsePositiveDoubleArg(next(), "--min-seconds");
-            else if (arg == "--allow-simd-mismatch")
-                allow_simd_mismatch = true;
             else
                 usage(argv[0]);
         }
@@ -108,28 +95,6 @@ main(int argc, char **argv)
                          "('%s' vs '%s')\n",
                          baseline.benchmark.c_str(),
                          current.benchmark.c_str());
-
-        // A scalar-vs-avx2 ratio measures the dispatch level, not a
-        // code change; refuse it unless the caller asked for exactly
-        // that comparison. Records predating perf-4 carry no level.
-        if (baseline.simdLevel.has_value() &&
-            current.simdLevel.has_value() &&
-            *baseline.simdLevel != *current.simdLevel) {
-            if (!allow_simd_mismatch) {
-                std::fprintf(stderr,
-                             "error: SIMD level mismatch (baseline "
-                             "'%s' vs current '%s'); rerun with "
-                             "YOUTIAO_SIMD matching the baseline or "
-                             "pass --allow-simd-mismatch\n",
-                             baseline.simdLevel->c_str(),
-                             current.simdLevel->c_str());
-                return 2;
-            }
-            std::printf("note: comparing across SIMD levels "
-                        "('%s' baseline vs '%s' current)\n",
-                        baseline.simdLevel->c_str(),
-                        current.simdLevel->c_str());
-        }
 
         // Peak RSS is informational: null (platform could not measure)
         // means "not comparable", never a zero-byte measurement.
