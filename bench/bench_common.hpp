@@ -10,7 +10,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -31,29 +30,28 @@
 namespace youtiao::bench {
 
 /**
- * Machine-readable perf record for one bench binary. Construct at the
+ * Machine-readable run record for one bench binary. Construct at the
  * top of main() (resets the metrics registry so the record covers only
- * this run); the destructor writes the merged phase timers, counters,
- * histograms, and resource samples to `BENCH_<name>.json` (schema
- * "youtiao-perf-5", see docs/FILE_FORMATS.md) in the current directory,
- * or under `$YOUTIAO_PERF_DIR` when set. When `$YOUTIAO_TRACE_DIR` is
- * set the run is also traced and the span timeline lands in
- * `TRACE_<name>.json` there. Every subsequent optimization PR is
- * judged against these records.
+ * this run); the destructor renders the record once (schema
+ * "youtiao-perf-5", see docs/FILE_FORMATS.md: merged phase timers,
+ * counters, histograms, resource samples, argv, wall/CPU time) and
+ * writes it to `BENCH_<name>.json` in the current directory, or under
+ * `$YOUTIAO_PERF_DIR` when set. When `$YOUTIAO_RUN_LEDGER` is set the
+ * same bytes are appended there, so bench history is trend-analyzable
+ * with tools/perf_trend. Every subsequent optimization PR is judged
+ * against these records.
  *
- * The (name, argc, argv) constructor additionally arms the full
- * observability stack: the crash flight recorder
- * (`FLIGHT_bench_<name>.json` on a fatal signal), the YOUTIAO_WATCHDOG
- * resource sampler, and -- when `$YOUTIAO_RUN_LEDGER` is set -- a
- * run-ledger manifest ("youtiao-run-1") appended when the report is
- * destroyed, so bench history is trend-analyzable with
- * tools/perf_trend.
+ * The report also arms the rest of the observability stack: the crash
+ * flight recorder (`FLIGHT_bench_<name>.json` on a fatal signal), the
+ * YOUTIAO_WATCHDOG resource sampler and, when `$YOUTIAO_TRACE_DIR` is
+ * set, the tracer, whose span timeline lands in `TRACE_<name>.json`
+ * there.
  */
 class PerfReport
 {
   public:
-    explicit PerfReport(std::string name)
-        : name_(std::move(name))
+    PerfReport(std::string name, int argc, char **argv)
+        : name_(std::move(name)), recorder_(name_, argc, argv)
     {
         metrics::Registry::global().reset();
         const char *trace_dir = std::getenv("YOUTIAO_TRACE_DIR");
@@ -62,20 +60,14 @@ class PerfReport
                 std::string(trace_dir) + "/TRACE_" + name_ + ".json";
             trace::Tracer::global().enable();
         }
-    }
-
-    PerfReport(std::string name, int argc, char **argv)
-        : PerfReport(std::move(name))
-    {
         flight::install(("bench_" + name_).c_str());
         watchdog::startFromEnv();
-        recorder_.emplace("bench_" + name_, argc, argv);
     }
 
     ~PerfReport()
     {
         // Final resource samples must land before the record is
-        // serialized; stop() keeps the collected series readable.
+        // rendered; stop() keeps the collected series readable.
         if (watchdog::running())
             watchdog::stop();
         if (!tracePath_.empty()) {
@@ -85,13 +77,16 @@ class PerfReport
             else
                 log::warn("cannot write trace", {{"path", tracePath_}});
         }
+        // One rendering feeds the ledger (inside finish()) and the file,
+        // so the two agree byte for byte.
+        const std::string &record = recorder_.finish();
         const char *dir = std::getenv("YOUTIAO_PERF_DIR");
         std::string path =
             dir != nullptr && *dir != '\0' ? std::string(dir) + "/" : "";
         path += "BENCH_" + name_ + ".json";
         // Atomic write: a bench killed mid-record leaves the previous
-        // BENCH_*.json (or none), never a torn one for perf_trend.
-        if (!io::atomicWriteFileNoThrow(path, metrics::jsonReport(name_))) {
+        // BENCH_*.json (or none), never a torn one for perf_check.
+        if (!io::atomicWriteFileNoThrow(path, record)) {
             log::warn("cannot write perf record", {{"path", path}});
             return;
         }
@@ -106,9 +101,7 @@ class PerfReport
   private:
     std::string name_;
     std::string tracePath_;
-    // Destroyed after the dtor body ran, so the manifest (written by
-    // Recorder::finish) sees the final phase timings and peak RSS.
-    std::optional<runledger::Recorder> recorder_;
+    runledger::Recorder recorder_;
 };
 
 /**

@@ -39,10 +39,9 @@ struct ChipDefects
     /** Unusable slices of the qubit frequency band. */
     std::vector<FrequencyMask> maskedBandsGHz;
     /** Chip-plane positions whose routing cells are blocked (mm);
-     *  each blocks a square of @ref blockedHalfWidthMm. */
+     *  the router keeps a 0.2 mm square clear around each
+     *  (ChipRoutingConfig::blockedCells). */
     std::vector<Point> blockedRoutingCells;
-    /** Halfwidth of each blocked routing square (mm). */
-    double blockedHalfWidthMm = 0.1;
 
     bool
     empty() const

@@ -83,8 +83,8 @@ parseSeq(const std::string &name)
 }
 
 std::string
-manifestJson(const std::string &tool,
-             const std::map<std::string, std::string> &hashes)
+journalManifest(const std::string &tool,
+                const std::map<std::string, std::string> &hashes)
 {
     std::string out = "{\n  \"schema\": \"";
     out += kManifestSchema;
@@ -220,7 +220,7 @@ open(const std::string &dir, const std::string &tool,
         fs::remove(manifest_path, ec);
     }
     io::atomicWriteFile(manifest_path,
-                        manifestJson(tool, input_hashes));
+                        journalManifest(tool, input_hashes));
 
     {
         const std::lock_guard<std::mutex> lock(g_mutex);

@@ -1,9 +1,9 @@
 /**
  * @file
  * Minimal JSON reading and writing shared by the machine-readable
- * observability outputs: perf records (`BENCH_<name>.json`, parsed by
- * tools/perf_check) and trace files (`youtiao-trace-1`, validated by
- * tests and CI smoke steps).
+ * observability outputs: run records (`BENCH_<name>.json` and ledger
+ * lines, parsed by tools/perf_check and tools/perf_trend) and trace
+ * files (`youtiao-trace-1`, validated by tests and CI smoke steps).
  *
  * No external dependency: the recursive-descent parser covers the JSON
  * subset those files use (objects, arrays, strings, numbers, booleans,

@@ -4,19 +4,11 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <optional>
 #include <sstream>
 #include <unordered_map>
 #include <utility>
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/resource.h>
-#endif
-
 #include "common/flight.hpp"
-#include "common/json.hpp"
-#include "common/parallel.hpp"
 #include "common/trace.hpp"
 #include "common/watchdog.hpp"
 
@@ -284,16 +276,9 @@ ScopedTimer::~ScopedTimer()
 std::string
 phaseTable()
 {
-    return phaseTable(Registry::global().phases(),
-                      Registry::global().counters(),
-                      Registry::global().histograms());
-}
-
-std::string
-phaseTable(const std::map<std::string, PhaseStats> &phases,
-           const std::map<std::string, std::uint64_t> &counters,
-           const std::map<std::string, HistogramStats> &histograms)
-{
+    const auto phases = Registry::global().phases();
+    const auto counters = Registry::global().counters();
+    const auto histograms = Registry::global().histograms();
     std::ostringstream out;
     char line[160];
     out << "\n-- phase profile --\n";
@@ -333,147 +318,6 @@ phaseTable(const std::map<std::string, PhaseStats> &phases,
             out << line;
         }
     }
-    return out.str();
-}
-
-namespace {
-
-/** Quoting mistakes must never corrupt the record; names here are
- *  plain identifiers, but escape anyway. */
-std::string
-jsonEscape(const std::string &text)
-{
-    return json::escape(text);
-}
-
-/**
- * Peak resident set size of the process (bytes), or nullopt where the
- * platform does not expose it / the call fails -- reported as JSON
- * null so consumers can tell "not measured" from a measured zero.
- * ru_maxrss is kilobytes on Linux, bytes on macOS.
- */
-std::optional<std::uint64_t>
-peakRssBytes()
-{
-#if defined(__unix__) || defined(__APPLE__)
-    struct rusage usage{};
-    if (getrusage(RUSAGE_SELF, &usage) != 0)
-        return std::nullopt;
-#if defined(__APPLE__)
-    return static_cast<std::uint64_t>(usage.ru_maxrss);
-#else
-    return static_cast<std::uint64_t>(usage.ru_maxrss) * 1024;
-#endif
-#else
-    return std::nullopt;
-#endif
-}
-
-/** Build flavour baked in by CMake (see src/CMakeLists.txt). */
-const char *
-buildType()
-{
-#if defined(YOUTIAO_BUILD_TYPE)
-    if (YOUTIAO_BUILD_TYPE[0] != '\0')
-        return YOUTIAO_BUILD_TYPE;
-#endif
-#if defined(NDEBUG)
-    return "NDEBUG"; // optimized build without a named CMake flavour
-#else
-    return "unspecified";
-#endif
-}
-
-} // namespace
-
-std::string
-jsonReport(const std::string &benchmark)
-{
-    const auto phases = Registry::global().phases();
-    const auto counters = Registry::global().counters();
-    const auto histograms = Registry::global().histograms();
-    std::ostringstream out;
-    const char *threads_env = std::getenv("YOUTIAO_THREADS");
-    const std::optional<std::uint64_t> rss = peakRssBytes();
-    out << "{\n";
-    out << "  \"schema\": \"youtiao-perf-5\",\n";
-    out << "  \"benchmark\": \"" << jsonEscape(benchmark) << "\",\n";
-    out << "  \"config\": {\n";
-    out << "    \"threads\": " << configuredThreadCount() << ",\n";
-    if (threads_env != nullptr)
-        out << "    \"youtiao_threads_env\": \""
-            << jsonEscape(threads_env) << "\",\n";
-    else
-        out << "    \"youtiao_threads_env\": null,\n";
-    out << "    \"build_type\": \"" << jsonEscape(buildType()) << "\",\n";
-    out << "    \"peak_rss_bytes\": ";
-    if (rss.has_value())
-        out << *rss;
-    else
-        out << "null";
-    out << "\n  },\n";
-    out << "  \"phases\": {";
-    bool first = true;
-    for (const auto &[name, stats] : phases) {
-        out << (first ? "\n" : ",\n");
-        first = false;
-        out << "    \"" << jsonEscape(name) << "\": {\"seconds\": "
-            << json::formatDouble(stats.seconds)
-            << ", \"calls\": " << stats.calls << "}";
-    }
-    out << (first ? "},\n" : "\n  },\n");
-    out << "  \"counters\": {";
-    first = true;
-    for (const auto &[name, value] : counters) {
-        out << (first ? "\n" : ",\n");
-        first = false;
-        out << "    \"" << jsonEscape(name) << "\": " << value;
-    }
-    out << (first ? "},\n" : "\n  },\n");
-    out << "  \"histograms\": {";
-    first = true;
-    for (const auto &[name, h] : histograms) {
-        if (h.count == 0)
-            continue;
-        out << (first ? "\n" : ",\n");
-        first = false;
-        out << "    \"" << jsonEscape(name) << "\": {";
-        out << "\"count\": " << h.count;
-        const std::pair<const char *, double> doubles[] = {
-            {"min", h.min},           {"max", h.max},
-            {"p50", h.quantile(0.5)}, {"p90", h.quantile(0.9)},
-            {"p99", h.quantile(0.99)},
-        };
-        for (const auto &[key, value] : doubles)
-            out << ", \"" << key << "\": " << json::formatDouble(value);
-        out << ", \"buckets\": {";
-        bool first_bucket = true;
-        for (std::size_t i = 0; i < kHistogramBuckets; ++i) {
-            if (h.buckets[i] == 0)
-                continue;
-            out << (first_bucket ? "" : ", ");
-            first_bucket = false;
-            out << "\"" << i << "\": " << h.buckets[i];
-        }
-        out << "}}";
-    }
-    out << (first ? "},\n" : "\n  },\n");
-    // Watchdog time series (empty when the watchdog never ran). The
-    // sampler should be stopped before reporting so the series is final.
-    out << "  \"resource_samples\": [";
-    first = true;
-    for (const watchdog::Sample &s : watchdog::samples()) {
-        out << (first ? "\n" : ",\n");
-        first = false;
-        out << "    {\"ts_s\": " << json::formatDouble(s.tsSeconds)
-            << ", \"rss_bytes\": " << s.rssBytes
-            << ", \"cpu_seconds\": " << json::formatDouble(s.cpuSeconds)
-            << ", \"astar_arena_bytes\": " << s.astarArenaBytes
-            << ", \"pool_queue_depth\": " << s.poolQueueDepth << "}";
-    }
-    out << (first ? "],\n" : "\n  ],\n");
-    out << "  \"watchdog_stalls\": " << watchdog::stallCount() << "\n";
-    out << "}\n";
     return out.str();
 }
 

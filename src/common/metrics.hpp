@@ -176,31 +176,10 @@ observe(std::string_view name, double value)
 
 /**
  * Human-readable phase/counter/histogram table of the global registry,
- * as shown by `youtiao_cli --profile`.
+ * as shown by `youtiao_cli --profile`. The machine-readable form of the
+ * same registry is the run record (common/runledger.hpp).
  */
 std::string phaseTable();
-
-/**
- * Same table for an explicit snapshot — lets callers print aggregated
- * views (e.g. the median-of-N table of `--profile --repeat N`) without
- * loading them into a registry.
- */
-std::string phaseTable(
-    const std::map<std::string, PhaseStats> &phases,
-    const std::map<std::string, std::uint64_t> &counters,
-    const std::map<std::string, HistogramStats> &histograms = {});
-
-/**
- * Machine-readable perf record of the global registry (schema
- * "youtiao-perf-5", see docs/FILE_FORMATS.md): benchmark name, config
- * (resolved thread count, raw YOUTIAO_THREADS, build type, peak RSS or
- * null where the platform cannot report it), per-phase wall times and
- * call counts, counters, per-histogram bucket counts with derived
- * p50/p90/p99, and the resource watchdog's time series
- * (common/watchdog.hpp) with its stall count -- an empty series when
- * the watchdog never ran.
- */
-std::string jsonReport(const std::string &benchmark);
 
 } // namespace youtiao::metrics
 

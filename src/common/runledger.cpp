@@ -5,20 +5,18 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <sstream>
 #include <utility>
 
 #include <fcntl.h>
 #include <unistd.h>
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/resource.h>
-#endif
-
 #include "common/error.hpp"
 #include "common/json.hpp"
 #include "common/log.hpp"
 #include "common/parallel.hpp"
+#include "common/watchdog.hpp"
 
 namespace youtiao::runledger {
 
@@ -36,7 +34,8 @@ gitSha()
     return "unknown";
 }
 
-/** Build flavour baked in by CMake (same source as the perf record). */
+/** Build flavour baked in by CMake, so records are comparable across
+ *  machines. */
 const char *
 buildType()
 {
@@ -45,7 +44,7 @@ buildType()
         return YOUTIAO_BUILD_TYPE;
 #endif
 #if defined(NDEBUG)
-    return "NDEBUG";
+    return "NDEBUG"; // optimized build without a named CMake flavour
 #else
     return "unspecified";
 #endif
@@ -58,48 +57,15 @@ ledgerPath()
     return path != nullptr && *path != '\0' ? path : nullptr;
 }
 
-double
-processCpuSeconds()
-{
-#if defined(__unix__) || defined(__APPLE__)
-    struct rusage usage{};
-    if (getrusage(RUSAGE_SELF, &usage) == 0) {
-        const auto toSec = [](const timeval &tv) {
-            return static_cast<double>(tv.tv_sec) +
-                   static_cast<double>(tv.tv_usec) * 1e-6;
-        };
-        return toSec(usage.ru_utime) + toSec(usage.ru_stime);
-    }
-#endif
-    return 0.0;
-}
-
-std::uint64_t
-peakRssBytes()
-{
-#if defined(__unix__) || defined(__APPLE__)
-    struct rusage usage{};
-    if (getrusage(RUSAGE_SELF, &usage) == 0) {
-#if defined(__APPLE__)
-        return static_cast<std::uint64_t>(usage.ru_maxrss);
-#else
-        return static_cast<std::uint64_t>(usage.ru_maxrss) * 1024;
-#endif
-    }
-#endif
-    return 0;
-}
-
 /**
- * Append @p line (newline appended here) with a single write to an
+ * Append @p line (newline-terminated) with a single write to an
  * O_APPEND descriptor, so concurrent processes sharing the ledger never
  * interleave records. Best effort: a ledger failure must never fail the
  * run it describes, so errors are logged and swallowed.
  */
 void
-appendLedgerLine(const char *path, std::string line)
+appendLedgerLine(const char *path, const std::string &line)
 {
-    line += '\n';
     const int fd =
         ::open(path, O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
     if (fd < 0) {
@@ -119,6 +85,27 @@ appendLedgerLine(const char *path, std::string line)
         off += static_cast<std::size_t>(w);
     }
     ::close(fd);
+}
+
+/** `"text"`, JSON-escaped. */
+std::string
+quoted(const std::string &text)
+{
+    std::string out = "\"";
+    out += json::escape(text);
+    out += '"';
+    return out;
+}
+
+/** perf_check's and perf_trend's one regression test: @p current is
+ *  more than @p max_regression slower than a @p reference at or above
+ *  the @p min_seconds noise floor. */
+bool
+slowerThanBudget(double reference, double current, double max_regression,
+                 double min_seconds)
+{
+    return reference >= min_seconds &&
+           current / reference > 1.0 + max_regression;
 }
 
 } // namespace
@@ -143,16 +130,15 @@ ledgerConfigured()
     return ledgerPath() != nullptr;
 }
 
-Recorder::Recorder(std::string tool, int argc, const char *const *argv)
-    : tool_(std::move(tool)),
+Recorder::Recorder(std::string benchmark, int argc,
+                   const char *const *argv)
+    : benchmark_(std::move(benchmark)),
       start_(std::chrono::steady_clock::now()),
-      startUnixMs_(std::chrono::duration_cast<std::chrono::milliseconds>(
-                       std::chrono::system_clock::now()
-                           .time_since_epoch())
-                       .count())
+      startUnixMs_(static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::milliseconds>(
+              std::chrono::system_clock::now().time_since_epoch())
+              .count()))
 {
-    // argv[0] is the binary path (volatile across checkouts); the
-    // manifest records the arguments proper.
     for (int i = 1; i < argc; ++i)
         argv_.emplace_back(argv[i]);
 }
@@ -187,7 +173,7 @@ Recorder::setExitStatus(int status)
 }
 
 std::string
-Recorder::manifestJson() const
+Recorder::render() const
 {
     const auto phases = metrics::Registry::global().phases();
     const auto counters = metrics::Registry::global().counters();
@@ -197,158 +183,262 @@ Recorder::manifestJson() const
                                       start_)
             .count();
     const char *threads_env = std::getenv("YOUTIAO_THREADS");
+    const std::optional<std::uint64_t> rss = watchdog::peakRssBytes();
+    // Entry separator: nothing before a block's first entry, a comma
+    // before each later one.
+    const auto sep = [](bool &first) {
+        const char *s = first ? "" : ",";
+        first = false;
+        return s;
+    };
+    bool first = true;
     std::ostringstream out;
-    out << "{\"schema\":\"youtiao-run-1\"";
-    out << ",\"tool\":\"" << json::escape(tool_) << "\"";
+    out << "{\"schema\":\"youtiao-perf-5\"";
+    out << ",\"benchmark\":" << quoted(benchmark_);
     out << ",\"start_unix_ms\":" << startUnixMs_;
     out << ",\"argv\":[";
-    for (std::size_t i = 0; i < argv_.size(); ++i)
-        out << (i == 0 ? "" : ",") << "\"" << json::escape(argv_[i])
-            << "\"";
+    for (const std::string &arg : argv_)
+        out << sep(first) << quoted(arg);
     out << "]";
-    out << ",\"git_sha\":\"" << json::escape(gitSha()) << "\"";
-    out << ",\"build_type\":\"" << json::escape(buildType()) << "\"";
-    out << ",\"threads\":" << configuredThreadCount();
-    if (threads_env != nullptr)
-        out << ",\"youtiao_threads_env\":\"" << json::escape(threads_env)
-            << "\"";
-    else
-        out << ",\"youtiao_threads_env\":null";
+    out << ",\"config\":{\"threads\":" << configuredThreadCount();
+    out << ",\"youtiao_threads_env\":"
+        << (threads_env != nullptr ? quoted(threads_env) : "null");
+    out << ",\"build_type\":" << quoted(buildType());
+    out << ",\"git_sha\":" << quoted(gitSha());
+    out << ",\"peak_rss_bytes\":"
+        << (rss.has_value() ? std::to_string(*rss) : "null") << "}";
     out << ",\"wall_seconds\":" << json::formatDouble(wall);
-    out << ",\"cpu_seconds\":" << json::formatDouble(processCpuSeconds());
-    out << ",\"peak_rss_bytes\":" << peakRssBytes();
+    out << ",\"cpu_seconds\":"
+        << json::formatDouble(watchdog::processCpuSeconds());
     out << ",\"exit_status\":" << exitStatus_;
     out << ",\"hashes\":{";
-    bool first = true;
-    for (const auto &[key, value] : hashes_) {
-        out << (first ? "" : ",") << "\"" << json::escape(key)
-            << "\":\"" << json::escape(value) << "\"";
-        first = false;
-    }
-    out << "}";
-    out << ",\"notes\":[";
-    for (std::size_t i = 0; i < notes_.size(); ++i)
-        out << (i == 0 ? "" : ",") << "\"" << json::escape(notes_[i])
-            << "\"";
-    out << "]";
-    out << ",\"phases\":{";
     first = true;
-    for (const auto &[name, stats] : phases) {
-        out << (first ? "" : ",") << "\"" << json::escape(name)
-            << "\":{\"seconds\":" << json::formatDouble(stats.seconds)
+    for (const auto &[key, value] : hashes_)
+        out << sep(first) << quoted(key) << ":" << quoted(value);
+    out << "},\"notes\":[";
+    first = true;
+    for (const std::string &note : notes_)
+        out << sep(first) << quoted(note);
+    out << "],\"phases\":{";
+    first = true;
+    for (const auto &[name, stats] : phases)
+        out << sep(first) << quoted(name)
+            << ":{\"seconds\":" << json::formatDouble(stats.seconds)
             << ",\"calls\":" << stats.calls << "}";
-        first = false;
-    }
-    out << "}";
-    out << ",\"counters\":{";
+    out << "},\"counters\":{";
     first = true;
-    for (const auto &[name, value] : counters) {
-        out << (first ? "" : ",") << "\"" << json::escape(name)
-            << "\":" << value;
-        first = false;
-    }
-    out << "}";
-    out << ",\"histograms\":{";
+    for (const auto &[name, value] : counters)
+        out << sep(first) << quoted(name) << ":" << value;
+    out << "},\"histograms\":{";
     first = true;
     for (const auto &[name, h] : histograms) {
         if (h.count == 0)
             continue;
-        out << (first ? "" : ",") << "\"" << json::escape(name)
-            << "\":{\"count\":" << h.count
-            << ",\"p50\":" << json::formatDouble(h.quantile(0.5))
-            << ",\"p90\":" << json::formatDouble(h.quantile(0.9))
-            << ",\"p99\":" << json::formatDouble(h.quantile(0.99))
-            << "}";
-        first = false;
+        out << sep(first) << quoted(name) << ":{\"count\":" << h.count;
+        const std::pair<const char *, double> doubles[] = {
+            {"min", h.min},           {"max", h.max},
+            {"p50", h.quantile(0.5)}, {"p90", h.quantile(0.9)},
+            {"p99", h.quantile(0.99)},
+        };
+        for (const auto &[key, value] : doubles)
+            out << ",\"" << key << "\":" << json::formatDouble(value);
+        out << ",\"buckets\":{";
+        bool first_bucket = true;
+        for (std::size_t i = 0; i < metrics::kHistogramBuckets; ++i) {
+            if (h.buckets[i] != 0)
+                out << sep(first_bucket) << "\"" << i
+                    << "\":" << h.buckets[i];
+        }
+        out << "}}";
     }
-    out << "}}";
+    // Watchdog time series (empty when the watchdog never ran); the
+    // sampler should be stopped first so the series is final.
+    out << "},\"resource_samples\":[";
+    first = true;
+    for (const watchdog::Sample &s : watchdog::samples())
+        out << sep(first) << "{\"ts_s\":" << json::formatDouble(s.tsSeconds)
+            << ",\"rss_bytes\":" << s.rssBytes
+            << ",\"cpu_seconds\":" << json::formatDouble(s.cpuSeconds)
+            << ",\"astar_arena_bytes\":" << s.astarArenaBytes
+            << ",\"pool_queue_depth\":" << s.poolQueueDepth << "}";
+    out << "],\"watchdog_stalls\":" << watchdog::stallCount() << "}\n";
     return out.str();
 }
 
-void
+const std::string &
 Recorder::finish()
 {
-    if (finished_)
-        return;
-    finished_ = true;
-    const char *path = ledgerPath();
-    if (path == nullptr)
-        return;
-    appendLedgerLine(path, manifestJson());
+    if (!record_.empty())
+        return record_; // already rendered, and appended once
+    record_ = render();
+    if (const char *path = ledgerPath())
+        appendLedgerLine(path, record_);
+    return record_;
 }
 
-// ---- parsing ------------------------------------------------------------
+// ---- parsing and comparison ---------------------------------------------
 
-LedgerEntry
-parseLedgerLine(const std::string &line)
+namespace {
+
+HistogramRecord
+parseHistogram(const std::string &name, const json::Value &entry)
 {
-    const json::Value root = json::parse(line, "run ledger");
-    const std::string schema =
-        root.field("schema").asString("run ledger: schema");
-    requireConfig(schema == "youtiao-run-1",
-                  "run ledger: unknown schema '" + schema + "'");
-    LedgerEntry entry;
-    entry.tool = root.field("tool").asString("run ledger: tool");
-    if (const json::Value *argv = root.fieldIf("argv")) {
-        for (const json::Value &arg :
-             argv->asArray("run ledger: argv"))
-            entry.argv.push_back(arg.asString("run ledger: argv entry"));
+    HistogramRecord h;
+    const std::string what = "perf record: histogram '" + name + "'";
+    h.count = entry.field("count").asInteger<std::uint64_t>(what +
+                                                            " count");
+    h.min = entry.field("min").asNumber(what + " min");
+    h.max = entry.field("max").asNumber(what + " max");
+    h.p50 = entry.field("p50").asNumber(what + " p50");
+    h.p90 = entry.field("p90").asNumber(what + " p90");
+    h.p99 = entry.field("p99").asNumber(what + " p99");
+    for (const auto &[key, value] :
+         entry.field("buckets").asObject(what + " buckets")) {
+        char *end = nullptr;
+        const long index = std::strtol(key.c_str(), &end, 10);
+        requireConfig(end != nullptr && *end == '\0' && index >= 0 &&
+                          index < static_cast<long>(
+                                      metrics::kHistogramBuckets),
+                      what + " has bad bucket key '" + key + "'");
+        h.buckets[static_cast<int>(index)] =
+            value.asInteger<std::uint64_t>(what + " bucket " + key);
     }
-    if (const json::Value *sha = root.fieldIf("git_sha"))
-        entry.gitSha = sha->asString("run ledger: git_sha");
-    if (const json::Value *build = root.fieldIf("build_type"))
-        entry.buildType = build->asString("run ledger: build_type");
-    if (const json::Value *threads = root.fieldIf("threads"))
-        entry.threads = static_cast<std::size_t>(
-            threads->asInteger<std::uint64_t>("run ledger: threads"));
-    if (const json::Value *status = root.fieldIf("exit_status"))
-        entry.exitStatus =
-            status->asInteger<int>("run ledger: exit_status");
+    return h;
+}
+
+std::vector<std::string>
+parseStrings(const json::Value &array, const std::string &what)
+{
+    std::vector<std::string> out;
+    for (const json::Value &entry : array.asArray(what))
+        out.push_back(entry.asString(what + " entry"));
+    return out;
+}
+
+} // namespace
+
+PerfRecord
+parsePerfRecord(const std::string &text)
+{
+    const json::Value root = json::parse(text, "perf record");
+    PerfRecord record;
+    record.schema = root.field("schema").asString("perf record: schema");
+    requireConfig(record.schema == "youtiao-perf-4" ||
+                      record.schema == "youtiao-perf-5",
+                  "perf record: unknown schema '" + record.schema + "'");
+    record.benchmark =
+        root.field("benchmark").asString("perf record: benchmark");
+    if (const json::Value *argv = root.fieldIf("argv"))
+        record.argv = parseStrings(*argv, "perf record: argv");
+    if (const json::Value *start = root.fieldIf("start_unix_ms"))
+        record.startUnixMs = start->asInteger<std::uint64_t>(
+            "perf record: start_unix_ms");
     if (const json::Value *wall = root.fieldIf("wall_seconds"))
-        entry.wallSeconds = wall->asNumber("run ledger: wall_seconds");
+        record.wallSeconds = wall->asNumber("perf record: wall_seconds");
     if (const json::Value *cpu = root.fieldIf("cpu_seconds"))
-        entry.cpuSeconds = cpu->asNumber("run ledger: cpu_seconds");
-    if (const json::Value *rss = root.fieldIf("peak_rss_bytes")) {
-        if (!rss->isNull())
-            entry.peakRssBytes = rss->asInteger<std::uint64_t>(
-                "run ledger: peak_rss_bytes");
+        record.cpuSeconds = cpu->asNumber("perf record: cpu_seconds");
+    if (const json::Value *status = root.fieldIf("exit_status"))
+        record.exitStatus =
+            status->asInteger<int>("perf record: exit_status");
+    if (const json::Value *config = root.fieldIf("config")) {
+        if (const json::Value *threads = config->fieldIf("threads"))
+            record.threads = static_cast<std::size_t>(
+                threads->asInteger<std::uint64_t>(
+                    "perf record: config threads"));
+        if (const json::Value *env =
+                config->fieldIf("youtiao_threads_env")) {
+            if (!env->isNull())
+                record.threadsEnv = env->asString(
+                    "perf record: config youtiao_threads_env");
+        }
+        if (const json::Value *build = config->fieldIf("build_type"))
+            record.buildType =
+                build->asString("perf record: config build_type");
+        if (const json::Value *sha = config->fieldIf("git_sha"))
+            record.gitSha = sha->asString("perf record: config git_sha");
+        if (const json::Value *rss = config->fieldIf("peak_rss_bytes")) {
+            if (!rss->isNull())
+                record.peakRssBytes = rss->asInteger<std::uint64_t>(
+                    "perf record: config peak_rss_bytes");
+        }
     }
     if (const json::Value *hashes = root.fieldIf("hashes")) {
         for (const auto &[key, value] :
-             hashes->asObject("run ledger: hashes"))
-            entry.hashes[key] =
-                value.asString("run ledger: hash '" + key + "'");
+             hashes->asObject("perf record: hashes"))
+            record.hashes[key] =
+                value.asString("perf record: hash '" + key + "'");
     }
-    if (const json::Value *notes = root.fieldIf("notes")) {
-        for (const json::Value &note :
-             notes->asArray("run ledger: notes"))
-            entry.notes.push_back(
-                note.asString("run ledger: note entry"));
+    if (const json::Value *notes = root.fieldIf("notes"))
+        record.notes = parseStrings(*notes, "perf record: notes");
+    for (const auto &[name, entry] :
+         root.field("phases").asObject("perf record: phases")) {
+        metrics::PhaseStats stats;
+        stats.seconds = entry.field("seconds").asNumber(
+            "perf record: phase '" + name + "' seconds");
+        requireConfig(stats.seconds >= 0.0,
+                      "perf record: phase '" + name +
+                          "' has negative time");
+        stats.calls = entry.field("calls").asInteger<std::uint64_t>(
+            "perf record: phase '" + name + "' calls");
+        record.phases[name] = stats;
     }
-    if (const json::Value *phases = root.fieldIf("phases")) {
-        for (const auto &[name, value] :
-             phases->asObject("run ledger: phases")) {
-            metrics::PhaseStats stats;
-            stats.seconds = value.field("seconds").asNumber(
-                "run ledger: phase '" + name + "' seconds");
-            stats.calls = value.field("calls").asInteger<std::uint64_t>(
-                "run ledger: phase '" + name + "' calls");
-            entry.phases[name] = stats;
+    for (const auto &[name, entry] :
+         root.field("counters").asObject("perf record: counters"))
+        record.counters[name] = entry.asInteger<std::uint64_t>(
+            "perf record: counter '" + name + "'");
+    if (const json::Value *histograms = root.fieldIf("histograms")) {
+        for (const auto &[name, entry] :
+             histograms->asObject("perf record: histograms"))
+            record.histograms[name] = parseHistogram(name, entry);
+    }
+    if (const json::Value *series = root.fieldIf("resource_samples")) {
+        for (const json::Value &entry :
+             series->asArray("perf record: resource_samples")) {
+            ResourceSample sample;
+            sample.tsSeconds = entry.field("ts_s").asNumber(
+                "perf record: resource sample ts_s");
+            sample.rssBytes =
+                entry.field("rss_bytes").asInteger<std::uint64_t>(
+                    "perf record: resource rss_bytes");
+            sample.cpuSeconds = entry.field("cpu_seconds")
+                                    .asNumber("perf record: resource "
+                                              "sample cpu_seconds");
+            sample.astarArenaBytes =
+                entry.field("astar_arena_bytes")
+                    .asInteger<std::uint64_t>(
+                        "perf record: resource astar_arena_bytes");
+            sample.poolQueueDepth =
+                entry.field("pool_queue_depth")
+                    .asInteger<std::uint64_t>(
+                        "perf record: resource pool_queue_depth");
+            record.resourceSamples.push_back(sample);
         }
     }
-    if (const json::Value *counters = root.fieldIf("counters")) {
-        for (const auto &[name, value] :
-             counters->asObject("run ledger: counters"))
-            entry.counters[name] = value.asInteger<std::uint64_t>(
-                "run ledger: counter '" + name + "'");
-    }
-    return entry;
+    if (const json::Value *stalls = root.fieldIf("watchdog_stalls"))
+        record.watchdogStalls = stalls->asInteger<std::uint64_t>(
+            "perf record: watchdog_stalls");
+    return record;
 }
 
-std::vector<LedgerEntry>
+PerfRecord
+loadPerfRecord(const std::string &path)
+{
+    std::ifstream in(path);
+    requireConfig(static_cast<bool>(in),
+                  "cannot read perf record '" + path + "'");
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    try {
+        return parsePerfRecord(buffer.str());
+    } catch (const ConfigError &e) {
+        throw ConfigError(path + ": " + e.what());
+    }
+}
+
+std::vector<PerfRecord>
 parseLedger(const std::string &text)
 {
-    std::vector<LedgerEntry> entries;
+    std::vector<PerfRecord> records;
     std::size_t line_number = 0;
     std::size_t begin = 0;
     while (begin <= text.size()) {
@@ -361,14 +451,50 @@ parseLedger(const std::string &text)
         if (line.find_first_not_of(" \t\r") == std::string::npos)
             continue;
         try {
-            entries.push_back(parseLedgerLine(line));
+            records.push_back(parsePerfRecord(line));
         } catch (const ConfigError &e) {
             throw ConfigError("run ledger line " +
                               std::to_string(line_number) + ": " +
                               e.what());
         }
     }
-    return entries;
+    return records;
+}
+
+PerfComparison
+comparePerfRecords(const PerfRecord &baseline, const PerfRecord &current,
+                   double max_regression, double min_seconds)
+{
+    requireConfig(max_regression >= 0.0,
+                  "max regression must be non-negative");
+    requireConfig(min_seconds >= 0.0, "time floor must be non-negative");
+    PerfComparison out;
+    for (const auto &[name, base] : baseline.phases) {
+        if (base.seconds < min_seconds)
+            continue; // too fast to time reliably
+        const auto it = current.phases.find(name);
+        if (it == current.phases.end()) {
+            out.missingPhases.push_back(name);
+            continue;
+        }
+        ++out.comparedPhases;
+        const PhaseDelta delta{name, base.seconds, it->second.seconds,
+                               it->second.seconds / base.seconds};
+        if (slowerThanBudget(base.seconds, it->second.seconds,
+                             max_regression, min_seconds))
+            out.regressions.push_back(delta);
+        else if (delta.ratio < 1.0 - max_regression)
+            out.improvements.push_back(delta);
+    }
+    std::sort(out.regressions.begin(), out.regressions.end(),
+              [](const PhaseDelta &a, const PhaseDelta &b) {
+                  return a.ratio > b.ratio;
+              });
+    std::sort(out.improvements.begin(), out.improvements.end(),
+              [](const PhaseDelta &a, const PhaseDelta &b) {
+                  return a.ratio < b.ratio;
+              });
+    return out;
 }
 
 // ---- trend analysis -----------------------------------------------------
@@ -399,41 +525,44 @@ percentile(std::vector<double> values, double q)
 
 } // namespace
 
-std::vector<ToolTrend>
-ledgerTrends(const std::vector<LedgerEntry> &entries,
+std::vector<BenchmarkTrend>
+ledgerTrends(const std::vector<PerfRecord> &records,
              const TrendOptions &options)
 {
-    // tool -> phase -> seconds series in ledger (chronological) order.
+    // benchmark -> trend skeleton, and benchmark -> phase -> seconds
+    // series in ledger (chronological) order. A run that did not exit 0
+    // (cut short by --deadline, failed) recorded truncated phase times:
+    // counted, but never a prior and never the latest value.
+    std::map<std::string, BenchmarkTrend> by_benchmark;
     std::map<std::string, std::map<std::string, std::vector<double>>>
         series;
-    std::map<std::string, std::size_t> runs;
-    for (const LedgerEntry &entry : entries) {
-        ++runs[entry.tool];
-        for (const auto &[phase, stats] : entry.phases)
-            series[entry.tool][phase].push_back(stats.seconds);
+    for (const PerfRecord &record : records) {
+        BenchmarkTrend &trend = by_benchmark[record.benchmark];
+        if (record.exitStatus != 0) {
+            ++trend.excludedRuns;
+            continue;
+        }
+        ++trend.runs;
+        for (const auto &[phase, stats] : record.phases)
+            series[record.benchmark][phase].push_back(stats.seconds);
     }
-    std::vector<ToolTrend> trends;
-    for (const auto &[tool, phases] : series) {
-        ToolTrend trend;
-        trend.tool = tool;
-        trend.runs = runs[tool];
-        for (const auto &[phase, values] : phases) {
+    std::vector<BenchmarkTrend> trends;
+    for (auto &[benchmark, trend] : by_benchmark) {
+        trend.benchmark = benchmark;
+        for (const auto &[phase, values] : series[benchmark]) {
             PhaseTrend p;
             p.phase = phase;
             p.observations = values.size();
             p.latestSeconds = values.back();
             p.p99Seconds = percentile(values, 0.99);
             if (values.size() >= 3) {
-                std::vector<double> priors(values.begin(),
-                                           values.end() - 1);
-                p.medianPriorSeconds = median(std::move(priors));
+                p.medianPriorSeconds = median(
+                    std::vector<double>(values.begin(), values.end() - 1));
                 if (p.medianPriorSeconds > 0.0)
                     p.ratio = p.latestSeconds / p.medianPriorSeconds;
-                p.regressed =
-                    p.medianPriorSeconds >= options.minSeconds &&
-                    p.latestSeconds >
-                        p.medianPriorSeconds *
-                            (1.0 + options.maxRegression);
+                p.regressed = slowerThanBudget(
+                    p.medianPriorSeconds, p.latestSeconds,
+                    options.maxRegression, options.minSeconds);
             }
             trend.phases.push_back(std::move(p));
         }
@@ -443,18 +572,21 @@ ledgerTrends(const std::vector<LedgerEntry> &entries,
 }
 
 std::string
-trendReport(const std::vector<ToolTrend> &trends,
+trendReport(const std::vector<BenchmarkTrend> &trends,
             const TrendOptions &options)
 {
     std::ostringstream out;
     char line[200];
     if (trends.empty()) {
-        out << "run ledger: no entries with phase timings\n";
+        out << "run ledger: no records\n";
         return out.str();
     }
-    for (const ToolTrend &trend : trends) {
-        out << "-- " << trend.tool << " (" << trend.runs << " runs, "
-            << "regression threshold "
+    for (const BenchmarkTrend &trend : trends) {
+        out << "-- " << trend.benchmark << " (" << trend.runs << " runs";
+        if (trend.excludedRuns > 0)
+            out << ", " << trend.excludedRuns
+                << " with non-zero exit excluded";
+        out << ", regression threshold "
             << static_cast<int>(options.maxRegression * 100.0 + 0.5)
             << "%) --\n";
         std::snprintf(line, sizeof line,

@@ -1,28 +1,23 @@
 /**
  * @file
- * Run ledger: one structured manifest per tool invocation, appended to
- * a process-shared JSONL file, plus the longitudinal trend analysis
- * tools/perf_trend builds on.
+ * The run record: one `youtiao-perf-5` JSON line per tool or bench
+ * invocation (docs/FILE_FORMATS.md, "Run record"), its parser, the
+ * pairwise comparison tools/perf_check gates on, and the longitudinal
+ * trend analysis tools/perf_trend builds on.
  *
- * Perf records (BENCH_<name>.json) describe one run and perf_check
- * compares exactly two; neither answers "has design.route been creeping
- * up over the last fifty CI runs". The ledger does: when
- * $YOUTIAO_RUN_LEDGER names a file, every youtiao_cli, bench, and tool
- * invocation appends a single-line JSON manifest (schema
- * "youtiao-run-1", see docs/FILE_FORMATS.md) recording what ran (argv,
- * git sha, build type, thread config, input hashes), what
- * it cost (wall/CPU seconds, peak RSS, per-phase timings, histogram
- * percentiles), and how it ended (exit status, degradation notes).
+ * A Recorder constructed at the top of main() renders, when the run
+ * finishes, one compact newline-terminated record of what ran (argv,
+ * git sha, build type, thread config, input hashes), what it cost
+ * (wall/CPU seconds, peak RSS, per-phase timings, counters, histograms,
+ * watchdog samples) and how it ended (exit status, notes). The record
+ * is rendered once: a bench writes those bytes to `BENCH_<name>.json`
+ * (bench_common.hpp), and when $YOUTIAO_RUN_LEDGER names a file the
+ * same bytes are appended there, so a ledger is a JSONL file of
+ * records that perf_check and perf_trend read with one parser.
  *
  * The append is a single O_APPEND write of one complete line, so
  * concurrent processes sharing a ledger never interleave records.
- * When the variable is unset the Recorder is a no-op; recording
- * observes the run and never feeds back into it.
- *
- * Usage: construct a Recorder at the top of main(), attach hashes and
- * notes as inputs are resolved, setExitStatus() before returning; the
- * destructor (or an explicit finish()) writes the manifest, capturing
- * the global metrics registry as the run's phase timings.
+ * Recording observes the run and never feeds back into it.
  */
 
 #ifndef YOUTIAO_COMMON_RUNLEDGER_HPP
@@ -31,6 +26,7 @@
 #include <chrono>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -40,23 +36,28 @@
 namespace youtiao::runledger {
 
 /** FNV-1a 64-bit over @p bytes, rendered as 16 hex digits. The input
- *  provenance hash of manifests: stable across platforms and runs. */
+ *  provenance hash of records: stable across platforms and runs. */
 std::string fnv1aHex(std::string_view bytes);
 
 /** True when $YOUTIAO_RUN_LEDGER names a ledger file. */
 bool ledgerConfigured();
 
 /**
- * RAII manifest writer for one tool invocation. Every method is a cheap
- * no-op when the ledger is not configured.
+ * RAII writer of one run record. Construct it at the top of main();
+ * attach hashes and notes as inputs are resolved and setExitStatus()
+ * before returning. finish() (or the destructor) renders the record
+ * from the global metrics registry and the watchdog series, and
+ * appends it to the ledger when one is configured.
  */
 class Recorder
 {
   public:
-    explicit Recorder(std::string tool, int argc = 0,
+    /** @p benchmark names the record ("table2_wiring", "youtiao_cli");
+     *  argv[0], the volatile binary path, is not recorded. */
+    explicit Recorder(std::string benchmark, int argc = 0,
                       const char *const *argv = nullptr);
 
-    /** Writes the manifest if finish() has not already. */
+    /** Finishes the record if finish() has not already. */
     ~Recorder();
 
     Recorder(const Recorder &) = delete;
@@ -68,78 +69,168 @@ class Recorder
     /** setHash(key, fnv1aHex(bytes)) convenience. */
     void hashBytes(const std::string &key, std::string_view bytes);
 
-    /** Append a degradation / outcome note (ordered, deduplicated by
-     *  the caller if needed). */
+    /** Append a degradation / outcome note. */
     void addNote(std::string note);
 
-    /** Exit status recorded in the manifest (default 0). */
+    /** Exit status recorded in the record (default 0). */
     void setExitStatus(int status);
 
     /**
-     * Append the manifest to the ledger now (idempotent; the destructor
-     * calls it too). Captures wall time since construction, getrusage
-     * CPU time and peak RSS, and the global metrics registry's phases,
-     * counters, and histogram percentiles at this moment.
+     * Render the record (wall time since construction, getrusage CPU
+     * time and peak RSS, and the registry's phases, counters and
+     * histograms at this moment) and append it to the ledger when one
+     * is configured. Idempotent: later calls return the same bytes and
+     * write nothing. The result is one compact JSON line ending in a
+     * newline.
      */
-    void finish();
-
-    /** The manifest JSON line (no trailing newline) as finish() would
-     *  write it right now. Exposed for tests. */
-    std::string manifestJson() const;
+    const std::string &finish();
 
   private:
-    std::string tool_;
+    std::string render() const;
+
+    std::string benchmark_;
     std::vector<std::string> argv_;
     std::map<std::string, std::string> hashes_;
     std::vector<std::string> notes_;
     int exitStatus_ = 0;
-    bool finished_ = false;
+    /** The rendered record; empty until finish(). */
+    std::string record_;
     std::chrono::steady_clock::time_point start_;
-    std::int64_t startUnixMs_ = 0;
+    std::uint64_t startUnixMs_ = 0;
 };
 
-// ---- ledger parsing and trend analysis (tools/perf_trend) ---------------
+// ---- parsing and comparison (tools/perf_check) --------------------------
 
-/** One parsed youtiao-run-1 manifest. */
-struct LedgerEntry
+/** One histogram entry of a record. Quantiles are the writer's derived
+ *  values; `buckets` maps log2 bucket index -> sample count (see
+ *  metrics::HistogramStats). */
+struct HistogramRecord
 {
-    std::string tool;
+    std::uint64_t count = 0;
+    double min = 0.0;
+    double max = 0.0;
+    double p50 = 0.0;
+    double p90 = 0.0;
+    double p99 = 0.0;
+    std::map<int, std::uint64_t> buckets;
+};
+
+/** One watchdog snapshot of a record (common/watchdog.hpp). */
+struct ResourceSample
+{
+    double tsSeconds = 0.0;
+    std::uint64_t rssBytes = 0;
+    double cpuSeconds = 0.0;
+    std::uint64_t astarArenaBytes = 0;
+    std::uint64_t poolQueueDepth = 0;
+};
+
+/**
+ * One parsed record (schema youtiao-perf-4 or -5). Only schema,
+ * benchmark, phases and counters are required; every other field keeps
+ * its default when the record omits it (perf-4 baselines carry no
+ * argv, timings or exit status). Earlier writers also stamped
+ * `config.simd_level` and `config.cpu_features`; the parser ignores
+ * both.
+ */
+struct PerfRecord
+{
+    std::string schema;
+    std::string benchmark;
     std::vector<std::string> argv;
-    std::string gitSha;
-    std::string buildType;
-    std::size_t threads = 0;
-    int exitStatus = 0;
+    std::uint64_t startUnixMs = 0;
     double wallSeconds = 0.0;
     double cpuSeconds = 0.0;
-    std::uint64_t peakRssBytes = 0;
+    int exitStatus = 0;
+    std::size_t threads = 0;
+    /** Raw YOUTIAO_THREADS; nullopt when unset (JSON null). */
+    std::optional<std::string> threadsEnv;
+    std::string buildType;
+    std::string gitSha;
+    /** Peak RSS; nullopt when the record carries JSON null (platform
+     *  could not measure) or omits the field. Null means "not
+     *  comparable", never a measured zero. */
+    std::optional<std::uint64_t> peakRssBytes;
     std::map<std::string, std::string> hashes;
     std::vector<std::string> notes;
     std::map<std::string, metrics::PhaseStats> phases;
     std::map<std::string, std::uint64_t> counters;
+    std::map<std::string, HistogramRecord> histograms;
+    /** Watchdog time series; empty when the watchdog never ran. */
+    std::vector<ResourceSample> resourceSamples;
+    /** Phase-budget violations the watchdog observed. */
+    std::uint64_t watchdogStalls = 0;
 };
 
-/** Parse one manifest line. Throws ConfigError on malformed input or a
- *  schema other than youtiao-run-1. */
-LedgerEntry parseLedgerLine(const std::string &line);
+/**
+ * Parse @p json as a record. Throws ConfigError on malformed JSON, a
+ * missing or unaccepted schema, phase entries without numeric seconds,
+ * or an integer field that is fractional or out of range.
+ */
+PerfRecord parsePerfRecord(const std::string &json);
 
-/** Parse a whole ledger (one manifest per non-empty line), entries in
- *  file order (oldest first). Throws ConfigError naming the bad line. */
-std::vector<LedgerEntry> parseLedger(const std::string &text);
+/** Read and parse the record at @p path. Throws ConfigError on failure. */
+PerfRecord loadPerfRecord(const std::string &path);
+
+/** Parse a whole ledger (one record per non-empty line), in file order
+ *  (oldest first). Throws ConfigError naming the bad line. */
+std::vector<PerfRecord> parseLedger(const std::string &text);
+
+/** One phase whose wall time moved between baseline and current. */
+struct PhaseDelta
+{
+    std::string phase;
+    double baselineSeconds = 0.0;
+    double currentSeconds = 0.0;
+    /** currentSeconds / baselineSeconds. */
+    double ratio = 0.0;
+};
+
+/** Result of comparing a current record against a baseline. */
+struct PerfComparison
+{
+    /** Phases slower than the allowed ratio, worst first. */
+    std::vector<PhaseDelta> regressions;
+    /** Phases faster than the mirrored budget (current below
+     *  baseline * (1 - max_regression)), best (fastest ratio) first.
+     *  These never fail a check; they prompt a baseline refresh. */
+    std::vector<PhaseDelta> improvements;
+    /** Phases compared (present in both, above the time floor). */
+    std::size_t comparedPhases = 0;
+    /** Baseline phases above the floor that current never recorded. */
+    std::vector<std::string> missingPhases;
+};
+
+/**
+ * Compare @p current against @p baseline: every baseline phase with at
+ * least @p min_seconds of wall time is checked, and phases whose
+ * current/baseline ratio exceeds 1 + @p max_regression are reported as
+ * regressions; phases below baseline * (1 - @p max_regression) are
+ * reported as improvements (the baseline is stale on the fast side).
+ * Phases below the floor are skipped (their timings are noise), as are
+ * phases absent from the baseline (new phases cannot regress).
+ */
+PerfComparison comparePerfRecords(const PerfRecord &baseline,
+                                  const PerfRecord &current,
+                                  double max_regression,
+                                  double min_seconds);
+
+// ---- trend analysis (tools/perf_trend) ----------------------------------
 
 struct TrendOptions
 {
-    /** Latest-vs-median ratio above 1 + maxRegression flags a phase. */
+    /** Latest/median ratio above 1 + maxRegression flags a phase. */
     double maxRegression = 0.25;
-    /** Phases whose median is below this floor are noise, never
+    /** Phases whose prior median is below this floor are noise, never
      *  flagged. */
     double minSeconds = 0.01;
 };
 
-/** Longitudinal view of one phase within one tool's run series. */
+/** Longitudinal view of one phase within one benchmark's clean runs. */
 struct PhaseTrend
 {
     std::string phase;
-    /** Runs of the tool that recorded this phase. */
+    /** Clean runs that recorded this phase. */
     std::size_t observations = 0;
     /** Median of all observations but the latest (the drift baseline);
      *  0 when fewer than 2 prior observations exist. */
@@ -149,17 +240,20 @@ struct PhaseTrend
     double latestSeconds = 0.0;
     /** latestSeconds / medianPriorSeconds (0 when no baseline). */
     double ratio = 0.0;
-    /** Latest exceeded the prior median by more than the allowed
-     *  regression, with at least 2 priors and a median above the time
-     *  floor. */
+    /** perf_check's regression test against the prior median, with at
+     *  least 2 priors. */
     bool regressed = false;
 };
 
-/** Per-tool trend summary, tools sorted by name. */
-struct ToolTrend
+/** Per-benchmark trend summary, sorted by benchmark name. */
+struct BenchmarkTrend
 {
-    std::string tool;
+    std::string benchmark;
+    /** Runs with exit status 0: the only ones in the series. */
     std::size_t runs = 0;
+    /** Runs left out for a non-zero exit status (cancelled, failed):
+     *  their phase times are truncated, not slow. */
+    std::size_t excludedRuns = 0;
     std::vector<PhaseTrend> phases; ///< sorted by phase name
 
     bool
@@ -172,13 +266,14 @@ struct ToolTrend
     }
 };
 
-/** Aggregate @p entries (ledger order = chronological) into per-tool,
- *  per-phase trends. */
-std::vector<ToolTrend> ledgerTrends(const std::vector<LedgerEntry> &entries,
-                                    const TrendOptions &options = {});
+/** Aggregate @p records (ledger order = chronological) into
+ *  per-benchmark, per-phase trends over the runs that exited 0. */
+std::vector<BenchmarkTrend> ledgerTrends(
+    const std::vector<PerfRecord> &records,
+    const TrendOptions &options = {});
 
 /** Human-readable report of @p trends, regressions marked. */
-std::string trendReport(const std::vector<ToolTrend> &trends,
+std::string trendReport(const std::vector<BenchmarkTrend> &trends,
                         const TrendOptions &options = {});
 
 } // namespace youtiao::runledger

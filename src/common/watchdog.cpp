@@ -81,33 +81,7 @@ currentRssBytes()
                    static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
     }
 #endif
-#if defined(__unix__) || defined(__APPLE__)
-    struct rusage usage{};
-    if (getrusage(RUSAGE_SELF, &usage) == 0) {
-#if defined(__APPLE__)
-        return static_cast<std::uint64_t>(usage.ru_maxrss);
-#else
-        return static_cast<std::uint64_t>(usage.ru_maxrss) * 1024;
-#endif
-    }
-#endif
-    return 0;
-}
-
-double
-processCpuSeconds()
-{
-#if defined(__unix__) || defined(__APPLE__)
-    struct rusage usage{};
-    if (getrusage(RUSAGE_SELF, &usage) == 0) {
-        const auto toSec = [](const timeval &tv) {
-            return static_cast<double>(tv.tv_sec) +
-                   static_cast<double>(tv.tv_usec) * 1e-6;
-        };
-        return toSec(usage.ru_utime) + toSec(usage.ru_stime);
-    }
-#endif
-    return 0.0;
+    return peakRssBytes().value_or(0);
 }
 
 void
@@ -197,6 +171,39 @@ samplerLoop(State &s)
 }
 
 } // namespace
+
+double
+processCpuSeconds()
+{
+#if defined(__unix__) || defined(__APPLE__)
+    struct rusage usage{};
+    if (getrusage(RUSAGE_SELF, &usage) == 0) {
+        const auto toSec = [](const timeval &tv) {
+            return static_cast<double>(tv.tv_sec) +
+                   static_cast<double>(tv.tv_usec) * 1e-6;
+        };
+        return toSec(usage.ru_utime) + toSec(usage.ru_stime);
+    }
+#endif
+    return 0.0;
+}
+
+std::optional<std::uint64_t>
+peakRssBytes()
+{
+#if defined(__unix__) || defined(__APPLE__)
+    struct rusage usage{};
+    if (getrusage(RUSAGE_SELF, &usage) != 0)
+        return std::nullopt;
+#if defined(__APPLE__)
+    return static_cast<std::uint64_t>(usage.ru_maxrss);
+#else
+    return static_cast<std::uint64_t>(usage.ru_maxrss) * 1024;
+#endif
+#else
+    return std::nullopt;
+#endif
+}
 
 std::uint64_t
 gaugeValue(Gauge g)

@@ -11,8 +11,8 @@
  * single background thread wakes every interval, snapshots the process
  * (current RSS from /proc/self/statm where available, cumulative CPU
  * from getrusage, the peak gauges instrumented sites publish), and
- * appends one Sample to an in-memory series that metrics::jsonReport
- * emits as the "resource_samples" block of the perf record (schema
+ * appends one Sample to an in-memory series that the run record
+ * (common/runledger.hpp) emits as its "resource_samples" block (schema
  * youtiao-perf-5, see docs/FILE_FORMATS.md).
  *
  * Stall detection: phases named in the budget list are tracked by the
@@ -41,6 +41,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -85,6 +86,15 @@ gaugeMax(Gauge g, std::uint64_t value)
 
 /** Current value of gauge @p g (0 when never published). */
 std::uint64_t gaugeValue(Gauge g);
+
+/** Cumulative user+system CPU seconds of the process (0 where the
+ *  platform cannot report it). */
+double processCpuSeconds();
+
+/** Peak resident set size of the process in bytes, or nullopt where the
+ *  platform cannot measure it (records write null, never a zero).
+ *  ru_maxrss is kilobytes on Linux, bytes on macOS. */
+std::optional<std::uint64_t> peakRssBytes();
 
 /** One watchdog snapshot. */
 struct Sample

@@ -362,8 +362,7 @@ DriftAdapter::run(const ChipTopology &chip, const YoutiaoDesign &design,
                 const CellGrid grid =
                     makeGrid(config_.frequency, freq.zoneCount);
                 const CrosstalkNeighborhood neighborhood(
-                    drifted.xyCrosstalk, plan.lineOfQubit,
-                    config_.frequency.sparseEpsilon);
+                    drifted.xyCrosstalk, plan.lineOfQubit);
                 IncrementalAllocationCost running(neighborhood, noise);
                 std::unordered_map<double, std::size_t> occupancy;
                 for (std::size_t q = 0; q < n; ++q) {

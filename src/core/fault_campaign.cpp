@@ -70,7 +70,6 @@ runOne(const ChipTopology &chip, const FaultCampaignConfig &config,
             const metrics::ScopedTimer route_timer("campaign.route");
             ChipRoutingConfig routing_cfg;
             routing_cfg.blockedCells = defects.blockedRoutingCells;
-            routing_cfg.blockedHalfWidthMm = defects.blockedHalfWidthMm;
             const std::vector<NetSpec> nets =
                 buildWiringNets(degraded.chip, design.xyPlan,
                                 design.zPlan, design.readoutPlan,

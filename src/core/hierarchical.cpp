@@ -341,32 +341,14 @@ HierarchicalDesigner::designFromMeasurements(
     const ChipTopology &chip, const ChipCharacterization &data,
     double w_phy) const
 {
-    return designFromMeasurements(
-        chip, makeUniformTileMap(chip, hier_.tileSizeQubits), data, w_phy);
-}
-
-HierarchicalDesign
-HierarchicalDesigner::designFromMeasurements(
-    const ChipTopology &chip, const TileMap &map,
-    const ChipCharacterization &data, double w_phy) const
-{
-    return designTiles(chip, map, &data, w_phy);
+    return valueOrThrow(designFromMeasurementsRobust(chip, data, w_phy));
 }
 
 HierarchicalDesign
 HierarchicalDesigner::designSynthesized(const ChipTopology &chip,
                                         double w_phy) const
 {
-    return designSynthesized(
-        chip, makeUniformTileMap(chip, hier_.tileSizeQubits), w_phy);
-}
-
-HierarchicalDesign
-HierarchicalDesigner::designSynthesized(const ChipTopology &chip,
-                                        const TileMap &map,
-                                        double w_phy) const
-{
-    return designTiles(chip, map, nullptr, w_phy);
+    return valueOrThrow(designSynthesizedRobust(chip, w_phy));
 }
 
 Expected<HierarchicalDesign, DesignError>

@@ -136,7 +136,19 @@ struct HierarchicalDesign
     double seamRadiusMmUsed = 0.0;
 };
 
-/** The tiled pipeline. */
+/**
+ * The tiled pipeline. Its stages run once, in designTiles behind the
+ * *Robust entry points; the two throwing entry points are
+ * valueOrThrow() over their structured twins, so a clean run is
+ * byte-identical through either API. Through the throwing API:
+ *  - a tile the flat designer's ladder rescues comes back degraded, as
+ *    on the robust path (each tile runs designFromMeasurementsRobust);
+ *  - any failure -- a tile no rung rescues, a characterization that
+ *    does not match the chip, an InternalError -- throws ConfigError
+ *    carrying the DesignError's toString() ("validation: ...");
+ *  - a cooperative abort throws cancel::Cancelled with the original
+ *    reason and poll site (throwDesignError()).
+ */
 class HierarchicalDesigner
 {
   public:
@@ -156,11 +168,6 @@ class HierarchicalDesigner
                            const ChipCharacterization &data,
                            double w_phy = 0.6) const;
 
-    HierarchicalDesign
-    designFromMeasurements(const ChipTopology &chip, const TileMap &map,
-                           const ChipCharacterization &data,
-                           double w_phy = 0.6) const;
-
     /**
      * Scale path: characterize each tile synthetically (per-tile seeded
      * measurement, O(tile^2) instead of O(chip^2)) and design from those
@@ -170,19 +177,16 @@ class HierarchicalDesigner
     HierarchicalDesign designSynthesized(const ChipTopology &chip,
                                          double w_phy = 0.6) const;
 
-    HierarchicalDesign designSynthesized(const ChipTopology &chip,
-                                         const TileMap &map,
-                                         double w_phy = 0.6) const;
-
     /**
      * Structured-error variants of the two entry points above. A tile
-     * whose design fails, or a cooperative abort (common/cancel.hpp;
-     * polled per tile, at the merge barrier, per seam-stitch pass and
-     * before returning), comes back as a DesignError instead of an
-     * exception; cancellation carries code Cancelled/DeadlineExceeded
-     * and, when @p partial is non-null, records how far the tile fan-out
-     * got ("cancelled after N of M tiles") so a deadline-killed run
-     * still reports structured progress.
+     * whose design fails, any other failure, or a cooperative abort
+     * (common/cancel.hpp; polled per tile, at the merge barrier, per
+     * seam-stitch pass and before returning) comes back as a
+     * DesignError instead of an exception; cancellation carries code
+     * Cancelled/DeadlineExceeded and, when @p partial is non-null,
+     * records how far the tile fan-out got ("cancelled after N of M
+     * tiles") so a deadline-killed run still reports structured
+     * progress.
      */
     Expected<HierarchicalDesign, DesignError>
     designSynthesizedRobust(const ChipTopology &chip, double w_phy = 0.6,
@@ -204,7 +208,7 @@ class HierarchicalDesigner
                                    = nullptr) const;
 
     /** designTiles on the uniform tile map, every failure caught into a
-     *  DesignError (the shared body of both *Robust entry points). */
+     *  DesignError (the shared body of all four entry points). */
     Expected<HierarchicalDesign, DesignError>
     designTilesRobust(const ChipTopology &chip,
                       const ChipCharacterization *data, double w_phy,

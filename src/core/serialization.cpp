@@ -351,78 +351,4 @@ designFromString(const std::string &text)
     return loadDesign(in);
 }
 
-void
-saveTileMap(std::ostream &out, const TileMap &map)
-{
-    out << "youtiao-tiles " << kTileMapFormatVersion << '\n';
-    out << "lattice " << map.tilesX << ' ' << map.tilesY << '\n';
-    out.precision(17);
-    writeDoubleVector(out, "xcuts.mm", map.xCutsMm);
-    writeDoubleVector(out, "ycuts.mm", map.yCutsMm);
-    out << "map " << map.tileOfQubit.size();
-    for (std::size_t t : map.tileOfQubit)
-        out << ' ' << t;
-    out << '\n';
-}
-
-std::string
-tileMapToString(const TileMap &map)
-{
-    std::ostringstream out;
-    saveTileMap(out, map);
-    return out.str();
-}
-
-TileMap
-loadTileMap(std::istream &in)
-{
-    LineReader reader(in);
-    {
-        auto header = reader.expect("youtiao-tiles");
-        int version = -1;
-        requireConfig(static_cast<bool>(header >> version),
-                      "missing tile-map format version");
-        requireConfig(version == kTileMapFormatVersion,
-                      "unsupported tile-map format version " +
-                          std::to_string(version));
-    }
-
-    TileMap map;
-    {
-        auto stream = reader.expect("lattice");
-        requireConfig(
-            static_cast<bool>(stream >> map.tilesX >> map.tilesY),
-            "tile lattice line truncated");
-        requireConfig(map.tilesX >= 1 && map.tilesY >= 1,
-                      "tile lattice needs at least one tile per axis");
-        // The cut lists and the per-qubit map are sized from the lattice
-        // shape; an implausible shape must die here, before resize.
-        requireConfig(map.tilesX <= 65536 && map.tilesY <= 65536,
-                      "tile lattice implausibly large");
-    }
-    map.xCutsMm = readDoubleVector(reader.expect("xcuts.mm"));
-    map.yCutsMm = readDoubleVector(reader.expect("ycuts.mm"));
-    {
-        auto stream = reader.expect("map");
-        std::size_t count = 0;
-        requireConfig(static_cast<bool>(stream >> count),
-                      "tile map missing qubit count");
-        requireConfig(count <= tokenBudget(stream),
-                      "tile map qubit count implausible for its line");
-        map.tileOfQubit.resize(count);
-        for (std::size_t &t : map.tileOfQubit)
-            requireConfig(static_cast<bool>(stream >> t),
-                          "tile map truncated");
-    }
-    validateTileMap(map, map.tileOfQubit.size());
-    return map;
-}
-
-TileMap
-tileMapFromString(const std::string &text)
-{
-    std::istringstream in(text);
-    return loadTileMap(in);
-}
-
 } // namespace youtiao

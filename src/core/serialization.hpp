@@ -17,16 +17,12 @@
 #include <iosfwd>
 #include <string>
 
-#include "core/hierarchical.hpp"
 #include "core/youtiao.hpp"
 
 namespace youtiao {
 
 /** Current format version. */
 inline constexpr int kDesignFormatVersion = 1;
-
-/** Current tile-map format version. */
-inline constexpr int kTileMapFormatVersion = 1;
 
 /** Write @p design to @p out. Runs validateDesign first, so a design
  *  the loader would reject throws ConfigError before a byte is
@@ -56,27 +52,6 @@ YoutiaoDesign designFromString(const std::string &text);
  * "successfully". Throws ConfigError on the first violation.
  */
 void validateDesign(const YoutiaoDesign &design);
-
-/**
- * Write @p map (a hierarchical tile assignment, see hierarchical.hpp) in
- * the same line-oriented key/value format as designs: lattice shape, cut
- * coordinates, then the per-qubit tile assignment.
- */
-void saveTileMap(std::ostream &out, const TileMap &map);
-
-/** Render to a string (convenience for tests and tools). */
-std::string tileMapToString(const TileMap &map);
-
-/**
- * Parse a tile map previously written by saveTileMap. Throws ConfigError
- * on malformed input -- truncated or garbled files fail the same token
- * budgets as designs and never turn a corrupt count into a huge
- * allocation. The result satisfies validateTileMap.
- */
-TileMap loadTileMap(std::istream &in);
-
-/** Parse from a string. */
-TileMap tileMapFromString(const std::string &text);
 
 } // namespace youtiao
 

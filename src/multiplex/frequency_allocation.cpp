@@ -12,18 +12,16 @@ namespace youtiao {
 
 CrosstalkNeighborhood::CrosstalkNeighborhood(
     const SymmetricMatrix &crosstalk,
-    const std::vector<std::size_t> &line_of_qubit, double epsilon)
-    : epsilon_(epsilon)
+    const std::vector<std::size_t> &line_of_qubit)
 {
     const std::size_t n = line_of_qubit.size();
     requireConfig(crosstalk.size() == n,
                   "crosstalk matrix does not match the line map");
-    requireConfig(epsilon >= 0.0, "sparsification epsilon must be >= 0");
     offsets_.assign(n + 1, 0);
     // Entries stay in ascending `other` order so the sparse cost scan
-    // accumulates pairs in exactly the dense scan's order: with epsilon
-    // 0 the only skipped pairs contribute an exact +0.0, so sparse and
-    // dense sums are bit-identical.
+    // accumulates pairs in exactly the dense scan's order: the only
+    // skipped pairs contribute an exact +0.0, so sparse and dense sums
+    // are bit-identical.
     for (std::size_t q = 0; q < n; ++q) {
         offsets_[q] = others_.size();
         for (std::size_t o = 0; o < n; ++o) {
@@ -31,7 +29,7 @@ CrosstalkNeighborhood::CrosstalkNeighborhood(
                 continue;
             const double x = crosstalk(q, o);
             const bool mate = line_of_qubit[o] == line_of_qubit[q];
-            if (x > epsilon || mate) {
+            if (x > 0.0 || mate) {
                 others_.push_back(static_cast<std::uint32_t>(o));
                 crosstalk_.push_back(x);
                 sameLine_.push_back(mate ? 1.0 : 0.0);
@@ -185,9 +183,8 @@ allocateFrequencies(const FdmPlan &plan,
     out.cellOfQubit.assign(n, 0);
     std::vector<double> allocated(n, 0.0);
 
-    const CrosstalkNeighborhood neighborhood(
-        predicted_crosstalk, plan.lineOfQubit, config.sparseEpsilon);
-    IncrementalAllocationCost running(neighborhood, noise);
+    const CrosstalkNeighborhood neighborhood(predicted_crosstalk,
+                                             plan.lineOfQubit);
     metrics::count("freq.sparse_entries", neighborhood.entryCount());
 
     // Level 1: members of each line take distinct zones (member k ->
@@ -226,7 +223,6 @@ allocateFrequencies(const FdmPlan &plan,
                                                 config.loGHz, zone_width,
                                                 cell_ghz);
             allocated[q] = 1.0;
-            running.place(q, out.frequencyGHz[q]);
         }
     }
 
@@ -258,8 +254,6 @@ allocateFrequencies(const FdmPlan &plan,
                     if (after + 1e-15 < before) {
                         std::swap(out.zoneOfQubit[qa], out.zoneOfQubit[qb]);
                         std::swap(out.cellOfQubit[qa], out.cellOfQubit[qb]);
-                        running.move(qa, out.frequencyGHz[qa]);
-                        running.move(qb, out.frequencyGHz[qb]);
                         improved = true;
                     } else {
                         std::swap(out.frequencyGHz[qa],
@@ -272,14 +266,10 @@ allocateFrequencies(const FdmPlan &plan,
             break;
     }
 
-    // Exact mode reports the canonical full objective (bit-compatible
-    // with the dense implementation); fast mode reports the sparse
-    // objective the delta updates maintained, skipping the O(n^2) scan.
-    out.crosstalkCost =
-        config.sparseEpsilon == 0.0
-            ? allocationCrosstalkCost(out.frequencyGHz,
-                                      predicted_crosstalk, noise)
-            : running.total();
+    // The canonical full objective, bit-compatible with the dense
+    // implementation.
+    out.crosstalkCost = allocationCrosstalkCost(out.frequencyGHz,
+                                                predicted_crosstalk, noise);
     return out;
 }
 
@@ -306,8 +296,8 @@ allocateFrequenciesConstrained(const FdmPlan &plan,
     std::vector<double> allocated(n, 0.0);
     const double cell_ghz = config.cellMHz * units::MHz;
 
-    const CrosstalkNeighborhood neighborhood(
-        predicted_crosstalk, plan.lineOfQubit, config.sparseEpsilon);
+    const CrosstalkNeighborhood neighborhood(predicted_crosstalk,
+                                             plan.lineOfQubit);
 
     // Candidate cells per qubit: the +/- window around its fabrication
     // frequency, on the global cell comb. Zones are whatever the

@@ -25,16 +25,6 @@
 
 namespace youtiao {
 
-/**
- * Tested fast sparsification threshold for FrequencyAllocationConfig::
- * sparseEpsilon. The synthesized crosstalk matrices decay exponentially
- * with equivalent distance down to a 1e-6 floor, so dropping pairs below
- * 1e-5 keeps every near neighbour while shrinking the candidate scan
- * from O(n) to the local neighbourhood. Each dropped pair biases a
- * candidate cost by at most epsilon (the Lorentzian overlap is <= 1).
- */
-inline constexpr double kFastAllocationEpsilon = 1e-5;
-
 /** Allocation knobs. */
 struct FrequencyAllocationConfig
 {
@@ -45,13 +35,6 @@ struct FrequencyAllocationConfig
     double cellMHz = 10.0;
     /** Local-search passes over intra-group zone swaps. */
     std::size_t swapPasses = 3;
-    /**
-     * Crosstalk pairs at or below this value are dropped from the sparse
-     * neighbour structure the allocator iterates. 0 keeps every nonzero
-     * pair — numerically identical to the dense scan; see
-     * kFastAllocationEpsilon for the tested fast setting.
-     */
-    double sparseEpsilon = 0.0;
     /**
      * Unusable slices of the band as [lo, hi) GHz pairs (TWPA dips,
      * package resonances, defect masks -- see chip/defects.hpp). Cells
@@ -65,10 +48,11 @@ struct FrequencyAllocationConfig
 
 /**
  * Sparse crosstalk neighbourhood of an FDM plan: per qubit, the union of
- * (a) qubits whose pairwise crosstalk exceeds epsilon and (b) its FDM
- * line mates (which always contribute in-line pulse leakage regardless
- * of spatial crosstalk), stored CSR-style in ascending qubit order so a
- * sparse cost scan visits pairs in exactly the dense scan's order.
+ * (a) qubits with nonzero pairwise crosstalk and (b) its FDM line mates
+ * (which always contribute in-line pulse leakage regardless of spatial
+ * crosstalk), stored CSR-style in ascending qubit order so a sparse cost
+ * scan visits pairs in exactly the dense scan's order. Skipped pairs
+ * contribute an exact +0.0, so sparse and dense sums are bit-identical.
  *
  * Storage is struct-of-arrays: the cost loops stream the crosstalk and
  * line-mate arrays contiguously and look frequencies up by the id
@@ -78,8 +62,7 @@ class CrosstalkNeighborhood
 {
   public:
     CrosstalkNeighborhood(const SymmetricMatrix &crosstalk,
-                          const std::vector<std::size_t> &line_of_qubit,
-                          double epsilon);
+                          const std::vector<std::size_t> &line_of_qubit);
 
     /** Neighbour qubit ids of @p q, ascending. */
     std::span<const std::uint32_t> neighborIds(std::size_t q) const
@@ -105,7 +88,6 @@ class CrosstalkNeighborhood
     }
 
     std::size_t qubitCount() const { return offsets_.size() - 1; }
-    double epsilon() const { return epsilon_; }
     /** Directed entries kept (diagnostic; dense scan would be n*(n-1)). */
     std::size_t entryCount() const { return others_.size(); }
 
@@ -114,15 +96,13 @@ class CrosstalkNeighborhood
     std::vector<std::uint32_t> others_;
     std::vector<double> crosstalk_;
     std::vector<double> sameLine_;
-    double epsilon_ = 0.0;
 };
 
 /**
  * Running spectral-crosstalk objective maintained with O(deg) delta
  * updates per placement or retune instead of the O(n^2) full recompute.
- * Tracks the same sum as allocationCrosstalkCost over the pairs the
- * neighbourhood keeps: with epsilon 0 the two agree to floating-point
- * accumulation order (tested to 1e-9).
+ * Tracks the same sum as allocationCrosstalkCost: the two agree to
+ * floating-point accumulation order (tested to 1e-9).
  */
 class IncrementalAllocationCost
 {

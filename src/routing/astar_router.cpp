@@ -136,6 +136,8 @@ routeAstar(RoutingGrid &grid, Cell from, Cell to, std::int32_t net_id,
             const std::int32_t owner = grid.owner(next);
             if (owner == RoutingGrid::kObstacle)
                 continue;
+            constexpr double kCrowdingPenalty = 0.25;
+            constexpr double kBridgeCost = 25.0;
             double step;
             if (owner == net_id) {
                 step = 0.02; // trunk reuse is nearly free
@@ -152,12 +154,12 @@ routeAstar(RoutingGrid &grid, Cell from, Cell to, std::int32_t net_id,
                     const Cell adj{static_cast<std::size_t>(ax),
                                    static_cast<std::size_t>(ay)};
                     if (grid.owner(adj) == RoutingGrid::kObstacle) {
-                        step += config.crowdingPenalty;
+                        step += kCrowdingPenalty;
                         break;
                     }
                 }
             } else {
-                step = config.bridgeCost; // airbridge crossover
+                step = kBridgeCost; // airbridge crossover
             }
             const std::size_t nstate =
                 flat(next) * kDirCount + static_cast<std::size_t>(d);

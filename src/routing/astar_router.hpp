@@ -44,14 +44,14 @@ struct RoutedPath
     std::vector<Crossover> crossovers;
 };
 
-/** Router cost knobs. */
+/**
+ * Router search knob. Step costs are fixed: 0.02 to reuse the net's own
+ * metal, 1 for new metal, 1.25 for new metal next to an obstacle (keeps
+ * pad alleys open for later pins) and 25 for an airbridge crossover
+ * cell (>> 1 discourages them).
+ */
 struct AstarConfig
 {
-    /** Cost of one airbridge crossover cell (>> 1 discourages them). */
-    double bridgeCost = 25.0;
-    /** Extra cost for new metal adjacent to an obstacle (keeps pad
-     *  alleys open for later pins). */
-    double crowdingPenalty = 0.25;
     /**
      * Manhattan-distance multiplier of the A* heuristic. The default
      * stays below the cheapest per-step cost (same-net reuse, 0.02), so

@@ -200,19 +200,21 @@ routeOnce(const ChipTopology &chip, const std::vector<NetSpec> &nets,
     for (const CouplerInfo &c : chip.couplers())
         grid.blockSquare(c.position, config.grid.devicePadMm * 0.5);
     // Defect keep-outs (packaging flaws) are permanent obstacles.
+    constexpr double kBlockedHalfWidthMm = 0.1;
     for (const Point &p : config.blockedCells)
-        grid.blockSquare(p, config.blockedHalfWidthMm);
+        grid.blockSquare(p, kBlockedHalfWidthMm);
 
-    // Interface slots along the expanded grid border. Dense chips shrink
-    // the pad pitch so the perimeter can host one interface per net
-    // (never below two grid cells).
+    // Interface slots along the expanded grid border, one pad width
+    // apart (paper: ~0.5 mm). Dense chips shrink the pad pitch so the
+    // perimeter can host one interface per net (never below two grid
+    // cells).
+    constexpr double kInterfaceSpacingMm = 0.5;
     const double m = config.grid.marginMm * 0.5;
     const double perim = 2.0 * (hi.x - lo.x + hi.y - lo.y + 4.0 * m);
-    double spacing = config.interfaceSpacingMm;
     const double needed =
         0.9 * perim / static_cast<double>(nets.size());
-    spacing = std::max(2.0 * config.grid.cellMm,
-                       std::min(spacing, needed));
+    const double spacing = std::max(
+        2.0 * config.grid.cellMm, std::min(kInterfaceSpacingMm, needed));
     std::vector<Point> slots = perimeterSlots(
         Point{lo.x - m, lo.y - m}, Point{hi.x + m, hi.y + m}, spacing);
     std::vector<bool> slot_used(slots.size(), false);
@@ -336,7 +338,11 @@ routeChip(const ChipTopology &chip, const std::vector<NetSpec> &nets,
     // Short nets route first: pin stubs claim their pad alleys before the
     // long trunks (which have many detour options) weave around. When a
     // net still fails, rip everything up and retry with the failed nets
-    // promoted to the front of the order.
+    // promoted to the front of the order (a deterministic stable
+    // reorder), for up to kMaxRetryPasses passes in all. Retries consumed
+    // are reported in ChipRoutingResult::retryPasses and counted by the
+    // `routing.retry_passes` metric.
+    constexpr std::size_t kMaxRetryPasses = 4;
     std::vector<std::size_t> order(nets.size());
     for (std::size_t i = 0; i < order.size(); ++i)
         order[i] = i;
@@ -346,8 +352,6 @@ routeChip(const ChipTopology &chip, const std::vector<NetSpec> &nets,
                                 nets[b].terminals.size();
                      });
 
-    requireConfig(config.maxRetryPasses >= 1,
-                  "ChipRoutingConfig::maxRetryPasses must be >= 1");
     std::vector<bool> net_failed;
     std::vector<bool> best_failed;
     ChipRoutingResult best;
@@ -355,8 +359,7 @@ routeChip(const ChipTopology &chip, const std::vector<NetSpec> &nets,
     std::size_t passes_used = 0;
     // One arena serves every A* call across all nets and retry attempts.
     SearchArena arena;
-    for (std::size_t attempt = 0; attempt < config.maxRetryPasses;
-         ++attempt) {
+    for (std::size_t attempt = 0; attempt < kMaxRetryPasses; ++attempt) {
         cancel::poll("routing.pass");
         metrics::count("routing.attempts");
         if (attempt > 0)
@@ -373,12 +376,10 @@ routeChip(const ChipTopology &chip, const std::vector<NetSpec> &nets,
         }
         if (best.failedConnections == 0)
             break;
-        if (config.failedNetFirstReorder) {
-            std::stable_sort(order.begin(), order.end(),
-                             [&net_failed](std::size_t a, std::size_t b) {
-                                 return net_failed[a] && !net_failed[b];
-                             });
-        }
+        std::stable_sort(order.begin(), order.end(),
+                         [&net_failed](std::size_t a, std::size_t b) {
+                             return net_failed[a] && !net_failed[b];
+                         });
     }
     best.retryPasses = passes_used;
     for (std::size_t i = 0; i < best_failed.size(); ++i)

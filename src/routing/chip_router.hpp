@@ -33,31 +33,15 @@ struct NetSpec
 struct ChipRoutingConfig
 {
     RoutingGridConfig grid;
-    /** Interface pad width on the perimeter (mm); paper: ~0.5 mm. */
-    double interfaceSpacingMm = 0.5;
-    /**
-     * Rip-up-and-retry passes (>= 1, validated by routeChip). Pass 1 is
-     * the initial route; each later pass re-routes everything with the
-     * previous pass's failed nets handled first. Retries consumed are
-     * reported in ChipRoutingResult::retryPasses and counted by the
-     * `routing.retry_passes` metric.
-     */
-    std::size_t maxRetryPasses = 4;
-    /**
-     * Promote failed nets to the front of the ordering between passes
-     * (deterministic stable reorder). Off = retry with the original
-     * shortest-first order, useful for ablating the reorder heuristic.
-     */
-    bool failedNetFirstReorder = true;
     /**
      * Extra keep-out squares blocked before any net routes (packaging
-     * flaws; fed from ChipDefects::blockedRoutingCells). Wires detour
-     * around them or fail into the retry/fallback ladder.
+     * flaws; fed from ChipDefects::blockedRoutingCells), each 0.2 mm
+     * across. Wires detour around them or fail into the retry/fallback
+     * ladder.
      */
     std::vector<Point> blockedCells;
-    /** Halfwidth of each blocked square (mm). */
-    double blockedHalfWidthMm = 0.1;
-    /** Per-path A* cost knobs (defaults reproduce historic routes). */
+    /** Per-path A* search knob (the default reproduces historic
+     *  routes). */
     AstarConfig astar;
 };
 

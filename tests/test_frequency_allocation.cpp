@@ -206,7 +206,7 @@ TEST(IncrementalCost, MatchesFullRecomputeOverRandomizedPlans)
             for (std::size_t j = i + 1; j < n; ++j)
                 crosstalk(i, j) = 5e-3 * prng.uniform();
         const NoiseModel noise;
-        const CrosstalkNeighborhood nbr(crosstalk, line_of_qubit, 0.0);
+        const CrosstalkNeighborhood nbr(crosstalk, line_of_qubit);
         IncrementalAllocationCost running(nbr, noise);
 
         std::vector<double> freq(n, 0.0);
@@ -232,7 +232,7 @@ TEST(IncrementalCost, PlaceTwiceOrMoveUnplacedThrows)
     SymmetricMatrix crosstalk(2);
     crosstalk(0, 1) = 1e-3;
     const std::vector<std::size_t> lines{0, 1};
-    const CrosstalkNeighborhood nbr(crosstalk, lines, 0.0);
+    const CrosstalkNeighborhood nbr(crosstalk, lines);
     IncrementalAllocationCost cost(nbr, NoiseModel{});
     EXPECT_THROW(cost.move(0, 5.0), InternalError);
     cost.place(0, 5.0);
@@ -242,7 +242,7 @@ TEST(IncrementalCost, PlaceTwiceOrMoveUnplacedThrows)
 TEST(CrosstalkNeighborhood, EpsilonZeroKeepsEveryNonzeroPairAndMates)
 {
     const CrosstalkNeighborhood nbr(setup().crosstalk,
-                                    setup().plan.lineOfQubit, 0.0);
+                                    setup().plan.lineOfQubit);
     const std::size_t n = setup().plan.lineOfQubit.size();
     for (std::size_t q = 0; q < n; ++q) {
         std::size_t expected = 0;
@@ -256,46 +256,6 @@ TEST(CrosstalkNeighborhood, EpsilonZeroKeepsEveryNonzeroPairAndMates)
         }
         EXPECT_EQ(nbr.degree(q), expected);
     }
-}
-
-TEST(CrosstalkNeighborhood, FastEpsilonDropsFarPairs)
-{
-    const CrosstalkNeighborhood exact(setup().crosstalk,
-                                      setup().plan.lineOfQubit, 0.0);
-    const CrosstalkNeighborhood fast(setup().crosstalk,
-                                     setup().plan.lineOfQubit,
-                                     kFastAllocationEpsilon);
-    // The synthesized matrices have a 1e-6 crosstalk floor, so the fast
-    // epsilon must prune real work, not just the diagonal.
-    EXPECT_LT(fast.entryCount(), exact.entryCount());
-    // Every kept non-mate entry is genuinely above the threshold.
-    for (std::size_t q = 0; q < fast.qubitCount(); ++q) {
-        const auto xtalk = fast.neighborCrosstalk(q);
-        const auto mate = fast.neighborSameLine(q);
-        for (std::size_t k = 0; k < xtalk.size(); ++k)
-            EXPECT_TRUE(mate[k] != 0.0 ||
-                        xtalk[k] > kFastAllocationEpsilon);
-    }
-}
-
-TEST(FrequencyAllocation, FastEpsilonStaysNearExactObjective)
-{
-    const FrequencyPlan exact = allocateFrequencies(
-        setup().plan, setup().crosstalk, setup().noise);
-    FrequencyAllocationConfig fast_cfg;
-    fast_cfg.sparseEpsilon = kFastAllocationEpsilon;
-    const FrequencyPlan fast = allocateFrequencies(
-        setup().plan, setup().crosstalk, setup().noise, fast_cfg);
-    // Fast mode may pick different cells, but its true objective (full
-    // recompute over its frequencies) must stay within the total bias
-    // bound: n^2/2 dropped pairs of at most epsilon each.
-    const double exact_cost = allocationCrosstalkCost(
-        exact.frequencyGHz, setup().crosstalk, setup().noise);
-    const double fast_cost = allocationCrosstalkCost(
-        fast.frequencyGHz, setup().crosstalk, setup().noise);
-    const auto n = static_cast<double>(setup().plan.lineOfQubit.size());
-    EXPECT_LE(fast_cost,
-              exact_cost + 0.5 * n * n * kFastAllocationEpsilon);
 }
 
 } // namespace

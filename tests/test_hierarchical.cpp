@@ -101,58 +101,6 @@ TEST(TileMap, ValidateRejectsMalformedMaps)
     EXPECT_THROW(validateTileMap(bad, 25), ConfigError);
 }
 
-// ------------------------------------------------- tile map serialization
-
-TEST(TileMapIo, RoundTripsExactly)
-{
-    const ChipTopology chip = makeGridWithQubitCount(60);
-    const TileMap map = makeUniformTileMap(chip, 16);
-    const TileMap back = tileMapFromString(tileMapToString(map));
-    EXPECT_EQ(back.tilesX, map.tilesX);
-    EXPECT_EQ(back.tilesY, map.tilesY);
-    EXPECT_EQ(back.xCutsMm, map.xCutsMm);
-    EXPECT_EQ(back.yCutsMm, map.yCutsMm);
-    EXPECT_EQ(back.tileOfQubit, map.tileOfQubit);
-    // Byte-stable: save(load(s)) == s.
-    EXPECT_EQ(tileMapToString(back), tileMapToString(map));
-}
-
-TEST(TileMapIo, TruncatedAndGarbledSpecsAreConfigErrors)
-{
-    const ChipTopology chip = makeGridWithQubitCount(60);
-    const std::string good = tileMapToString(makeUniformTileMap(chip, 16));
-
-    // Every strict prefix must fail structurally -- never crash, never
-    // bad_alloc (the token budget bounds every count before a resize).
-    // good.size() - 1 is just the trailing newline stripped, which is
-    // still a complete map, so stop one short of it.
-    for (std::size_t len = 0; len + 1 < good.size(); len += 7) {
-        const std::string cut = good.substr(0, len);
-        EXPECT_THROW(tileMapFromString(cut), ConfigError)
-            << "prefix length " << len;
-    }
-
-    // A corrupt qubit count must die on the token budget, not allocate.
-    EXPECT_THROW(tileMapFromString("youtiao-tiles 1\nlattice 2 2\n"
-                                   "xcuts.mm 0 1 2\nycuts.mm 0 1 2\n"
-                                   "map 99999999999 0\n"),
-                 ConfigError);
-    // An implausible lattice dies before the cut lists are sized.
-    EXPECT_THROW(tileMapFromString("youtiao-tiles 1\n"
-                                   "lattice 99999999 99999999\n"),
-                 ConfigError);
-    // Wrong version, wrong keys, non-numeric junk.
-    EXPECT_THROW(tileMapFromString("youtiao-tiles 2\n"), ConfigError);
-    EXPECT_THROW(tileMapFromString("youtiao-design 1\n"), ConfigError);
-    EXPECT_THROW(tileMapFromString("youtiao-tiles 1\nlattice x y\n"),
-                 ConfigError);
-    // Out-of-range tile assignment caught by validateTileMap.
-    EXPECT_THROW(tileMapFromString("youtiao-tiles 1\nlattice 1 1\n"
-                                   "xcuts.mm 0 1\nycuts.mm 0 1\n"
-                                   "map 2 0 7\n"),
-                 ConfigError);
-}
-
 // ------------------------------------------------------------ bit identity
 
 TEST(HierarchicalDesign, SingleTileIsBitIdenticalToFlatDesigner)

@@ -1,17 +1,37 @@
+/**
+ * @file
+ * Run-record parsing and the pairwise comparison perf_check gates on:
+ * budgets, noise floor, missing phases, improvements, schema and
+ * integer validation, and the committed bench/baselines/ records.
+ */
+
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <cstdlib>
+#include <filesystem>
+#include <map>
+#include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/metrics.hpp"
-#include "common/perf_record.hpp"
+#include "common/runledger.hpp"
 
 namespace youtiao {
 namespace {
 
+using namespace runledger;
+
 TEST(PerfRecord, ParsesLiveJsonReport)
 {
-    // Round-trip: whatever metrics::jsonReport emits must parse back
-    // into the same phase and counter values, so perf_check can always
-    // read records the bench harness writes.
+    // Round-trip: the registry's phases, counters and histograms in a
+    // rendered record parse back exactly (doubles are written in their
+    // shortest round-trip form), so perf_check can always read records
+    // the bench harness writes. The run fields are
+    // RunLedger.ManifestRoundTripsThroughParser's.
+    ::unsetenv("YOUTIAO_RUN_LEDGER");
     metrics::Registry::global().reset();
     {
         const metrics::ScopedTimer timer("phase.alpha");
@@ -22,26 +42,43 @@ TEST(PerfRecord, ParsesLiveJsonReport)
     }
     metrics::observe("hist.latency", 0.5);
     metrics::observe("hist.latency", 2.0);
-    const PerfRecord record =
-        parsePerfRecord(metrics::jsonReport("round_trip"));
+    metrics::observe("hist.latency", 2.5);
+    Recorder recorder("round_trip");
+    const PerfRecord record = parsePerfRecord(recorder.finish());
     EXPECT_EQ(record.schema, "youtiao-perf-5");
     EXPECT_EQ(record.benchmark, "round_trip");
-    ASSERT_EQ(record.phases.count("phase.alpha"), 1u);
-    ASSERT_EQ(record.phases.count("phase.beta"), 1u);
+
+    const auto phases = metrics::Registry::global().phases();
+    ASSERT_EQ(record.phases.size(), phases.size());
+    for (const auto &[name, want] : phases) {
+        ASSERT_EQ(record.phases.count(name), 1u) << name;
+        EXPECT_EQ(record.phases.at(name).calls, want.calls) << name;
+        EXPECT_EQ(record.phases.at(name).seconds, want.seconds) << name;
+    }
     EXPECT_EQ(record.phases.at("phase.alpha").calls, 1u);
-    EXPECT_GE(record.phases.at("phase.alpha").seconds, 0.0);
-    ASSERT_EQ(record.counters.count("counter.rows"), 1u);
+    EXPECT_EQ(record.counters, metrics::Registry::global().counters());
     EXPECT_EQ(record.counters.at("counter.rows"), 42u);
+
+    const auto histograms = metrics::Registry::global().histograms();
+    ASSERT_EQ(record.histograms.size(), histograms.size());
     ASSERT_EQ(record.histograms.count("hist.latency"), 1u);
     const HistogramRecord &hist = record.histograms.at("hist.latency");
-    EXPECT_EQ(hist.count, 2u);
-    EXPECT_DOUBLE_EQ(hist.min, 0.5);
-    EXPECT_DOUBLE_EQ(hist.max, 2.0);
-    EXPECT_LE(hist.p50, hist.p99);
-    std::uint64_t bucket_total = 0;
-    for (const auto &[index, samples] : hist.buckets)
-        bucket_total += samples;
-    EXPECT_EQ(bucket_total, 2u);
+    const metrics::HistogramStats &want = histograms.at("hist.latency");
+    EXPECT_EQ(hist.count, 3u);
+    EXPECT_EQ(hist.min, 0.5);
+    EXPECT_EQ(hist.max, 2.5);
+    EXPECT_EQ(hist.p50, want.quantile(0.5));
+    EXPECT_EQ(hist.p90, want.quantile(0.9));
+    EXPECT_EQ(hist.p99, want.quantile(0.99));
+    std::map<int, std::uint64_t> buckets;
+    for (std::size_t i = 0; i < metrics::kHistogramBuckets; ++i) {
+        if (want.buckets[i] != 0)
+            buckets[static_cast<int>(i)] = want.buckets[i];
+    }
+    EXPECT_EQ(hist.buckets, buckets);
+    EXPECT_EQ(hist.buckets.size(), 2u); // 0.5 apart from 2.0 and 2.5
+    EXPECT_TRUE(record.resourceSamples.empty()); // watchdog never ran
+    EXPECT_EQ(record.watchdogStalls, 0u);
     metrics::Registry::global().reset();
 }
 
@@ -294,6 +331,34 @@ TEST(PerfRecord, ComparisonRejectsBadBudgets)
     const PerfRecord base = makeRecord(1.0, 1.0);
     EXPECT_THROW(comparePerfRecords(base, base, -0.1, 0.01), ConfigError);
     EXPECT_THROW(comparePerfRecords(base, base, 0.25, -1.0), ConfigError);
+}
+
+TEST(PerfRecord, CommittedBaselinesParseAndCompareCleanAgainstThemselves)
+{
+    // The release-bench CI gate reads bench/baselines/; the one parser
+    // must keep reading those perf-4 records (SIMD fields and all), and
+    // each must compare clean against itself: nothing regressed, no
+    // phase missing.
+    std::vector<std::filesystem::path> paths;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(YOUTIAO_BASELINE_DIR)) {
+        const std::string name = entry.path().filename().string();
+        if (name.starts_with("BENCH_") && name.ends_with(".json"))
+            paths.push_back(entry.path());
+    }
+    std::sort(paths.begin(), paths.end());
+    ASSERT_EQ(paths.size(), 5u);
+    for (const std::filesystem::path &path : paths) {
+        const PerfRecord record = loadPerfRecord(path.string());
+        EXPECT_EQ("BENCH_" + record.benchmark + ".json",
+                  path.filename().string());
+        const PerfComparison cmp =
+            comparePerfRecords(record, record, 0.25, 0.01);
+        EXPECT_GT(cmp.comparedPhases, 0u) << path;
+        EXPECT_TRUE(cmp.regressions.empty()) << path;
+        EXPECT_TRUE(cmp.improvements.empty()) << path;
+        EXPECT_TRUE(cmp.missingPhases.empty()) << path;
+    }
 }
 
 } // namespace

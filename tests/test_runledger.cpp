@@ -1,15 +1,18 @@
 /**
  * @file
- * Run-ledger suite: provenance hashing, manifest emission and parsing,
- * determinism of manifests across identical seeded runs, and the
- * longitudinal trend analysis perf_trend is built on (including the
- * synthetic-regression flagging the CI gate relies on).
+ * Run-record suite: provenance hashing, rendering and parsing the one
+ * youtiao-perf-5 record, ledger appends, determinism of records across
+ * identical seeded runs, and the longitudinal trend analysis perf_trend
+ * is built on (including the synthetic-regression flagging the CI gate
+ * relies on and the exclusion of cancelled or failed runs).
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -17,18 +20,23 @@
 #include "chip/topology_builder.hpp"
 #include "common/error.hpp"
 #include "common/metrics.hpp"
+#include "common/parallel.hpp"
 #include "common/prng.hpp"
 #include "common/runledger.hpp"
 #include "core/youtiao.hpp"
 #include "noise/crosstalk_data.hpp"
+#include "routing/chip_router.hpp"
+#include "test_support.hpp"
 
 namespace youtiao {
 namespace {
 
+using runledger::PerfRecord;
+
 TEST(RunLedger, Fnv1aHexMatchesReferenceVectors)
 {
     // Standard FNV-1a 64-bit test vectors; the hash is the provenance
-    // fingerprint of every manifest, so it must never drift.
+    // fingerprint of every record, so it must never drift.
     EXPECT_EQ(runledger::fnv1aHex(""), "cbf29ce484222325");
     EXPECT_EQ(runledger::fnv1aHex("a"), "af63dc4c8601ec8c");
     EXPECT_EQ(runledger::fnv1aHex("hello"), "a430d84680aabd0b");
@@ -48,6 +56,10 @@ TEST(RunLedger, ConfiguredTracksEnvironment)
 
 TEST(RunLedger, ManifestRoundTripsThroughParser)
 {
+    // Every run field the recorder renders must parse back exactly, so
+    // perf_check and perf_trend can read every record a run writes. The
+    // registry side of the record is PerfRecord.ParsesLiveJsonReport's.
+    ::unsetenv("YOUTIAO_RUN_LEDGER");
     metrics::Registry::global().reset();
     {
         const metrics::ScopedTimer timer("unit.phase");
@@ -58,41 +70,57 @@ TEST(RunLedger, ManifestRoundTripsThroughParser)
     recorder.hashBytes("chip", "chip bytes");
     recorder.setHash("seed", "2025");
     recorder.addNote("degradation: none");
+    recorder.addNote("quote \" backslash \\ tab \t newline \n");
     recorder.setExitStatus(3);
 
-    const runledger::LedgerEntry entry =
-        runledger::parseLedgerLine(recorder.manifestJson());
-    EXPECT_EQ(entry.tool, "unit_tool");
-    ASSERT_EQ(entry.argv.size(), 2u); // argv[0] is dropped
-    EXPECT_EQ(entry.argv[0], "--rows");
-    EXPECT_EQ(entry.argv[1], "4");
-    EXPECT_EQ(entry.exitStatus, 3);
-    EXPECT_FALSE(entry.gitSha.empty());
-    EXPECT_GE(entry.threads, 1u);
-    EXPECT_GE(entry.wallSeconds, 0.0);
-    ASSERT_EQ(entry.hashes.count("chip"), 1u);
-    EXPECT_EQ(entry.hashes.at("chip"),
-              runledger::fnv1aHex("chip bytes"));
-    EXPECT_EQ(entry.hashes.at("seed"), "2025");
-    ASSERT_EQ(entry.notes.size(), 1u);
-    EXPECT_EQ(entry.notes[0], "degradation: none");
-    ASSERT_EQ(entry.phases.count("unit.phase"), 1u);
-    EXPECT_EQ(entry.phases.at("unit.phase").calls, 1u);
-    ASSERT_EQ(entry.counters.count("unit.counter"), 1u);
-    EXPECT_EQ(entry.counters.at("unit.counter"), 7u);
+    const std::string line = recorder.finish();
+    // One compact line, rendered once.
+    ASSERT_FALSE(line.empty());
+    EXPECT_EQ(line.find('\n'), line.size() - 1);
+    EXPECT_EQ(recorder.finish(), line);
+
+    const PerfRecord r = runledger::parsePerfRecord(line);
+    EXPECT_EQ(r.schema, "youtiao-perf-5");
+    EXPECT_EQ(r.benchmark, "unit_tool");
+    EXPECT_EQ(r.argv, (std::vector<std::string>{"--rows", "4"}));
+    EXPECT_GT(r.startUnixMs, 0u);
+    EXPECT_GE(r.wallSeconds, 0.0);
+    EXPECT_GE(r.cpuSeconds, 0.0);
+    EXPECT_EQ(r.exitStatus, 3);
+    EXPECT_EQ(r.threads, configuredThreadCount());
+    const char *threads_env = std::getenv("YOUTIAO_THREADS");
+    EXPECT_EQ(r.threadsEnv.has_value(), threads_env != nullptr);
+    if (threads_env != nullptr) {
+        EXPECT_EQ(*r.threadsEnv, threads_env);
+    }
+    EXPECT_FALSE(r.buildType.empty());
+    EXPECT_FALSE(r.gitSha.empty());
+    ASSERT_TRUE(r.peakRssBytes.has_value());
+    EXPECT_GT(*r.peakRssBytes, 0u);
+    EXPECT_EQ(r.hashes,
+              (std::map<std::string, std::string>{
+                  {"chip", runledger::fnv1aHex("chip bytes")},
+                  {"seed", "2025"}}));
+    EXPECT_EQ(r.notes, (std::vector<std::string>{
+                           "degradation: none",
+                           "quote \" backslash \\ tab \t newline \n"}));
+    ASSERT_EQ(r.phases.count("unit.phase"), 1u);
+    EXPECT_EQ(r.phases.at("unit.phase").calls, 1u);
+    EXPECT_EQ(r.counters,
+              (std::map<std::string, std::uint64_t>{{"unit.counter", 7}}));
     metrics::Registry::global().reset();
 }
 
 TEST(RunLedger, FinishAppendsOneLinePerRun)
 {
-    const std::string path =
-        ::testing::TempDir() + "unit_ledger.jsonl";
-    std::remove(path.c_str());
+    const TestDir dir;
+    const std::string path = dir.file("ledger.jsonl");
     ::setenv("YOUTIAO_RUN_LEDGER", path.c_str(), 1);
+    std::string first;
     {
         runledger::Recorder recorder("append_tool");
-        recorder.finish();
-        recorder.finish(); // idempotent: still one line
+        first = recorder.finish();
+        (void)recorder.finish(); // idempotent: still one line
     }
     {
         runledger::Recorder recorder("append_tool");
@@ -103,22 +131,24 @@ TEST(RunLedger, FinishAppendsOneLinePerRun)
     std::ifstream in(path);
     std::ostringstream buf;
     buf << in.rdbuf();
-    const std::vector<runledger::LedgerEntry> entries =
+    // The ledger holds exactly the rendered bytes.
+    EXPECT_EQ(buf.str().substr(0, first.size()), first);
+    const std::vector<PerfRecord> records =
         runledger::parseLedger(buf.str());
-    ASSERT_EQ(entries.size(), 2u);
-    EXPECT_EQ(entries[0].tool, "append_tool");
-    EXPECT_EQ(entries[1].tool, "append_tool");
-    std::remove(path.c_str());
+    ASSERT_EQ(records.size(), 2u);
+    EXPECT_EQ(records[0].benchmark, "append_tool");
+    EXPECT_EQ(records[1].benchmark, "append_tool");
 }
 
 TEST(RunLedger, ParserRejectsGarbageNamingTheLine)
 {
-    EXPECT_THROW(runledger::parseLedgerLine("{\"schema\":\"nope\"}"),
+    EXPECT_THROW(runledger::parsePerfRecord("{\"schema\":\"nope\"}"),
                  ConfigError);
     try {
         runledger::parseLedger(
-            "{\"schema\":\"youtiao-run-1\",\"tool\":\"t\",\"argv\":[],"
-            "\"exit_status\":0,\"phases\":{},\"counters\":{}}\n"
+            "{\"schema\":\"youtiao-perf-5\",\"benchmark\":\"t\","
+            "\"argv\":[],\"exit_status\":0,\"phases\":{},"
+            "\"counters\":{}}\n"
             "not json\n");
         FAIL() << "expected ConfigError";
     } catch (const ConfigError &e) {
@@ -130,29 +160,40 @@ TEST(RunLedger, ParserRejectsGarbageNamingTheLine)
 TEST(RunLedger, ParserRejectsFractionalAndOutOfRangeIntegers)
 {
     const std::string head =
-        "{\"schema\":\"youtiao-run-1\",\"tool\":\"t\",";
-    // Older manifests carry simd_level; the parser ignores it.
-    const runledger::LedgerEntry legacy = runledger::parseLedgerLine(
-        head + "\"simd_level\":\"avx2\",\"exit_status\":-2,"
+        "{\"schema\":\"youtiao-perf-5\",\"benchmark\":\"t\","
+        "\"phases\":{},";
+    // Older records carry config.simd_level; the parser ignores it.
+    const PerfRecord legacy = runledger::parsePerfRecord(
+        head + "\"config\":{\"simd_level\":\"avx2\"},"
+               "\"exit_status\":-2,"
                "\"counters\":{\"c\":9007199254740992}}");
     EXPECT_EQ(legacy.exitStatus, -2);
     EXPECT_EQ(legacy.counters.at("c"), 9007199254740992u);
     // A plain cast would truncate these or be undefined.
     for (const char *bad :
-         {"\"exit_status\":1e10", "\"exit_status\":-3e9",
-          "\"exit_status\":2.5", "\"threads\":-1", "\"threads\":1.5",
-          "\"peak_rss_bytes\":1e20",
-          "\"counters\":{\"c\":2.5}", "\"counters\":{\"c\":1e20}",
-          "\"phases\":{\"p\":{\"seconds\":1,\"calls\":1e20}}"}) {
-        EXPECT_THROW(runledger::parseLedgerLine(head + bad + "}"),
+         {"\"exit_status\":1e10,\"counters\":{}",
+          "\"exit_status\":-3e9,\"counters\":{}",
+          "\"exit_status\":2.5,\"counters\":{}",
+          "\"config\":{\"threads\":-1},\"counters\":{}",
+          "\"config\":{\"threads\":1.5},\"counters\":{}",
+          "\"config\":{\"peak_rss_bytes\":1e20},\"counters\":{}",
+          "\"start_unix_ms\":-1,\"counters\":{}",
+          "\"counters\":{\"c\":2.5}", "\"counters\":{\"c\":1e20}"}) {
+        EXPECT_THROW(runledger::parsePerfRecord(head + bad + "}"),
                      ConfigError)
             << bad;
     }
+    EXPECT_THROW(runledger::parsePerfRecord(
+                     "{\"schema\":\"youtiao-perf-5\",\"benchmark\":\"t\","
+                     "\"phases\":{\"p\":{\"seconds\":1,\"calls\":1e20}},"
+                     "\"counters\":{}}"),
+                 ConfigError);
 }
 
-/** Manifest of one fit-free seeded design run, from a fresh registry. */
+/** Record of one fit-free seeded design + route run, from a fresh
+ *  registry. */
 std::string
-seededRunManifest()
+seededRunRecord()
 {
     metrics::Registry::global().reset();
     const ChipTopology chip = makeTopology(TopologyFamily::SquareGrid,
@@ -163,63 +204,91 @@ seededRunManifest()
     const ChipCharacterization data = characterizeChip(chip, prng);
     const YoutiaoDesign design =
         YoutiaoDesigner(config).designFromMeasurements(chip, data);
-    runledger::Recorder recorder("determinism_tool");
+    const ChipRoutingResult routed = routeChip(
+        chip, buildWiringNets(chip, design.xyPlan, design.zPlan,
+                              design.readoutPlan));
+    const char *argv[] = {"binary", "--seed", "2025"};
+    runledger::Recorder recorder("determinism_tool", 3, argv);
     recorder.setHash("seed", std::to_string(config.seed));
     recorder.hashBytes("chip", chip.name());
     recorder.addNote("cost=" + std::to_string(design.costUsd));
-    const std::string manifest = recorder.manifestJson();
+    recorder.addNote("failed=" +
+                     std::to_string(routed.failedConnections));
+    const std::string record = recorder.finish();
     metrics::Registry::global().reset();
-    return manifest;
+    return record;
 }
 
 TEST(RunLedger, IdenticalSeededRunsAgreeModuloTimings)
 {
-    // Two identical seeded runs must produce the same manifest once the
-    // volatile fields (timestamps, wall/CPU seconds, RSS, phase
-    // seconds) are set aside: same argv, hashes, notes, counters, and
-    // phase call counts.
-    const runledger::LedgerEntry a =
-        runledger::parseLedgerLine(seededRunManifest());
-    const runledger::LedgerEntry b =
-        runledger::parseLedgerLine(seededRunManifest());
-    EXPECT_EQ(a.tool, b.tool);
+    // Two identical seeded runs must produce the same record once the
+    // volatile fields are set aside: start_unix_ms, the *_seconds
+    // fields, RSS, resource samples and timing histograms. Everything
+    // else -- argv, config, hashes, notes, counters, phase names and
+    // call counts, outcome histograms -- must agree exactly.
+    const PerfRecord a = runledger::parsePerfRecord(seededRunRecord());
+    const PerfRecord b = runledger::parsePerfRecord(seededRunRecord());
+    EXPECT_EQ(a.schema, b.schema);
+    EXPECT_EQ(a.benchmark, b.benchmark);
     EXPECT_EQ(a.argv, b.argv);
-    EXPECT_EQ(a.gitSha, b.gitSha);
-    EXPECT_EQ(a.threads, b.threads);
     EXPECT_EQ(a.exitStatus, b.exitStatus);
+    EXPECT_EQ(a.threads, b.threads);
+    EXPECT_EQ(a.threadsEnv, b.threadsEnv);
+    EXPECT_EQ(a.buildType, b.buildType);
+    EXPECT_EQ(a.gitSha, b.gitSha);
     EXPECT_EQ(a.hashes, b.hashes);
     EXPECT_EQ(a.notes, b.notes);
     EXPECT_EQ(a.counters, b.counters);
+    EXPECT_EQ(a.watchdogStalls, b.watchdogStalls);
     ASSERT_EQ(a.phases.size(), b.phases.size());
     for (const auto &[name, stats] : a.phases) {
         ASSERT_EQ(b.phases.count(name), 1u) << name;
         EXPECT_EQ(stats.calls, b.phases.at(name).calls) << name;
     }
+    ASSERT_EQ(a.histograms.size(), b.histograms.size());
+    std::size_t outcome_histograms = 0;
+    for (const auto &[name, h] : a.histograms) {
+        ASSERT_EQ(b.histograms.count(name), 1u) << name;
+        if (name.ends_with("_seconds"))
+            continue; // a timing; every other histogram is an outcome
+        ++outcome_histograms;
+        const runledger::HistogramRecord &o = b.histograms.at(name);
+        EXPECT_EQ(h.count, o.count) << name;
+        EXPECT_EQ(h.min, o.min) << name;
+        EXPECT_EQ(h.max, o.max) << name;
+        EXPECT_EQ(h.p50, o.p50) << name;
+        EXPECT_EQ(h.p90, o.p90) << name;
+        EXPECT_EQ(h.p99, o.p99) << name;
+        EXPECT_EQ(h.buckets, o.buckets) << name;
+    }
+    // The route makes the comparison bite: astar.cells_expanded.
+    EXPECT_GE(outcome_histograms, 1u);
 }
 
-runledger::LedgerEntry
-entryWithPhase(const std::string &tool, const std::string &phase,
-               double seconds)
+PerfRecord
+recordWithPhase(const std::string &benchmark, const std::string &phase,
+                double seconds, int exit_status = 0)
 {
-    runledger::LedgerEntry entry;
-    entry.tool = tool;
-    entry.phases[phase] = metrics::PhaseStats{seconds, 1};
-    return entry;
+    PerfRecord record;
+    record.benchmark = benchmark;
+    record.exitStatus = exit_status;
+    record.phases[phase] = metrics::PhaseStats{seconds, 1};
+    return record;
 }
 
 TEST(RunLedger, TrendFlagsThirtyPercentRegression)
 {
     // The CI acceptance drill: a 1.0 / 1.0 / 1.3 series trips the
     // default 25% threshold; 1.0 / 1.0 / 1.1 does not.
-    const std::vector<runledger::LedgerEntry> regressed = {
-        entryWithPhase("cli", "design.route", 1.0),
-        entryWithPhase("cli", "design.route", 1.0),
-        entryWithPhase("cli", "design.route", 1.3),
+    const std::vector<PerfRecord> regressed = {
+        recordWithPhase("cli", "design.route", 1.0),
+        recordWithPhase("cli", "design.route", 1.0),
+        recordWithPhase("cli", "design.route", 1.3),
     };
-    std::vector<runledger::ToolTrend> trends =
+    std::vector<runledger::BenchmarkTrend> trends =
         runledger::ledgerTrends(regressed);
     ASSERT_EQ(trends.size(), 1u);
-    EXPECT_EQ(trends[0].tool, "cli");
+    EXPECT_EQ(trends[0].benchmark, "cli");
     EXPECT_EQ(trends[0].runs, 3u);
     ASSERT_EQ(trends[0].phases.size(), 1u);
     const runledger::PhaseTrend &trend = trends[0].phases[0];
@@ -232,10 +301,10 @@ TEST(RunLedger, TrendFlagsThirtyPercentRegression)
     EXPECT_NE(runledger::trendReport(trends).find("REGRESSED"),
               std::string::npos);
 
-    const std::vector<runledger::LedgerEntry> steady = {
-        entryWithPhase("cli", "design.route", 1.0),
-        entryWithPhase("cli", "design.route", 1.0),
-        entryWithPhase("cli", "design.route", 1.1),
+    const std::vector<PerfRecord> steady = {
+        recordWithPhase("cli", "design.route", 1.0),
+        recordWithPhase("cli", "design.route", 1.0),
+        recordWithPhase("cli", "design.route", 1.1),
     };
     trends = runledger::ledgerTrends(steady);
     ASSERT_EQ(trends.size(), 1u);
@@ -245,21 +314,21 @@ TEST(RunLedger, TrendFlagsThirtyPercentRegression)
 TEST(RunLedger, TrendNeedsPriorsAndIgnoresNoiseFloor)
 {
     // Two observations: no baseline yet, never flagged.
-    const std::vector<runledger::LedgerEntry> two = {
-        entryWithPhase("cli", "p", 1.0),
-        entryWithPhase("cli", "p", 10.0),
+    const std::vector<PerfRecord> two = {
+        recordWithPhase("cli", "p", 1.0),
+        recordWithPhase("cli", "p", 10.0),
     };
-    std::vector<runledger::ToolTrend> trends =
+    std::vector<runledger::BenchmarkTrend> trends =
         runledger::ledgerTrends(two);
     ASSERT_EQ(trends.size(), 1u);
     EXPECT_FALSE(trends[0].anyRegression());
 
     // Microsecond phases regress by 10x without meaning anything; the
     // minSeconds floor keeps them quiet.
-    const std::vector<runledger::LedgerEntry> tiny = {
-        entryWithPhase("cli", "p", 1e-6),
-        entryWithPhase("cli", "p", 1e-6),
-        entryWithPhase("cli", "p", 1e-5),
+    const std::vector<PerfRecord> tiny = {
+        recordWithPhase("cli", "p", 1e-6),
+        recordWithPhase("cli", "p", 1e-6),
+        recordWithPhase("cli", "p", 1e-5),
     };
     trends = runledger::ledgerTrends(tiny);
     ASSERT_EQ(trends.size(), 1u);
@@ -275,18 +344,55 @@ TEST(RunLedger, TrendNeedsPriorsAndIgnoresNoiseFloor)
 
 TEST(RunLedger, TrendsSeparateTools)
 {
-    const std::vector<runledger::LedgerEntry> entries = {
-        entryWithPhase("a", "p", 1.0), entryWithPhase("b", "p", 1.0),
-        entryWithPhase("a", "p", 1.0), entryWithPhase("b", "p", 1.0),
-        entryWithPhase("a", "p", 2.0), entryWithPhase("b", "p", 1.0),
+    const std::vector<PerfRecord> records = {
+        recordWithPhase("a", "p", 1.0), recordWithPhase("b", "p", 1.0),
+        recordWithPhase("a", "p", 1.0), recordWithPhase("b", "p", 1.0),
+        recordWithPhase("a", "p", 2.0), recordWithPhase("b", "p", 1.0),
     };
-    const std::vector<runledger::ToolTrend> trends =
-        runledger::ledgerTrends(entries);
+    const std::vector<runledger::BenchmarkTrend> trends =
+        runledger::ledgerTrends(records);
     ASSERT_EQ(trends.size(), 2u);
-    EXPECT_EQ(trends[0].tool, "a");
+    EXPECT_EQ(trends[0].benchmark, "a");
     EXPECT_TRUE(trends[0].anyRegression());
-    EXPECT_EQ(trends[1].tool, "b");
+    EXPECT_EQ(trends[1].benchmark, "b");
     EXPECT_FALSE(trends[1].anyRegression());
+}
+
+TEST(RunLedger, TrendSkipsCancelledAndFailedRuns)
+{
+    // Runs cut short by --deadline (exit 3) record truncated phase
+    // times. As priors they would make the next clean run look ~50x
+    // slower; only runs that exited 0 may enter the series.
+    std::vector<PerfRecord> records = {
+        recordWithPhase("cli", "routing.route_chip", 1.0),
+        recordWithPhase("cli", "routing.route_chip", 1.0),
+        recordWithPhase("cli", "routing.route_chip", 0.02, 3),
+        recordWithPhase("cli", "routing.route_chip", 0.02, 3),
+        recordWithPhase("cli", "routing.route_chip", 0.02, 3),
+        recordWithPhase("cli", "routing.route_chip", 1.0),
+    };
+    std::vector<runledger::BenchmarkTrend> trends =
+        runledger::ledgerTrends(records);
+    ASSERT_EQ(trends.size(), 1u);
+    EXPECT_EQ(trends[0].runs, 3u);
+    EXPECT_EQ(trends[0].excludedRuns, 3u);
+    EXPECT_FALSE(trends[0].anyRegression());
+    ASSERT_EQ(trends[0].phases.size(), 1u);
+    EXPECT_EQ(trends[0].phases[0].observations, 3u);
+    EXPECT_DOUBLE_EQ(trends[0].phases[0].medianPriorSeconds, 1.0);
+    EXPECT_DOUBLE_EQ(trends[0].phases[0].latestSeconds, 1.0);
+    EXPECT_NE(runledger::trendReport(trends).find(
+                  "3 with non-zero exit excluded"),
+              std::string::npos);
+
+    // A failed last run is never the latest value, however slow.
+    records.push_back(
+        recordWithPhase("cli", "routing.route_chip", 5.0, 1));
+    trends = runledger::ledgerTrends(records);
+    ASSERT_EQ(trends.size(), 1u);
+    EXPECT_EQ(trends[0].excludedRuns, 4u);
+    EXPECT_DOUBLE_EQ(trends[0].phases[0].latestSeconds, 1.0);
+    EXPECT_FALSE(trends[0].anyRegression());
 }
 
 } // namespace

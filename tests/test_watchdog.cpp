@@ -2,9 +2,10 @@
  * @file
  * Resource-watchdog suite: sampler lifecycle and the recorded series,
  * gauge publication, stall detection through the ScopedTimer hooks, the
- * perf-5 resource_samples block round-tripping through parsePerfRecord,
- * and the observation-only contract -- a seeded design is byte-identical
- * with the full observability stack armed at 1 and 4 threads.
+ * run record's resource_samples block round-tripping through
+ * runledger::parsePerfRecord, and the observation-only contract -- a
+ * seeded design is byte-identical with the full observability stack
+ * armed at 1 and 4 threads.
  */
 
 #include <gtest/gtest.h>
@@ -18,8 +19,8 @@
 #include "chip/topology_builder.hpp"
 #include "common/metrics.hpp"
 #include "common/parallel.hpp"
-#include "common/perf_record.hpp"
 #include "common/prng.hpp"
+#include "common/runledger.hpp"
 #include "common/watchdog.hpp"
 #include "core/serialization.hpp"
 #include "core/youtiao.hpp"
@@ -151,13 +152,14 @@ TEST(Watchdog, ResourceSamplesRoundTripThroughPerfRecord)
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     watchdog::stop();
 
-    const std::string json = metrics::jsonReport("watchdog_unit");
-    EXPECT_NE(json.find("\"schema\": \"youtiao-perf-5\""),
+    runledger::Recorder recorder("watchdog_unit");
+    const std::string json = recorder.finish();
+    EXPECT_NE(json.find("\"schema\":\"youtiao-perf-5\""),
               std::string::npos);
     EXPECT_NE(json.find("\"resource_samples\":"), std::string::npos);
     EXPECT_NE(json.find("\"watchdog_stalls\":"), std::string::npos);
 
-    const PerfRecord record = parsePerfRecord(json);
+    const runledger::PerfRecord record = runledger::parsePerfRecord(json);
     EXPECT_EQ(record.schema, "youtiao-perf-5");
     ASSERT_EQ(record.resourceSamples.size(),
               watchdog::samples().size());

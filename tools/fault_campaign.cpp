@@ -20,8 +20,9 @@
  * writes a Chrome trace of the campaign spans, the flight recorder is
  * armed (FLIGHT_fault_campaign.json on a crash or DesignError, see
  * common/flight.hpp), YOUTIAO_WATCHDOG starts the resource sampler, and
- * when $YOUTIAO_RUN_LEDGER is set every campaign appends a run manifest
- * so sweeps are trend-analyzable with perf_trend.
+ * when $YOUTIAO_RUN_LEDGER is set every campaign appends its run record
+ * (benchmark "fault_campaign") so sweeps are trend-analyzable with
+ * perf_trend.
  *
  * Robustness: --deadline SECONDS arms a cooperative deadline
  * (common/cancel.hpp) -- the sweep aborts between cells with a flight

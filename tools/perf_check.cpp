@@ -6,7 +6,7 @@
  *   perf_check --baseline FILE --current FILE
  *              [--max-regression R] [--min-seconds S]
  *
- * Both files are `BENCH_<name>.json` records (docs/FILE_FORMATS.md,
+ * Both files are run records (`BENCH_<name>.json`; docs/FILE_FORMATS.md,
  * schemas youtiao-perf-4 and -5 accepted). Every baseline phase
  * with at least S seconds of wall time (default 0.01 -- faster phases
  * are timing noise) is compared; the check fails when any current
@@ -29,7 +29,7 @@
 
 #include "common/cli_parse.hpp"
 #include "common/error.hpp"
-#include "common/perf_record.hpp"
+#include "common/runledger.hpp"
 
 namespace {
 
@@ -87,8 +87,10 @@ main(int argc, char **argv)
         usage(argv[0]);
 
     try {
-        const PerfRecord baseline = loadPerfRecord(baseline_path);
-        const PerfRecord current = loadPerfRecord(current_path);
+        const runledger::PerfRecord baseline =
+            runledger::loadPerfRecord(baseline_path);
+        const runledger::PerfRecord current =
+            runledger::loadPerfRecord(current_path);
         if (baseline.benchmark != current.benchmark)
             std::fprintf(stderr,
                          "warning: comparing different benchmarks "
@@ -110,7 +112,7 @@ main(int argc, char **argv)
                         "least one side)\n");
         }
 
-        const PerfComparison cmp = comparePerfRecords(
+        const runledger::PerfComparison cmp = runledger::comparePerfRecords(
             baseline, current, max_regression, min_seconds);
         for (const std::string &name : cmp.missingPhases)
             std::printf("MISSING    %-40s in baseline but not in "

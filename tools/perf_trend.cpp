@@ -5,19 +5,23 @@
  *   perf_trend [--ledger FILE] [--tool NAME]
  *              [--max-regression R] [--min-seconds S]
  *
- * Where perf_check compares exactly two perf records, perf_trend reads
- * the JSONL run ledger (schema youtiao-run-1, written by every tool and
- * bench when $YOUTIAO_RUN_LEDGER is set; see docs/FILE_FORMATS.md) and
- * aggregates each tool's runs into per-phase trends: the median of the
- * prior runs, the p99 across the whole series, the latest value, and
- * the latest/median ratio. A phase whose latest run exceeds the prior
- * median by more than R (default 0.25 = +25%), with at least two prior
- * observations and a median above the S-second floor (default 0.01),
- * is flagged as REGRESSED -- the longitudinal drift signal a pairwise
- * baseline check cannot see.
+ * Where perf_check compares exactly two run records, perf_trend reads
+ * a JSONL run ledger (one youtiao-perf-5 record per line, appended by
+ * every tool and bench when $YOUTIAO_RUN_LEDGER is set; see
+ * docs/FILE_FORMATS.md) and aggregates each benchmark's runs into
+ * per-phase trends: the median of the prior runs, the p99 across the
+ * whole series, the latest value, and the latest/median ratio. Only
+ * runs that exited 0 enter a series: a run cut short by --deadline or
+ * a failure recorded truncated times, which would otherwise become
+ * priors or the latest value. The report header counts the runs left
+ * out. A phase is flagged REGRESSED by perf_check's test -- latest /
+ * prior median > 1 + R (default 0.25), with a prior median of at least
+ * S seconds (default 0.01) -- once it has two prior observations: the
+ * longitudinal drift signal a pairwise baseline check cannot see.
  *
  * --ledger defaults to $YOUTIAO_RUN_LEDGER; --tool restricts the report
- * to one tool's runs.
+ * to one benchmark's runs (the record's `benchmark` name, e.g.
+ * youtiao_cli or table2_wiring).
  *
  * Exit codes: 0 no regression, 1 at least one phase regressed,
  * 2 usage / unreadable or malformed ledger.
@@ -44,7 +48,7 @@ usage(const char *argv0)
                  "          [--max-regression R] [--min-seconds S]\n"
                  "  FILE: JSONL run ledger (default: "
                  "$YOUTIAO_RUN_LEDGER)\n"
-                 "  NAME: restrict the report to one tool's runs\n"
+                 "  NAME: restrict the report to one benchmark's runs\n"
                  "  R: latest/median ratio above 1+R flags a phase "
                  "(default 0.25)\n"
                  "  S: ignore phases whose prior median is below S "
@@ -106,23 +110,22 @@ main(int argc, char **argv)
                       "cannot read run ledger '" + ledger_path + "'");
         std::ostringstream buffer;
         buffer << in.rdbuf();
-        std::vector<runledger::LedgerEntry> entries =
+        std::vector<runledger::PerfRecord> records =
             runledger::parseLedger(buffer.str());
         if (!tool_filter.empty()) {
-            std::vector<runledger::LedgerEntry> kept;
-            for (auto &entry : entries)
-                if (entry.tool == tool_filter)
-                    kept.push_back(std::move(entry));
-            entries = std::move(kept);
+            std::erase_if(records,
+                          [&](const runledger::PerfRecord &record) {
+                              return record.benchmark != tool_filter;
+                          });
         }
-        std::printf("perf_trend: %zu ledger entr%s from %s\n",
-                    entries.size(), entries.size() == 1 ? "y" : "ies",
+        std::printf("perf_trend: %zu ledger record%s from %s\n",
+                    records.size(), records.size() == 1 ? "" : "s",
                     ledger_path.c_str());
-        const std::vector<runledger::ToolTrend> trends =
-            runledger::ledgerTrends(entries, options);
+        const std::vector<runledger::BenchmarkTrend> trends =
+            runledger::ledgerTrends(records, options);
         std::fputs(runledger::trendReport(trends, options).c_str(),
                    stdout);
-        for (const runledger::ToolTrend &trend : trends) {
+        for (const runledger::BenchmarkTrend &trend : trends) {
             if (trend.anyRegression()) {
                 std::printf("perf_trend FAILED: regression in at least "
                             "one phase\n");

@@ -4,7 +4,7 @@
  *
  *   youtiao_cli [--topology NAME] [--rows N] [--cols N] [--seed S]
  *               [--capacity K] [--theta T] [--compare] [--profile]
- *               [--repeat N] [--route] [--hierarchical] [--tile-size N]
+ *               [--route] [--hierarchical] [--tile-size N]
  *               [--hop] [--hop-save FILE]
  *               [--drift-trace FILE] [--drift-epochs N]
  *               [--trace FILE] [--inject-faults SPEC]
@@ -15,10 +15,7 @@
  * grid (with --rows/--cols). Prints the full wiring report; --compare
  * adds the dedicated-wiring baseline bill; --profile appends the
  * per-phase wall-clock table, counters, and latency histograms of the
- * design pipeline. --repeat N (with --profile) re-runs the design
- * pipeline N times after one discarded warmup run and reports the
- * per-phase median, so profile numbers are stable enough to compare
- * across builds. --route also routes the wiring nets on the chip and
+ * design pipeline. --route also routes the wiring nets on the chip and
  * prints a routing summary. --hierarchical switches to the tiled
  * scale-out pipeline (hierarchical.hpp): per-tile synthetic
  * characterization and design, boundary stitching, and (with --route)
@@ -46,9 +43,10 @@
  * (FLIGHT_youtiao_cli.json on a fatal signal, uncaught exception, or
  * DesignError; see common/flight.hpp), YOUTIAO_WATCHDOG starts the
  * resource sampler with optional per-phase stall budgets, and when
- * $YOUTIAO_RUN_LEDGER is set every invocation appends a run manifest
- * (schema "youtiao-run-1") with input hashes, phase timings and peak
- * RSS, ready for trend analysis with tools/perf_trend. All three are
+ * $YOUTIAO_RUN_LEDGER is set every invocation appends its run record
+ * (schema "youtiao-perf-5", benchmark "youtiao_cli") with argv, input
+ * hashes, wall/CPU time, peak RSS, exit status and phase timings, ready
+ * for trend analysis with tools/perf_trend. All three are
  * observation-only: the designed wiring is byte-identical with or
  * without them.
  *
@@ -68,12 +66,9 @@
  * parse), 3 cancelled / deadline exceeded.
  */
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <map>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -105,12 +100,6 @@ namespace {
 
 using namespace youtiao;
 
-/** Thrown instead of std::exit so the run-ledger recorder in main()
- *  still observes the failure and finishes its manifest. */
-struct ExitFailure {
-    int code;
-};
-
 [[noreturn]] void
 usage(const char *argv0)
 {
@@ -122,7 +111,7 @@ usage(const char *argv0)
         "[--theta T] [--compare]\n"
         "          [--save FILE] [--chip FILE] [--save-chip-bin FILE] "
         "[--profile]\n"
-        "          [--repeat N] [--route]\n"
+        "          [--route]\n"
         "          [--hierarchical] [--tile-size N]\n"
         "          [--hop] [--hop-save FILE] [--drift-trace FILE] "
         "[--drift-epochs N]\n"
@@ -137,9 +126,6 @@ usage(const char *argv0)
         "and exits;\n"
         "  --profile appends the per-phase wall-clock table, counters "
         "and histograms;\n"
-        "  --repeat N (requires --profile) re-runs the design N times "
-        "after a\n"
-        "  discarded warmup and reports the per-phase median;\n"
         "  --route also routes the wiring nets and prints a summary;\n"
         "  --hierarchical designs the chip tile by tile (--tile-size "
         "qubits per\n"
@@ -172,34 +158,6 @@ usage(const char *argv0)
     std::exit(2);
 }
 
-/** Element-wise median of per-run phase snapshots (seconds and calls). */
-std::map<std::string, metrics::PhaseStats>
-medianPhases(std::vector<std::map<std::string, metrics::PhaseStats>> &runs)
-{
-    std::map<std::string, std::vector<double>> seconds;
-    std::map<std::string, std::vector<std::uint64_t>> calls;
-    for (const auto &run : runs) {
-        for (const auto &[name, stats] : run) {
-            seconds[name].push_back(stats.seconds);
-            calls[name].push_back(stats.calls);
-        }
-    }
-    std::map<std::string, metrics::PhaseStats> out;
-    for (auto &[name, values] : seconds) {
-        std::sort(values.begin(), values.end());
-        auto &counts = calls[name];
-        std::sort(counts.begin(), counts.end());
-        metrics::PhaseStats stats;
-        const std::size_t mid = values.size() / 2;
-        stats.seconds = values.size() % 2 == 1
-                            ? values[mid]
-                            : 0.5 * (values[mid - 1] + values[mid]);
-        stats.calls = counts[counts.size() / 2];
-        out[name] = stats;
-    }
-    return out;
-}
-
 } // namespace
 
 int
@@ -215,7 +173,6 @@ runCli(int argc, char **argv, runledger::Recorder &recorder)
     bool route = false;
     bool hierarchical = false;
     std::size_t tile_size = 64;
-    std::size_t repeat = 1;
     std::string save_path;
     std::string chip_path;
     std::string save_chip_bin_path;
@@ -253,8 +210,6 @@ runCli(int argc, char **argv, runledger::Recorder &recorder)
                 compare = true;
             else if (arg == "--profile")
                 profile = true;
-            else if (arg == "--repeat")
-                repeat = parseSizeArg(next(), "--repeat", 1, 10000);
             else if (arg == "--route")
                 route = true;
             else if (arg == "--hierarchical")
@@ -308,10 +263,6 @@ runCli(int argc, char **argv, runledger::Recorder &recorder)
         std::fprintf(stderr, "error: %s\n", e.what());
         return 2;
     }
-    if (repeat > 1 && !profile) {
-        std::fprintf(stderr, "error: --repeat requires --profile\n");
-        return 2;
-    }
     if (resume && checkpoint_dir.empty()) {
         std::fprintf(stderr,
                      "error: --resume requires --checkpoint DIR\n");
@@ -321,13 +272,12 @@ runCli(int argc, char **argv, runledger::Recorder &recorder)
     // semantics; flags tied to the flat single-design flow are rejected
     // up front rather than silently ignored.
     if (hierarchical &&
-        (!save_path.empty() || compare || repeat > 1 ||
-         !fault_spec.empty() || hop || !hop_save_path.empty() ||
-         !drift_path.empty())) {
+        (!save_path.empty() || compare || !fault_spec.empty() || hop ||
+         !hop_save_path.empty() || !drift_path.empty())) {
         std::fprintf(stderr,
                      "error: --hierarchical is incompatible with "
-                     "--save, --compare, --repeat, --inject-faults, "
-                     "--hop, --hop-save and --drift-trace\n");
+                     "--save, --compare, --inject-faults, --hop, "
+                     "--hop-save and --drift-trace\n");
         return 2;
     }
     // A trace without the routing stage would miss the per-net spans
@@ -388,7 +338,7 @@ runCli(int argc, char **argv, runledger::Recorder &recorder)
         config.fit.forest.treeCount = 25;
 
         // Input provenance for the run ledger: identical inputs hash
-        // identically, so drift in a manifest's hashes flags a changed
+        // identically, so drift in a record's hashes flags a changed
         // chip or configuration before anyone compares timings.
         if (runledger::ledgerConfigured()) {
             recorder.hashBytes("chip", chipToString(chip));
@@ -406,7 +356,7 @@ runCli(int argc, char **argv, runledger::Recorder &recorder)
         if (deadline_s > 0.0)
             cancel::armDeadline(deadline_s);
         if (!checkpoint_dir.empty()) {
-            // The manifest hashes mirror the run-ledger provenance
+            // The manifest hashes mirror the run record's provenance
             // values: a resume under a different chip, seed or
             // configuration is refused up front instead of splicing
             // incompatible snapshots.
@@ -518,46 +468,19 @@ runCli(int argc, char **argv, runledger::Recorder &recorder)
         // The robust entry point walks the degradation ladder when fault
         // injection (or a genuinely infeasible input) bites; on a clean
         // run its output is bit-identical to designer.design().
-        auto run_design = [&designer, &chip, &data]() -> YoutiaoDesign {
-            Expected<YoutiaoDesign, DesignError> result =
-                designer.designRobust(chip, data);
-            if (!result.hasValue()) {
-                const std::string what = result.error().toString();
-                log::error("design failed", {{"error", what}});
-                std::fprintf(stderr, "design error: %s\n", what.c_str());
-                if (result.error().isCancellation()) {
-                    flight::dump("cancelled");
-                    throw ExitFailure{3};
-                }
-                throw ExitFailure{1};
+        Expected<YoutiaoDesign, DesignError> result =
+            designer.designRobust(chip, data);
+        if (!result.hasValue()) {
+            const std::string what = result.error().toString();
+            log::error("design failed", {{"error", what}});
+            std::fprintf(stderr, "design error: %s\n", what.c_str());
+            if (result.error().isCancellation()) {
+                flight::dump("cancelled");
+                return 3;
             }
-            return std::move(result.value());
-        };
-        std::map<std::string, metrics::PhaseStats> profile_phases;
-        std::map<std::string, std::uint64_t> profile_counters;
-        std::optional<YoutiaoDesign> maybe_design;
-        if (repeat > 1) {
-            // Warmup run (discarded), then N measured runs: per-run
-            // registry snapshots, median per phase. The design is
-            // deterministic, so every run yields the same output and
-            // keeping the last is keeping any.
-            metrics::Registry::global().reset();
-            (void)run_design();
-            std::vector<std::map<std::string, metrics::PhaseStats>> runs;
-            runs.reserve(repeat);
-            for (std::size_t r = 0; r < repeat; ++r) {
-                metrics::Registry::global().reset();
-                maybe_design = run_design();
-                runs.push_back(metrics::Registry::global().phases());
-                if (r == 0)
-                    profile_counters =
-                        metrics::Registry::global().counters();
-            }
-            profile_phases = medianPhases(runs);
-        } else {
-            maybe_design = run_design();
+            return 1;
         }
-        const YoutiaoDesign &design = *maybe_design;
+        const YoutiaoDesign &design = result.value();
         if (runledger::ledgerConfigured()) {
             for (const std::string &note : design.degradation.notes)
                 recorder.addNote("degradation: " + note);
@@ -639,19 +562,8 @@ runCli(int argc, char **argv, runledger::Recorder &recorder)
             std::printf("\ndrift replay saved to %s\n",
                         drift_path.c_str());
         }
-        if (profile) {
-            if (repeat > 1) {
-                std::printf("\n(median of %zu measured runs, 1 warmup "
-                            "discarded)\n",
-                            repeat);
-                std::fputs(metrics::phaseTable(profile_phases,
-                                               profile_counters)
-                               .c_str(),
-                           stdout);
-            } else {
-                std::fputs(metrics::phaseTable().c_str(), stdout);
-            }
-        }
+        if (profile)
+            std::fputs(metrics::phaseTable().c_str(), stdout);
         if (!trace_path.empty()) {
             trace::Tracer::global().disable();
             if (!trace::Tracer::global().writeJson(trace_path)) {
@@ -661,8 +573,6 @@ runCli(int argc, char **argv, runledger::Recorder &recorder)
             }
             std::printf("\ntrace written to %s\n", trace_path.c_str());
         }
-    } catch (const ExitFailure &e) {
-        return e.code;
     } catch (const cancel::Cancelled &e) {
         // A Cancelled that escaped a non-robust path (routing, drift
         // replay, hop schedule): same structured exit as the design
