@@ -862,7 +862,6 @@ tunedTileRoutingConfig()
     ChipRoutingConfig config;
     config.grid.cellMm = 0.08;
     config.grid.marginMm = 1.0;
-    config.astar.heuristicWeight = 2.0;
     return config;
 }
 
@@ -892,20 +891,23 @@ routeHierarchical(const ChipTopology &chip,
     out.lattice =
         makeCorridorLattice(design.map.xCutsMm, design.map.yCutsMm);
 
-    // Budget the per-tile A* arenas up front: a tile whose grid would
-    // not fit the bound fails fast with a actionable message instead of
-    // thrashing mid-route.
-    const double cell = config.tile.grid.cellMm;
-    const double margin = config.tile.grid.marginMm;
+    // Build every tile's nets, then budget each tile's A* arena on the
+    // grid its router will lay: a tile that would not fit the bound fails
+    // fast with an actionable message instead of thrashing mid-route.
+    std::vector<std::size_t> order(design.tiles.size());
+    for (std::size_t i = 0; i < order.size(); ++i)
+        order[i] = i;
+    const std::vector<std::vector<NetSpec>> tile_nets =
+        parallelMap(order, [&](std::size_t t) {
+            const HierarchicalTile &tile = design.tiles[t];
+            return buildWiringNets(tile.chip, tile.design.xyPlan,
+                                   tile.design.zPlan,
+                                   tile.design.readoutPlan, config.tile);
+        });
     for (std::size_t t = 0; t < design.tiles.size(); ++t) {
-        const Point box = design.tiles[t].chip.boundingBox();
-        const auto w = static_cast<std::size_t>(
-            std::ceil((box.x + 2.0 * margin) / cell)) + 1;
-        const auto h = static_cast<std::size_t>(
-            std::ceil((box.y + 2.0 * margin) / cell)) + 1;
-        // One A* state per (cell, direction); g + parent + two stamps.
-        const std::size_t bytes =
-            w * h * 4 * (sizeof(double) + 3 * sizeof(std::uint32_t));
+        const std::size_t bytes = GoalDirectedArena::bytesFor(
+            routingGridCells(design.tiles[t].chip, tile_nets[t],
+                             config.tile));
         out.peakArenaBytes = std::max(out.peakArenaBytes, bytes);
         requireConfig(
             bytes <= config.maxArenaBytes,
@@ -920,9 +922,6 @@ routeHierarchical(const ChipTopology &chip,
         RoutedWiring wiring;
         DrcReport drc;
     };
-    std::vector<std::size_t> order(design.tiles.size());
-    for (std::size_t i = 0; i < order.size(); ++i)
-        order[i] = i;
     const bool multi_tile = design.tiles.size() > 1;
     std::vector<TileRoute> routed = parallelMap(
         order, [&](std::size_t t) {
@@ -940,13 +939,9 @@ routeHierarchical(const ChipTopology &chip,
                 }
             }
             cancel::poll("hier.route_tile");
-            const HierarchicalTile &tile = design.tiles[t];
-            const std::vector<NetSpec> nets = buildWiringNets(
-                tile.chip, tile.design.xyPlan, tile.design.zPlan,
-                tile.design.readoutPlan, config.tile);
             TileRoute route;
-            route.wiring =
-                routeChipWithFallback(tile.chip, nets, config.tile);
+            route.wiring = routeTileWithFallback(design.tiles[t].chip,
+                                                 tile_nets[t], config.tile);
             const ChipRoutingResult &result = route.wiring.result;
             requireInternal(result.grid.has_value(),
                             "tile routing returned no grid");

@@ -223,9 +223,10 @@ class HierarchicalDesigner
     HierarchicalConfig hier_;
 };
 
-/** Tile routing defaults tuned for the hierarchical path: coarser cells
- *  and a strongly goal-directed A* keep a 64-qubit tile under a second
- *  while staying DRC-clean (bench_fig17 part (f) pins this). */
+/** Tile routing defaults for the hierarchical path: coarser cells (0.08
+ *  mm, 1.0 mm margin), with which the tile search
+ *  (routeTileWithFallback) keeps a 64-qubit tile under a second while
+ *  staying DRC-clean (bench_fig17 part (f) pins this). */
 ChipRoutingConfig tunedTileRoutingConfig();
 
 /** Hierarchical routing knobs. */
@@ -236,9 +237,11 @@ struct HierarchicalRoutingConfig
     /** Seam corridor routing configuration. */
     CorridorConfig corridor;
     /**
-     * Upper bound on one tile's A* SearchArena working memory; a tile
-     * whose routing grid would exceed it raises ConfigError up front
-     * (shrink the tiles or coarsen the cells) instead of thrashing.
+     * Upper bound on one tile search's per-state arena memory
+     * (GoalDirectedArena::bytesFor the tile's routing grid; the search's
+     * priority queue is not counted); a tile whose routing grid would
+     * exceed it raises ConfigError up front (shrink the tiles or coarsen
+     * the cells) instead of thrashing.
      */
     std::size_t maxArenaBytes = 512ull << 20;
 };
@@ -259,7 +262,8 @@ struct HierarchicalRouting
     std::size_t totalNets = 0;
     std::size_t failedConnections = 0;
     double totalLengthMm = 0.0;
-    /** Largest per-tile arena estimate (bytes). */
+    /** Largest per-tile arena, as budgeted against maxArenaBytes
+     *  (bytes; queue excluded). */
     std::size_t peakArenaBytes = 0;
 
     /** Every tile DRC-clean, corridors clean, nothing failed. */

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "common/cancel.hpp"
 #include "common/error.hpp"
@@ -39,8 +40,6 @@ std::vector<Point>
 perimeterSlots(const Point &lo, const Point &hi, double spacing)
 {
     std::vector<Point> slots;
-    const double w = hi.x - lo.x;
-    const double h = hi.y - lo.y;
     for (double x = lo.x; x <= hi.x; x += spacing) {
         slots.push_back(Point{x, lo.y});
         slots.push_back(Point{x, hi.y});
@@ -49,9 +48,32 @@ perimeterSlots(const Point &lo, const Point &hi, double spacing)
         slots.push_back(Point{lo.x, y});
         slots.push_back(Point{hi.x, y});
     }
-    (void)w;
-    (void)h;
     return slots;
+}
+
+/** Corners of the box around every device and pin: the routing grid
+ *  covers it plus the margin. */
+std::pair<Point, Point>
+deviceAndPinBox(const ChipTopology &chip, const std::vector<NetSpec> &nets)
+{
+    Point lo{std::numeric_limits<double>::infinity(),
+             std::numeric_limits<double>::infinity()};
+    Point hi{-std::numeric_limits<double>::infinity(),
+             -std::numeric_limits<double>::infinity()};
+    auto fold = [&](const Point &p) {
+        lo.x = std::min(lo.x, p.x);
+        lo.y = std::min(lo.y, p.y);
+        hi.x = std::max(hi.x, p.x);
+        hi.y = std::max(hi.y, p.y);
+    };
+    for (const QubitInfo &q : chip.qubits())
+        fold(q.position);
+    for (const CouplerInfo &c : chip.couplers())
+        fold(c.position);
+    for (const NetSpec &net : nets)
+        for (const Point &t : net.terminals)
+            fold(t);
+    return {lo, hi};
 }
 
 } // namespace
@@ -164,31 +186,23 @@ buildWiringNets(const ChipTopology &chip, const FdmPlan &xy_plan,
 
 namespace {
 
+/** Which A* routes each terminal connection. */
+enum class TerminalSearch {
+    /** routeAstar: cheapest paths (routeChip, routeChipWithFallback). */
+    Exact,
+    /** routeAstarGoalDirected (routeTileWithFallback). */
+    GoalDirected,
+};
+
 ChipRoutingResult
 routeOnce(const ChipTopology &chip, const std::vector<NetSpec> &nets,
           const ChipRoutingConfig &config,
           const std::vector<std::size_t> &order,
-          std::vector<bool> &net_failed, SearchArena &arena)
+          std::vector<bool> &net_failed, TerminalSearch search,
+          SearchArena &arena, GoalDirectedArena &goal_directed_arena)
 {
     requireConfig(!nets.empty(), "no nets to route");
-    // Device-extent bounding box.
-    Point lo{std::numeric_limits<double>::infinity(),
-             std::numeric_limits<double>::infinity()};
-    Point hi{-std::numeric_limits<double>::infinity(),
-             -std::numeric_limits<double>::infinity()};
-    auto fold = [&](const Point &p) {
-        lo.x = std::min(lo.x, p.x);
-        lo.y = std::min(lo.y, p.y);
-        hi.x = std::max(hi.x, p.x);
-        hi.y = std::max(hi.y, p.y);
-    };
-    for (const QubitInfo &q : chip.qubits())
-        fold(q.position);
-    for (const CouplerInfo &c : chip.couplers())
-        fold(c.position);
-    for (const NetSpec &net : nets)
-        for (const Point &t : net.terminals)
-            fold(t);
+    const auto [lo, hi] = deviceAndPinBox(chip, nets);
 
     ChipRoutingResult result;
     result.netCount = nets.size();
@@ -277,9 +291,11 @@ routeOnce(const ChipTopology &chip, const std::vector<NetSpec> &nets,
                 left.erase(left.begin() + static_cast<long>(pick));
             }
         }
+        // The net's cells (interface plus every claim) feed the A*
+        // heuristic, which would otherwise scan the grid per search.
         const Cell iface = grid.cellAt(slots[best_slot]);
         grid.setOwner(iface, net_id);
-        Cell anchor = iface;
+        std::vector<Cell> net_cells{iface};
         for (const Point &t : tour) {
             if (fault::site("routing.net")) {
                 // Injected routing failure: this terminal connection is
@@ -289,8 +305,12 @@ routeOnce(const ChipTopology &chip, const std::vector<NetSpec> &nets,
                 continue;
             }
             const Cell target = grid.cellAt(t);
-            const auto path = routeAstar(grid, anchor, target, net_id,
-                                         arena, config.astar);
+            const auto path =
+                search == TerminalSearch::GoalDirected
+                    ? routeAstarGoalDirected(grid, iface, target, net_id,
+                                             goal_directed_arena)
+                    : routeAstar(grid, iface, target, net_id, arena,
+                                 net_cells);
             if (!path.has_value()) {
                 ++result.failedConnections;
                 net_failed[net_index] = true;
@@ -328,11 +348,9 @@ routeOnce(const ChipTopology &chip, const std::vector<NetSpec> &nets,
     return result;
 }
 
-} // namespace
-
 ChipRoutingResult
-routeChip(const ChipTopology &chip, const std::vector<NetSpec> &nets,
-          const ChipRoutingConfig &config)
+routeNets(const ChipTopology &chip, const std::vector<NetSpec> &nets,
+          const ChipRoutingConfig &config, TerminalSearch search)
 {
     const metrics::ScopedTimer timer("routing.route_chip");
     // Short nets route first: pin stubs claim their pad alleys before the
@@ -359,6 +377,7 @@ routeChip(const ChipTopology &chip, const std::vector<NetSpec> &nets,
     std::size_t passes_used = 0;
     // One arena serves every A* call across all nets and retry attempts.
     SearchArena arena;
+    GoalDirectedArena goal_directed_arena;
     for (std::size_t attempt = 0; attempt < kMaxRetryPasses; ++attempt) {
         cancel::poll("routing.pass");
         metrics::count("routing.attempts");
@@ -366,7 +385,8 @@ routeChip(const ChipTopology &chip, const std::vector<NetSpec> &nets,
             metrics::count("routing.retry_passes");
         const trace::TraceSpan attempt_span("routing.attempt", "routing");
         ChipRoutingResult result =
-            routeOnce(chip, nets, config, order, net_failed, arena);
+            routeOnce(chip, nets, config, order, net_failed, search,
+                      arena, goal_directed_arena);
         passes_used = attempt + 1;
         if (!have_best ||
             result.failedConnections < best.failedConnections) {
@@ -397,12 +417,11 @@ routeChip(const ChipTopology &chip, const std::vector<NetSpec> &nets,
 }
 
 RoutedWiring
-routeChipWithFallback(const ChipTopology &chip,
-                      const std::vector<NetSpec> &nets,
-                      const ChipRoutingConfig &config)
+routeWithFallback(const ChipTopology &chip, const std::vector<NetSpec> &nets,
+                  const ChipRoutingConfig &config, TerminalSearch search)
 {
     RoutedWiring routed;
-    routed.result = routeChip(chip, nets, config);
+    routed.result = routeNets(chip, nets, config, search);
     if (routed.result.failedNets.empty())
         return routed;
 
@@ -434,8 +453,43 @@ routeChipWithFallback(const ChipTopology &chip,
     log::warn("routing fallback: failed nets split into dedicated lines",
               {{"failed_nets", routed.fallbackNets.size()},
                {"dedicated_lines", routed.dedicatedNetFallbacks}});
-    routed.result = routeChip(chip, expanded, config);
+    routed.result = routeNets(chip, expanded, config, search);
     return routed;
+}
+
+} // namespace
+
+std::size_t
+routingGridCells(const ChipTopology &chip, const std::vector<NetSpec> &nets,
+                 const ChipRoutingConfig &config)
+{
+    const auto [lo, hi] = deviceAndPinBox(chip, nets);
+    return RoutingGrid::cellsAcross(lo.x, hi.x, config.grid) *
+           RoutingGrid::cellsAcross(lo.y, hi.y, config.grid);
+}
+
+ChipRoutingResult
+routeChip(const ChipTopology &chip, const std::vector<NetSpec> &nets,
+          const ChipRoutingConfig &config)
+{
+    return routeNets(chip, nets, config, TerminalSearch::Exact);
+}
+
+RoutedWiring
+routeChipWithFallback(const ChipTopology &chip,
+                      const std::vector<NetSpec> &nets,
+                      const ChipRoutingConfig &config)
+{
+    return routeWithFallback(chip, nets, config, TerminalSearch::Exact);
+}
+
+RoutedWiring
+routeTileWithFallback(const ChipTopology &chip,
+                      const std::vector<NetSpec> &nets,
+                      const ChipRoutingConfig &config)
+{
+    return routeWithFallback(chip, nets, config,
+                             TerminalSearch::GoalDirected);
 }
 
 } // namespace youtiao

@@ -40,9 +40,6 @@ struct ChipRoutingConfig
      * ladder.
      */
     std::vector<Point> blockedCells;
-    /** Per-path A* search knob (the default reproduces historic
-     *  routes). */
-    AstarConfig astar;
 };
 
 /** Aggregate routing metrics. */
@@ -83,6 +80,15 @@ std::vector<NetSpec> buildWiringNets(const ChipTopology &chip,
                                      const FdmPlan &readout_plan,
                                      const ChipRoutingConfig &config = {});
 
+/**
+ * Cells of the grid routeChip lays for @p nets on @p chip: the box around
+ * every device and pin, plus the margin. Lets a caller budget the
+ * search's per-cell memory (SearchArena::bytesFor) before routing.
+ */
+std::size_t routingGridCells(const ChipTopology &chip,
+                             const std::vector<NetSpec> &nets,
+                             const ChipRoutingConfig &config);
+
 /** Route all nets on @p chip. */
 ChipRoutingResult routeChip(const ChipTopology &chip,
                             const std::vector<NetSpec> &nets,
@@ -110,6 +116,17 @@ struct RoutedWiring
 RoutedWiring routeChipWithFallback(const ChipTopology &chip,
                                    const std::vector<NetSpec> &nets,
                                    const ChipRoutingConfig &config = {});
+
+/**
+ * routeChipWithFallback for one tile of the hierarchical router: the same
+ * grid, net order, retries and fallback, with every terminal path from
+ * routeAstarGoalDirected (GoalDirectedArena::bytesFor its grid) instead of
+ * the exact routeAstar. It goes once perfbench's hier_scale can measure
+ * the exact search on tiles (see routeAstarGoalDirected).
+ */
+RoutedWiring routeTileWithFallback(const ChipTopology &chip,
+                                   const std::vector<NetSpec> &nets,
+                                   const ChipRoutingConfig &config);
 
 } // namespace youtiao
 

@@ -17,15 +17,17 @@ RoutingGrid::RoutingGrid(Point min_corner, Point max_corner,
                   "grid corners are inverted");
     originX_ = min_corner.x - config.marginMm;
     originY_ = min_corner.y - config.marginMm;
-    const double span_x =
-        max_corner.x - min_corner.x + 2.0 * config.marginMm;
-    const double span_y =
-        max_corner.y - min_corner.y + 2.0 * config.marginMm;
-    width_ = static_cast<std::size_t>(
-                 std::ceil(span_x / config.cellMm)) + 1;
-    height_ = static_cast<std::size_t>(
-                  std::ceil(span_y / config.cellMm)) + 1;
+    width_ = cellsAcross(min_corner.x, max_corner.x, config);
+    height_ = cellsAcross(min_corner.y, max_corner.y, config);
     owner_.assign(width_ * height_, kFree);
+}
+
+std::size_t
+RoutingGrid::cellsAcross(double lo, double hi,
+                         const RoutingGridConfig &config)
+{
+    const double span = hi - lo + 2.0 * config.marginMm;
+    return static_cast<std::size_t>(std::ceil(span / config.cellMm)) + 1;
 }
 
 Cell
@@ -81,27 +83,6 @@ RoutingGrid::clearSquare(const Point &p, double half_mm)
                 owner_[y * width_ + x] = kFree;
         }
     }
-}
-
-void
-RoutingGrid::blockSquareIfFree(const Point &p, double half_mm)
-{
-    const Cell lo = cellAt(Point{p.x - half_mm, p.y - half_mm});
-    const Cell hi = cellAt(Point{p.x + half_mm, p.y + half_mm});
-    for (std::size_t y = lo.y; y <= hi.y; ++y) {
-        for (std::size_t x = lo.x; x <= hi.x; ++x) {
-            if (owner_[y * width_ + x] == kFree)
-                owner_[y * width_ + x] = kObstacle;
-        }
-    }
-}
-
-std::size_t
-RoutingGrid::occupiedCellCount() const
-{
-    return static_cast<std::size_t>(
-        std::count_if(owner_.begin(), owner_.end(),
-                      [](std::int32_t o) { return o >= 0; }));
 }
 
 std::size_t

@@ -80,12 +80,16 @@ class RoutingGrid
     /** Clear a square region back to free (to open pin access). */
     void clearSquare(const Point &p, double half_mm);
 
-    /** Re-block the free cells of a square (restore a keep-out after a
-     *  net routed through its own pin window). Net-owned cells stay. */
-    void blockSquareIfFree(const Point &p, double half_mm);
+    /** Owner of every cell, row-major (index y * width() + x). */
+    const std::vector<std::int32_t> &owners() const { return owner_; }
 
-    /** Count of cells owned by nets (>= 0). */
-    std::size_t occupiedCellCount() const;
+    /**
+     * Cells along one axis of a grid spanning [@p lo, @p hi] plus the
+     * margin on both sides. The constructor sizes both axes with it, so
+     * callers can size a grid without allocating it.
+     */
+    static std::size_t cellsAcross(double lo, double hi,
+                                   const RoutingGridConfig &config);
 
   private:
     std::size_t index(const Cell &c) const;

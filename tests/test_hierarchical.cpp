@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -312,6 +313,35 @@ TEST(HierarchicalRouting, ArenaBudgetIsEnforced)
     HierarchicalRoutingConfig config;
     config.maxArenaBytes = 1024; // absurdly small: must refuse up front
     EXPECT_THROW(routeHierarchical(chip, design, config), ConfigError);
+}
+
+TEST(HierarchicalRouting, PeakArenaIsTheLargestTileArena)
+{
+    // The budget must be the arena the largest tile search really holds:
+    // the tile router's grid spans every pin as well as every device.
+    const ChipTopology chip = makeGridWithQubitCount(100);
+    const ChipCharacterization data = characterize(chip, 5);
+    HierarchicalConfig hier;
+    hier.tileSizeQubits = 25;
+    const HierarchicalDesigner designer({}, hier);
+    const HierarchicalDesign design =
+        designer.designFromMeasurements(chip, data);
+    const HierarchicalRouting routing = routeHierarchical(chip, design);
+
+    std::size_t largest = 0;
+    for (const RoutedWiring &tile : routing.tiles) {
+        ASSERT_TRUE(tile.result.grid.has_value());
+        // One tile search on a copy of the tile's grid sizes a real
+        // arena.
+        RoutingGrid probe = *tile.result.grid;
+        Cell free_cell;
+        while (probe.owner(free_cell) != RoutingGrid::kFree)
+            ++free_cell.x;
+        GoalDirectedArena arena;
+        (void)routeAstarGoalDirected(probe, free_cell, free_cell, 0, arena);
+        largest = std::max(largest, arena.memoryBytes());
+    }
+    EXPECT_EQ(routing.peakArenaBytes, largest);
 }
 
 // --------------------------------------------- 64-bit corridor indexing

@@ -231,8 +231,9 @@ TEST(PerfRecord, RejectsBadHistogramBucketKeys)
 
 TEST(PerfRecord, ParsesPerf4SimdFields)
 {
-    // The committed perf-4 baselines stamp a SIMD level and CPU
-    // features; the parser accepts both and ignores them.
+    // perf-4 records, written while the SIMD layer existed, stamp a
+    // SIMD level and CPU features; the parser accepts both and ignores
+    // them.
     const PerfRecord record = parsePerfRecord(R"({
         "schema": "youtiao-perf-4",
         "benchmark": "simd",
@@ -336,9 +337,8 @@ TEST(PerfRecord, ComparisonRejectsBadBudgets)
 TEST(PerfRecord, CommittedBaselinesParseAndCompareCleanAgainstThemselves)
 {
     // The release-bench CI gate reads bench/baselines/; the one parser
-    // must keep reading those perf-4 records (SIMD fields and all), and
-    // each must compare clean against itself: nothing regressed, no
-    // phase missing.
+    // must keep reading those records, and each must compare clean
+    // against itself: nothing regressed, no phase missing.
     std::vector<std::filesystem::path> paths;
     for (const auto &entry :
          std::filesystem::directory_iterator(YOUTIAO_BASELINE_DIR)) {

@@ -1,9 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdlib>
+#include <functional>
 #include <limits>
+#include <optional>
+#include <queue>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "chip/topology_builder.hpp"
 #include "common/error.hpp"
+#include "common/prng.hpp"
 #include "core/baselines.hpp"
 #include "core/youtiao.hpp"
 #include "routing/astar_router.hpp"
@@ -181,6 +190,253 @@ TEST(AstarRouter, SameNetReuseCheap)
     EXPECT_LE(stub->newCells,
               grid.cellAt(Point{2.0, 3.0}).y - grid.cellAt(Point{2.0, 2.0}).y
                   + 1);
+}
+
+// Exactness: the search against a plain Dijkstra over (cell, incoming
+// direction) that spells out the router's move rules in hundredths.
+
+bool
+plainFor(const RoutingGrid &grid, const Cell &c, std::int32_t net)
+{
+    const std::int32_t o = grid.owner(c);
+    return o == RoutingGrid::kFree || o == net;
+}
+
+/** Cost of entering @p c on @p grid for @p net (c must not be an
+ *  obstacle): 2 on own metal, 100 on free metal plus 25 next to an
+ *  obstacle, 2500 to bridge foreign metal. */
+std::int64_t
+referenceStep(const RoutingGrid &grid, const Cell &c, std::int32_t net)
+{
+    const std::int32_t o = grid.owner(c);
+    if (o == net)
+        return 2;
+    if (o != RoutingGrid::kFree)
+        return 2500;
+    constexpr long moves[4][2] = {{1, 0}, {-1, 0}, {0, 1}, {0, -1}};
+    for (const auto &mv : moves) {
+        const long ax = static_cast<long>(c.x) + mv[0];
+        const long ay = static_cast<long>(c.y) + mv[1];
+        if (ax >= 0 && ay >= 0 && ax < static_cast<long>(grid.width()) &&
+            ay < static_cast<long>(grid.height()) &&
+            grid.owner(Cell{static_cast<std::size_t>(ax),
+                            static_cast<std::size_t>(ay)}) ==
+                RoutingGrid::kObstacle)
+            return 125;
+    }
+    return 100;
+}
+
+/** Cheapest path cost from @p from to @p to, or nullopt if none. */
+std::optional<std::int64_t>
+referenceCost(const RoutingGrid &grid, Cell from, Cell to,
+              std::int32_t net)
+{
+    if (!plainFor(grid, from, net) || !plainFor(grid, to, net))
+        return std::nullopt;
+    constexpr long moves[4][2] = {{1, 0}, {-1, 0}, {0, 1}, {0, -1}};
+    const std::size_t w = grid.width();
+    const std::size_t h = grid.height();
+    std::vector<std::int64_t> dist(w * h * 4,
+                                   std::numeric_limits<std::int64_t>::max());
+    using Entry = std::pair<std::int64_t, std::size_t>;
+    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> open;
+    for (std::size_t d = 0; d < 4; ++d) {
+        dist[(from.y * w + from.x) * 4 + d] = 0;
+        open.emplace(0, (from.y * w + from.x) * 4 + d);
+    }
+    while (!open.empty()) {
+        const auto [g, state] = open.top();
+        open.pop();
+        if (g > dist[state])
+            continue;
+        const Cell here{(state / 4) % w, (state / 4) / w};
+        if (here == to)
+            return g;
+        const bool on_bridge = !plainFor(grid, here, net);
+        for (std::size_t d = 0; d < 4; ++d) {
+            if (on_bridge && d != state % 4)
+                continue; // bridges run straight
+            const long nx = static_cast<long>(here.x) + moves[d][0];
+            const long ny = static_cast<long>(here.y) + moves[d][1];
+            if (nx < 0 || ny < 0 || nx >= static_cast<long>(w) ||
+                ny >= static_cast<long>(h))
+                continue;
+            const Cell next{static_cast<std::size_t>(nx),
+                            static_cast<std::size_t>(ny)};
+            if (grid.owner(next) == RoutingGrid::kObstacle)
+                continue;
+            const std::size_t ns = (next.y * w + next.x) * 4 + d;
+            const std::int64_t cand = g + referenceStep(grid, next, net);
+            if (cand < dist[ns]) {
+                dist[ns] = cand;
+                open.emplace(cand, ns);
+            }
+        }
+    }
+    return std::nullopt;
+}
+
+/** Random grid: obstacle squares, an obstacle ring, foreign-net lines. */
+RoutingGrid
+randomGrid(Prng &prng)
+{
+    RoutingGridConfig config;
+    config.cellMm = 1.0;
+    config.marginMm = 0.0;
+    const int w = prng.uniformInt(4, 28);
+    const int h = prng.uniformInt(4, 28);
+    RoutingGrid grid(Point{0, 0}, Point{w - 1.0, h - 1.0}, config);
+    auto cell = [&](int x, int y) {
+        return Cell{static_cast<std::size_t>(x), static_cast<std::size_t>(y)};
+    };
+    for (int k = prng.uniformInt(0, 6); k > 0; --k) {
+        const int side = prng.uniformInt(1, 3);
+        const int x0 = prng.uniformInt(0, w - 1);
+        const int y0 = prng.uniformInt(0, h - 1);
+        for (int y = y0; y < std::min(h, y0 + side); ++y)
+            for (int x = x0; x < std::min(w, x0 + side); ++x)
+                grid.setOwner(cell(x, y), RoutingGrid::kObstacle);
+    }
+    if (prng.bernoulli(0.3)) { // a walled room: targets inside it strand
+        const int x0 = prng.uniformInt(0, w - 1);
+        const int y0 = prng.uniformInt(0, h - 1);
+        const int x1 = prng.uniformInt(x0, w - 1);
+        const int y1 = prng.uniformInt(y0, h - 1);
+        for (int x = x0; x <= x1; ++x) {
+            grid.setOwner(cell(x, y0), RoutingGrid::kObstacle);
+            grid.setOwner(cell(x, y1), RoutingGrid::kObstacle);
+        }
+        for (int y = y0; y <= y1; ++y) {
+            grid.setOwner(cell(x0, y), RoutingGrid::kObstacle);
+            grid.setOwner(cell(x1, y), RoutingGrid::kObstacle);
+        }
+    }
+    for (int k = prng.uniformInt(0, 8); k > 0; --k) {
+        const std::int32_t owner = prng.uniformInt(1, 4);
+        const bool across = prng.bernoulli(0.5);
+        const int fixed = across ? prng.uniformInt(0, h - 1)
+                                 : prng.uniformInt(0, w - 1);
+        const int span = across ? w : h;
+        const int a = prng.uniformInt(0, span - 1);
+        const int b = prng.uniformInt(a, span - 1);
+        for (int i = a; i <= b; ++i) {
+            const Cell c = across ? cell(i, fixed) : cell(fixed, i);
+            if (grid.owner(c) == RoutingGrid::kFree)
+                grid.setOwner(c, owner);
+        }
+    }
+    return grid;
+}
+
+/**
+ * Check that @p path, found on @p before for @p net, runs from @p from to
+ * @p to, is 4-adjacent, never enters an obstacle, runs straight across
+ * foreign metal and reports its new cells; set @p cost to its cost under
+ * referenceStep.
+ */
+void
+checkLegalPath(const RoutingGrid &before, const RoutedPath &path,
+               Cell from, Cell to, std::int32_t net,
+               const std::string &where, std::int64_t &cost)
+{
+    const std::vector<Cell> &cells = path.cells;
+    ASSERT_EQ(cells.front(), from) << where;
+    ASSERT_EQ(cells.back(), to) << where;
+    cost = 0;
+    std::size_t fresh = 0;
+    for (std::size_t i = 1; i < cells.size(); ++i) {
+        const long dx = static_cast<long>(cells[i].x) -
+                        static_cast<long>(cells[i - 1].x);
+        const long dy = static_cast<long>(cells[i].y) -
+                        static_cast<long>(cells[i - 1].y);
+        ASSERT_EQ(std::labs(dx) + std::labs(dy), 1) << where;
+        const std::int32_t o = before.owner(cells[i]);
+        ASSERT_NE(o, RoutingGrid::kObstacle) << where;
+        fresh += o == RoutingGrid::kFree ? 1 : 0;
+        if (!plainFor(before, cells[i], net)) {
+            ASSERT_LT(i + 1, cells.size()) << where;
+            ASSERT_EQ(static_cast<long>(cells[i + 1].x) -
+                          static_cast<long>(cells[i].x),
+                      dx)
+                << where << ": bridge turns";
+            ASSERT_EQ(static_cast<long>(cells[i + 1].y) -
+                          static_cast<long>(cells[i].y),
+                      dy)
+                << where << ": bridge turns";
+        }
+        cost += referenceStep(before, cells[i], net);
+    }
+    ASSERT_EQ(path.newCells, fresh) << where;
+}
+
+TEST(AstarRouter, MatchesDijkstraReferenceOnRandomGrids)
+{
+    // Every search must be exactly as cheap as the reference and return a
+    // legal path: 4-adjacent, no obstacle, straight across foreign metal.
+    // Net 0's trunk grows from one anchor by sequential searches, as the
+    // chip router grows a net, so the trunk-aware heuristic is exercised
+    // on every trunk shape the searches build. The tile router's
+    // goal-directed search runs on a copy of each grid: same
+    // reachability, a legal path, never cheaper than the reference.
+    constexpr std::int32_t kNet = 0;
+    SearchArena arena;
+    GoalDirectedArena goal_directed_arena;
+    std::size_t searches = 0;
+    std::size_t stranded = 0;
+    for (std::uint64_t seed = 0; seed < 300; ++seed) {
+        Prng prng(seed);
+        RoutingGrid grid = randomGrid(prng);
+        const auto random_cell = [&] {
+            return Cell{prng.uniformInt(grid.width()),
+                        prng.uniformInt(grid.height())};
+        };
+        Cell anchor = random_cell();
+        for (int tries = 0;
+             tries < 50 && grid.owner(anchor) != RoutingGrid::kFree; ++tries)
+            anchor = random_cell();
+        if (grid.owner(anchor) != RoutingGrid::kFree)
+            continue;
+        grid.setOwner(anchor, kNet);
+        std::vector<Cell> net_cells{anchor};
+        // Every third grid takes the overload that scans for the trunk.
+        const bool scan = seed % 3 == 0;
+        for (int k = prng.uniformInt(5, 25); k > 0; --k) {
+            const Cell target = random_cell();
+            const RoutingGrid before = grid;
+            const std::optional<std::int64_t> want =
+                referenceCost(before, anchor, target, kNet);
+            const std::optional<RoutedPath> got =
+                scan ? routeAstar(grid, anchor, target, kNet, arena)
+                     : routeAstar(grid, anchor, target, kNet, arena,
+                                  net_cells);
+            ++searches;
+            const std::string where =
+                "seed " + std::to_string(seed) + " target (" +
+                std::to_string(target.x) + ", " + std::to_string(target.y) +
+                ")";
+            ASSERT_EQ(want.has_value(), got.has_value()) << where;
+            RoutingGrid probe = before;
+            const std::optional<RoutedPath> directed = routeAstarGoalDirected(
+                probe, anchor, target, kNet, goal_directed_arena);
+            ASSERT_EQ(want.has_value(), directed.has_value()) << where;
+            if (!got) {
+                stranded += plainFor(before, target, kNet) ? 1 : 0;
+                continue;
+            }
+            std::int64_t cost = 0;
+            ASSERT_NO_FATAL_FAILURE(checkLegalPath(before, *got, anchor,
+                                                   target, kNet, where, cost));
+            ASSERT_EQ(cost, *want) << where;
+            ASSERT_NO_FATAL_FAILURE(checkLegalPath(before, *directed, anchor,
+                                                   target, kNet,
+                                                   where + " goal-directed",
+                                                   cost));
+            ASSERT_GE(cost, *want) << where << " goal-directed";
+        }
+    }
+    EXPECT_GT(searches, 2000u);
+    EXPECT_GT(stranded, 0u) << "no search met an unreachable plain target";
 }
 
 TEST(AstarRouter, NegativeNetIdThrows)
