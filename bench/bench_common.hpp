@@ -22,7 +22,6 @@
 #include "common/parallel.hpp"
 #include "common/runledger.hpp"
 #include "common/trace.hpp"
-#include "common/watchdog.hpp"
 #include "core/config.hpp"
 #include "core/youtiao.hpp"
 #include "noise/crosstalk_data.hpp"
@@ -34,7 +33,7 @@ namespace youtiao::bench {
  * top of main() (resets the metrics registry so the record covers only
  * this run); the destructor renders the record once (schema
  * "youtiao-perf-5", see docs/FILE_FORMATS.md: merged phase timers,
- * counters, histograms, resource samples, argv, wall/CPU time) and
+ * counters, histograms, argv, wall/CPU time) and
  * writes it to `BENCH_<name>.json` in the current directory, or under
  * `$YOUTIAO_PERF_DIR` when set. When `$YOUTIAO_RUN_LEDGER` is set the
  * same bytes are appended there, so bench history is trend-analyzable
@@ -42,10 +41,9 @@ namespace youtiao::bench {
  * against these records.
  *
  * The report also arms the rest of the observability stack: the crash
- * flight recorder (`FLIGHT_bench_<name>.json` on a fatal signal), the
- * YOUTIAO_WATCHDOG resource sampler and, when `$YOUTIAO_TRACE_DIR` is
- * set, the tracer, whose span timeline lands in `TRACE_<name>.json`
- * there.
+ * flight recorder (`FLIGHT_bench_<name>.json` on a fatal signal) and,
+ * when `$YOUTIAO_TRACE_DIR` is set, the tracer, whose span timeline
+ * lands in `TRACE_<name>.json` there.
  */
 class PerfReport
 {
@@ -61,15 +59,10 @@ class PerfReport
             trace::Tracer::global().enable();
         }
         flight::install(("bench_" + name_).c_str());
-        watchdog::startFromEnv();
     }
 
     ~PerfReport()
     {
-        // Final resource samples must land before the record is
-        // rendered; stop() keeps the collected series readable.
-        if (watchdog::running())
-            watchdog::stop();
         if (!tracePath_.empty()) {
             trace::Tracer::global().disable();
             if (trace::Tracer::global().writeJson(tracePath_))

@@ -14,7 +14,7 @@
  *
  * Semantics:
  *  - armDeadline(seconds) starts a deadline from now; requestCancel()
- *    cancels immediately (the watchdog's stall hook and tests use it).
+ *    cancels immediately (tests use it as a deterministic trigger).
  *  - poll(where) throws cancel::Cancelled once the token tripped. An
  *    armed poll reads the steady clock once; the maze-router inner
  *    loops stride their own polls (every 4096 expansions), so the read
@@ -98,8 +98,8 @@ poll(const char *where)
 void armDeadline(double seconds);
 
 /** Trip the token immediately with Reason::Cancelled; @p why is kept
- *  for diagnostics. Arms the layer if nothing was armed yet, so the
- *  watchdog can cancel a run that never set a deadline. */
+ *  for diagnostics. Arms the layer if nothing was armed yet, so a run
+ *  that never set a deadline can still be cancelled. */
 void requestCancel(const char *why);
 
 /** Disarm everything and clear any pending trip. */

@@ -150,9 +150,15 @@ class Parser
         Value value;
         switch (c) {
           case '{':
-            return parseObject();
-          case '[':
-            return parseArray();
+          case '[': {
+            require(++depth_ <= kMaxDepth,
+                    "nesting exceeds the depth limit of " +
+                        std::to_string(kMaxDepth) + " at offset " +
+                        std::to_string(at_));
+            value = c == '{' ? parseObject() : parseArray();
+            --depth_;
+            return value;
+          }
           case '"':
             value.kind = Value::Kind::String;
             value.text = parseString();
@@ -304,6 +310,8 @@ class Parser
     const std::string &text_;
     const std::string &context_;
     std::size_t at_ = 0;
+    /** Arrays and objects open around the current position. */
+    std::size_t depth_ = 0;
 };
 
 } // namespace

@@ -15,6 +15,7 @@
 #ifndef YOUTIAO_COMMON_JSON_HPP
 #define YOUTIAO_COMMON_JSON_HPP
 
+#include <cstddef>
 #include <map>
 #include <string>
 #include <vector>
@@ -56,11 +57,17 @@ class Value
     const std::vector<Value> &asArray(const std::string &what) const;
 };
 
+/** Deepest nesting of arrays and objects parse() accepts. Records nest
+ *  4 levels and checkpoint manifests 2; the cap keeps a hostile file
+ *  from overflowing the stack of the recursive-descent parser. */
+inline constexpr std::size_t kMaxDepth = 64;
+
 /**
  * Parse @p text as a single JSON value (trailing garbage rejected).
  * @p context prefixes every error message ("perf record", "trace"), so
  * a failure names the kind of file that was malformed. Throws
- * ConfigError on malformed input.
+ * ConfigError on malformed input, including nesting deeper than
+ * kMaxDepth.
  */
 Value parse(const std::string &text,
             const std::string &context = "json");

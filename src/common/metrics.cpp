@@ -10,7 +10,6 @@
 
 #include "common/flight.hpp"
 #include "common/trace.hpp"
-#include "common/watchdog.hpp"
 
 namespace youtiao::metrics {
 
@@ -244,21 +243,14 @@ ScopedTimer::ScopedTimer(const char *name, Registry *registry)
     : name_(name),
       registry_(registry != nullptr ? registry : &Registry::global()),
       start_(std::chrono::steady_clock::now()),
-      watchdogTracked_(watchdog::enabled()),
       traced_(trace::enabled()),
       flightTracked_(flight::enabled())
 {
-    // Stall detection rides on the phase scope: when the watchdog runs,
-    // budgeted phases are tracked from begin to end.
-    if (watchdogTracked_)
-        watchdog::phaseBegin(name_);
 }
 
 ScopedTimer::~ScopedTimer()
 {
     const auto elapsed = std::chrono::steady_clock::now() - start_;
-    if (watchdogTracked_)
-        watchdog::phaseEnd(name_);
     registry_->addPhase(
         name_, std::chrono::duration<double>(elapsed).count());
     const auto dur_ns = static_cast<std::uint64_t>(

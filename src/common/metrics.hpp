@@ -130,8 +130,7 @@ class Registry
 /**
  * RAII phase scope, the one instrumentation point of a named phase. Two
  * clock readings feed every consumer: the elapsed seconds go into
- * @p registry under @p name (default: the global registry), the
- * watchdog's stall detector tracks the phase from begin to end, and --
+ * @p registry under @p name (default: the global registry), and --
  * when tracing / the flight recorder were on at construction -- the
  * phase lands as a trace span (common/trace.hpp; category = the name's
  * subsystem prefix) and a flight-ring span entry (common/flight.hpp).
@@ -152,10 +151,8 @@ class ScopedTimer
     const char *name_;
     Registry *registry_;
     std::chrono::steady_clock::time_point start_;
-    /** Consumers told about the start, so the end reaches them even if
-     *  they are switched off mid-phase (watchdog) -- or skipped when
-     *  they were switched on mid-phase (trace, flight). */
-    bool watchdogTracked_ = false;
+    /** Consumers on at the start; one switched on mid-phase is skipped,
+     *  since it never saw the phase begin. */
     bool traced_ = false;
     bool flightTracked_ = false;
 };

@@ -258,14 +258,6 @@ globalPoolSlot()
 
 } // namespace
 
-std::size_t
-ThreadPool::pendingTaskCount() const
-{
-    return impl_ == nullptr
-               ? 0
-               : impl_->pending.load(std::memory_order_relaxed);
-}
-
 ThreadPool &
 ThreadPool::global()
 {
@@ -274,13 +266,6 @@ ThreadPool::global()
     if (!slot)
         slot = std::make_unique<ThreadPool>();
     return *slot;
-}
-
-const ThreadPool *
-ThreadPool::globalIfStarted()
-{
-    std::lock_guard<std::mutex> lock(g_global_pool_mutex);
-    return globalPoolSlot().get();
 }
 
 void

@@ -71,21 +71,8 @@ class ThreadPool
     void forRange(std::size_t begin, std::size_t end, std::size_t grain,
                   const std::function<void(std::size_t, std::size_t)> &body);
 
-    /**
-     * Tasks submitted to the workers but not yet claimed. A scheduling
-     * diagnostic for the resource watchdog (common/watchdog.hpp): it
-     * observes queue pressure and never feeds back into scheduling.
-     * Always 0 for a serial (one-lane) pool.
-     */
-    std::size_t pendingTaskCount() const;
-
     /** Process-wide pool, built on first use. */
     static ThreadPool &global();
-
-    /** The global pool if global() has already built it, else nullptr.
-     *  Lets observers (the watchdog sampler) read pool state without
-     *  forcing worker threads into existence. */
-    static const ThreadPool *globalIfStarted();
 
     /**
      * Rebuild the global pool with @p thread_count lanes (0 = re-read the

@@ -12,11 +12,14 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#if defined(__unix__) || defined(__APPLE__)
+#include <sys/resource.h>
+#endif
+
 #include "common/error.hpp"
 #include "common/json.hpp"
 #include "common/log.hpp"
 #include "common/parallel.hpp"
-#include "common/watchdog.hpp"
 
 namespace youtiao::runledger {
 
@@ -47,6 +50,44 @@ buildType()
     return "NDEBUG"; // optimized build without a named CMake flavour
 #else
     return "unspecified";
+#endif
+}
+
+/** Cumulative user+system CPU seconds of the process (0 where the
+ *  platform cannot report it). */
+double
+processCpuSeconds()
+{
+#if defined(__unix__) || defined(__APPLE__)
+    struct rusage usage{};
+    if (getrusage(RUSAGE_SELF, &usage) == 0) {
+        const auto toSec = [](const timeval &tv) {
+            return static_cast<double>(tv.tv_sec) +
+                   static_cast<double>(tv.tv_usec) * 1e-6;
+        };
+        return toSec(usage.ru_utime) + toSec(usage.ru_stime);
+    }
+#endif
+    return 0.0;
+}
+
+/** Peak resident set size of the process in bytes, or nullopt where the
+ *  platform cannot measure it (records write null, never a zero).
+ *  ru_maxrss is kilobytes on Linux, bytes on macOS. */
+std::optional<std::uint64_t>
+peakRssBytes()
+{
+#if defined(__unix__) || defined(__APPLE__)
+    struct rusage usage{};
+    if (getrusage(RUSAGE_SELF, &usage) != 0)
+        return std::nullopt;
+#if defined(__APPLE__)
+    return static_cast<std::uint64_t>(usage.ru_maxrss);
+#else
+    return static_cast<std::uint64_t>(usage.ru_maxrss) * 1024;
+#endif
+#else
+    return std::nullopt;
 #endif
 }
 
@@ -183,7 +224,7 @@ Recorder::render() const
                                       start_)
             .count();
     const char *threads_env = std::getenv("YOUTIAO_THREADS");
-    const std::optional<std::uint64_t> rss = watchdog::peakRssBytes();
+    const std::optional<std::uint64_t> rss = peakRssBytes();
     // Entry separator: nothing before a block's first entry, a comma
     // before each later one.
     const auto sep = [](bool &first) {
@@ -209,7 +250,7 @@ Recorder::render() const
         << (rss.has_value() ? std::to_string(*rss) : "null") << "}";
     out << ",\"wall_seconds\":" << json::formatDouble(wall);
     out << ",\"cpu_seconds\":"
-        << json::formatDouble(watchdog::processCpuSeconds());
+        << json::formatDouble(processCpuSeconds());
     out << ",\"exit_status\":" << exitStatus_;
     out << ",\"hashes\":{";
     first = true;
@@ -251,17 +292,7 @@ Recorder::render() const
         }
         out << "}}";
     }
-    // Watchdog time series (empty when the watchdog never ran); the
-    // sampler should be stopped first so the series is final.
-    out << "},\"resource_samples\":[";
-    first = true;
-    for (const watchdog::Sample &s : watchdog::samples())
-        out << sep(first) << "{\"ts_s\":" << json::formatDouble(s.tsSeconds)
-            << ",\"rss_bytes\":" << s.rssBytes
-            << ",\"cpu_seconds\":" << json::formatDouble(s.cpuSeconds)
-            << ",\"astar_arena_bytes\":" << s.astarArenaBytes
-            << ",\"pool_queue_depth\":" << s.poolQueueDepth << "}";
-    out << "],\"watchdog_stalls\":" << watchdog::stallCount() << "}\n";
+    out << "}}\n";
     return out.str();
 }
 
@@ -323,8 +354,7 @@ parsePerfRecord(const std::string &text)
     const json::Value root = json::parse(text, "perf record");
     PerfRecord record;
     record.schema = root.field("schema").asString("perf record: schema");
-    requireConfig(record.schema == "youtiao-perf-4" ||
-                      record.schema == "youtiao-perf-5",
+    requireConfig(record.schema == "youtiao-perf-5",
                   "perf record: unknown schema '" + record.schema + "'");
     record.benchmark =
         root.field("benchmark").asString("perf record: benchmark");
@@ -391,32 +421,6 @@ parsePerfRecord(const std::string &text)
              histograms->asObject("perf record: histograms"))
             record.histograms[name] = parseHistogram(name, entry);
     }
-    if (const json::Value *series = root.fieldIf("resource_samples")) {
-        for (const json::Value &entry :
-             series->asArray("perf record: resource_samples")) {
-            ResourceSample sample;
-            sample.tsSeconds = entry.field("ts_s").asNumber(
-                "perf record: resource sample ts_s");
-            sample.rssBytes =
-                entry.field("rss_bytes").asInteger<std::uint64_t>(
-                    "perf record: resource rss_bytes");
-            sample.cpuSeconds = entry.field("cpu_seconds")
-                                    .asNumber("perf record: resource "
-                                              "sample cpu_seconds");
-            sample.astarArenaBytes =
-                entry.field("astar_arena_bytes")
-                    .asInteger<std::uint64_t>(
-                        "perf record: resource astar_arena_bytes");
-            sample.poolQueueDepth =
-                entry.field("pool_queue_depth")
-                    .asInteger<std::uint64_t>(
-                        "perf record: resource pool_queue_depth");
-            record.resourceSamples.push_back(sample);
-        }
-    }
-    if (const json::Value *stalls = root.fieldIf("watchdog_stalls"))
-        record.watchdogStalls = stalls->asInteger<std::uint64_t>(
-            "perf record: watchdog_stalls");
     return record;
 }
 

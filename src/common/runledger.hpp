@@ -8,8 +8,8 @@
  * A Recorder constructed at the top of main() renders, when the run
  * finishes, one compact newline-terminated record of what ran (argv,
  * git sha, build type, thread config, input hashes), what it cost
- * (wall/CPU seconds, peak RSS, per-phase timings, counters, histograms,
- * watchdog samples) and how it ended (exit status, notes). The record
+ * (wall/CPU seconds, peak RSS, per-phase timings, counters and
+ * histograms) and how it ended (exit status, notes). The record
  * is rendered once: a bench writes those bytes to `BENCH_<name>.json`
  * (bench_common.hpp), and when $YOUTIAO_RUN_LEDGER names a file the
  * same bytes are appended there, so a ledger is a JSONL file of
@@ -46,8 +46,8 @@ bool ledgerConfigured();
  * RAII writer of one run record. Construct it at the top of main();
  * attach hashes and notes as inputs are resolved and setExitStatus()
  * before returning. finish() (or the destructor) renders the record
- * from the global metrics registry and the watchdog series, and
- * appends it to the ledger when one is configured.
+ * from the global metrics registry and appends it to the ledger when
+ * one is configured.
  */
 class Recorder
 {
@@ -115,23 +115,12 @@ struct HistogramRecord
     std::map<int, std::uint64_t> buckets;
 };
 
-/** One watchdog snapshot of a record (common/watchdog.hpp). */
-struct ResourceSample
-{
-    double tsSeconds = 0.0;
-    std::uint64_t rssBytes = 0;
-    double cpuSeconds = 0.0;
-    std::uint64_t astarArenaBytes = 0;
-    std::uint64_t poolQueueDepth = 0;
-};
-
 /**
- * One parsed record (schema youtiao-perf-4 or -5). Only schema,
- * benchmark, phases and counters are required; every other field keeps
- * its default when the record omits it (perf-4 baselines carry no
- * argv, timings or exit status). Earlier writers also stamped
- * `config.simd_level` and `config.cpu_features`; the parser ignores
- * both.
+ * One parsed record (schema youtiao-perf-5). Only schema, benchmark,
+ * phases and counters are required; every other field keeps its
+ * default when the record omits it. Fields it does not know, such as
+ * the four that earlier perf-5 writers stamped and this one no longer
+ * does (docs/FILE_FORMATS.md, "Run record"), are ignored.
  */
 struct PerfRecord
 {
@@ -156,10 +145,6 @@ struct PerfRecord
     std::map<std::string, metrics::PhaseStats> phases;
     std::map<std::string, std::uint64_t> counters;
     std::map<std::string, HistogramRecord> histograms;
-    /** Watchdog time series; empty when the watchdog never ran. */
-    std::vector<ResourceSample> resourceSamples;
-    /** Phase-budget violations the watchdog observed. */
-    std::uint64_t watchdogStalls = 0;
 };
 
 /**

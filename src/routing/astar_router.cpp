@@ -10,7 +10,6 @@
 #include "common/error.hpp"
 #include "common/metrics.hpp"
 #include "common/trace.hpp"
-#include "common/watchdog.hpp"
 
 namespace youtiao {
 
@@ -172,8 +171,6 @@ routeAstar(RoutingGrid &grid, Cell from, Cell to, std::int32_t net_id,
     // invalidates the previous search in O(1) instead of refilling O(cells)
     // memory.
     arena.begin(w * h);
-    watchdog::gaugeMax(watchdog::Gauge::AstarArenaBytes,
-                       arena.memoryBytes());
     const std::int32_t *owner = grid.owners().data();
     const long width = static_cast<long>(w);
     const long height = static_cast<long>(h);
@@ -329,8 +326,6 @@ routeAstarGoalDirected(RoutingGrid &grid, Cell from, Cell to,
     // arena holds g/parent/closed per state; begin() invalidates the
     // previous search in O(1) instead of refilling O(states) memory.
     arena.begin(w * h * kDirCount);
-    watchdog::gaugeMax(watchdog::Gauge::AstarArenaBytes,
-                       arena.memoryBytes());
     constexpr std::uint32_t no_parent = GoalDirectedArena::kNoParent;
 
     using Entry = std::pair<double, std::uint32_t>;

@@ -16,6 +16,7 @@
 #include <cstring>
 #include <limits>
 #include <numbers>
+#include <string>
 
 #include "common/error.hpp"
 #include "common/json.hpp"
@@ -154,6 +155,47 @@ TEST(Json, EscapeHandlesControlCharacters)
     EXPECT_EQ(json::escape("plain"), "plain");
     EXPECT_EQ(json::escape("a\"b\\c"), "a\\\"b\\\\c");
     EXPECT_EQ(json::escape("line\nbreak"), "line\\nbreak");
+}
+
+/** @p depth nested arrays, or objects keyed "a", around a 1. */
+std::string
+nested(std::size_t depth, bool objects)
+{
+    std::string text;
+    for (std::size_t i = 0; i < depth; ++i)
+        text += objects ? "{\"a\":" : "[";
+    text += "1";
+    text.append(depth, objects ? '}' : ']');
+    return text;
+}
+
+TEST(Json, NestingIsCappedAtTheDepthLimit)
+{
+    // The parser recurses once per level: without the cap a deep
+    // enough file overflows the stack instead of being rejected.
+    for (const bool objects : {false, true}) {
+        try {
+            (void)json::parse(nested(1000000, objects), "deep");
+            ADD_FAILURE() << "a 1,000,000-deep document parsed";
+        } catch (const ConfigError &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "depth limit of " +
+                          std::to_string(json::kMaxDepth)),
+                      std::string::npos)
+                << e.what();
+        }
+        EXPECT_THROW(
+            (void)json::parse(nested(json::kMaxDepth + 1, objects)),
+            ConfigError);
+        // Exactly at the limit the document still parses.
+        json::Value value = json::parse(nested(json::kMaxDepth, objects));
+        for (std::size_t level = 0; level < json::kMaxDepth; ++level) {
+            const json::Value inner =
+                objects ? value.field("a") : value.asArray("level").at(0);
+            value = inner;
+        }
+        EXPECT_EQ(value.asNumber("innermost"), 1.0);
+    }
 }
 
 } // namespace

@@ -12,11 +12,14 @@
 #include <cmath>
 #include <complex>
 #include <cstdint>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "chip/topology_builder.hpp"
 #include "common/fault.hpp"
+#include "common/flight.hpp"
 #include "common/log.hpp"
 #include "common/parallel.hpp"
 #include "common/prng.hpp"
@@ -26,6 +29,7 @@
 #include "noise/random_forest.hpp"
 #include "sim/noisy_sampler.hpp"
 #include "sim/statevector.hpp"
+#include "test_support.hpp"
 
 namespace youtiao {
 namespace {
@@ -199,9 +203,10 @@ TEST(ParallelDeterminism, CallerPrngAdvancesIdentically)
 
 TEST(ParallelDeterminism, TracedAndLoggedDesignBitIdenticalToBare)
 {
-    // Tracing and logging observe the pipeline and never feed back into
-    // it: a fully instrumented designer run must serialize byte for
-    // byte like a bare run, at serial and parallel thread counts.
+    // Tracing, logging and the flight recorder observe the pipeline and
+    // never feed back into it: a fully instrumented designer run must
+    // serialize byte for byte like a bare run, at serial and parallel
+    // thread counts. This pins the observation-only contract.
     const ChipTopology chip = makeSquareGrid(4, 4);
     Prng prng(11);
     const ChipCharacterization data = characterizeChip(chip, prng);
@@ -211,12 +216,22 @@ TEST(ParallelDeterminism, TracedAndLoggedDesignBitIdenticalToBare)
         return designToString(
             YoutiaoDesigner(config).design(chip, data));
     };
+    // install() is first-call-wins per process, so the dump directory
+    // lives as long as the installation.
+    static const TestDir dir;
+    static const bool installed =
+        flight::install("determinism", dir.path().c_str());
+    (void)installed;
+    ASSERT_TRUE(flight::enabled());
+    flight::setEnabledForTest(false);
     const log::Level old_level = log::level();
     std::size_t log_lines = 0;
     for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
         ThreadPool::setGlobalThreadCount(threads);
         const std::string bare = designText();
 
+        flight::resetForTest();
+        flight::setEnabledForTest(true);
         trace::Tracer::global().enable();
         log::setLevel(log::Level::Debug);
         log::setSink([&log_lines](std::string_view) { ++log_lines; });
@@ -224,12 +239,19 @@ TEST(ParallelDeterminism, TracedAndLoggedDesignBitIdenticalToBare)
         log::setSink(nullptr);
         log::setLevel(old_level);
         trace::Tracer::global().disable();
+        flight::setEnabledForTest(false);
 
         EXPECT_EQ(instrumented, bare) << threads << " threads";
-        // The instrumented run must actually have traced something.
+        // The instrumented run must actually have traced and recorded
+        // something.
         EXPECT_NE(trace::Tracer::global().toJson().find(
                       "design.xy_grouping"),
                   std::string::npos)
+            << threads << " threads";
+        ASSERT_TRUE(flight::dump("determinism"));
+        std::ifstream dump(flight::dumpPath());
+        const std::string dumped{std::istreambuf_iterator<char>(dump), {}};
+        EXPECT_NE(dumped.find("\"text\":\"design."), std::string::npos)
             << threads << " threads";
     }
     EXPECT_GT(log_lines, 0u);

@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -77,8 +78,6 @@ TEST(PerfRecord, ParsesLiveJsonReport)
     }
     EXPECT_EQ(hist.buckets, buckets);
     EXPECT_EQ(hist.buckets.size(), 2u); // 0.5 apart from 2.0 and 2.5
-    EXPECT_TRUE(record.resourceSamples.empty()); // watchdog never ran
-    EXPECT_EQ(record.watchdogStalls, 0u);
     metrics::Registry::global().reset();
 }
 
@@ -229,31 +228,57 @@ TEST(PerfRecord, RejectsBadHistogramBucketKeys)
                  ConfigError);
 }
 
-TEST(PerfRecord, ParsesPerf4SimdFields)
+TEST(PerfRecord, IgnoresRetiredPerf5Fields)
 {
-    // perf-4 records, written while the SIMD layer existed, stamp a
-    // SIMD level and CPU features; the parser accepts both and ignores
-    // them.
+    // Earlier perf-5 writers stamped a SIMD level, CPU features, a
+    // resource time series and a stall count (docs/FILE_FORMATS.md);
+    // the committed baselines still end in the last two. The parser
+    // accepts all four and ignores them.
     const PerfRecord record = parsePerfRecord(R"({
-        "schema": "youtiao-perf-4",
-        "benchmark": "simd",
-        "config": {"threads": 1, "peak_rss_bytes": 1,
+        "schema": "youtiao-perf-5",
+        "benchmark": "retired",
+        "argv": ["--rows", "6"],
+        "config": {"threads": 4, "youtiao_threads_env": "4",
+                   "build_type": "Release", "git_sha": "abc123",
+                   "peak_rss_bytes": 1,
                    "simd_level": "avx2",
                    "cpu_features": "avx2 fma"},
+        "wall_seconds": 1.5, "cpu_seconds": 2.5, "exit_status": 3,
+        "hashes": {"chip": "00ff"}, "notes": ["degraded"],
         "phases": {"phase.alpha": {"seconds": 0.5, "calls": 2}},
-        "counters": {"counter.rows": 7}
+        "counters": {"counter.rows": 7},
+        "histograms": {},
+        "resource_samples": [{"ts_s": 0.05, "rss_bytes": 4096,
+                              "cpu_seconds": 0.04,
+                              "astar_arena_bytes": 1024,
+                              "pool_queue_depth": 2}],
+        "watchdog_stalls": 1
     })");
-    EXPECT_EQ(record.schema, "youtiao-perf-4");
+    EXPECT_EQ(record.schema, "youtiao-perf-5");
+    EXPECT_EQ(record.benchmark, "retired");
+    EXPECT_EQ(record.argv, (std::vector<std::string>{"--rows", "6"}));
+    EXPECT_EQ(record.threads, 4u);
+    EXPECT_EQ(record.threadsEnv, std::optional<std::string>("4"));
+    EXPECT_EQ(record.buildType, "Release");
+    EXPECT_EQ(record.gitSha, "abc123");
     ASSERT_TRUE(record.peakRssBytes.has_value());
     EXPECT_EQ(*record.peakRssBytes, 1u);
+    EXPECT_EQ(record.wallSeconds, 1.5);
+    EXPECT_EQ(record.cpuSeconds, 2.5);
+    EXPECT_EQ(record.exitStatus, 3);
+    EXPECT_EQ(record.hashes.at("chip"), "00ff");
+    EXPECT_EQ(record.notes, std::vector<std::string>{"degraded"});
     EXPECT_EQ(record.phases.at("phase.alpha").calls, 2u);
+    EXPECT_EQ(record.phases.at("phase.alpha").seconds, 0.5);
     EXPECT_EQ(record.counters.at("counter.rows"), 7u);
+    EXPECT_TRUE(record.histograms.empty());
 }
 
 TEST(PerfRecord, RejectsRetiredSchemas)
 {
     for (const char *schema :
-         {"youtiao-perf-1", "youtiao-perf-2", "youtiao-perf-3"}) {
+         {"youtiao-perf-1", "youtiao-perf-2", "youtiao-perf-3",
+          "youtiao-perf-4"}) {
         EXPECT_THROW(parsePerfRecord(std::string(R"({"schema": ")") +
                                      schema + R"(",
             "benchmark": "old", "config": {"threads": 1},

@@ -19,10 +19,9 @@
  * Observability: --profile prints the metrics phase table, --trace
  * writes a Chrome trace of the campaign spans, the flight recorder is
  * armed (FLIGHT_fault_campaign.json on a crash or DesignError, see
- * common/flight.hpp), YOUTIAO_WATCHDOG starts the resource sampler, and
- * when $YOUTIAO_RUN_LEDGER is set every campaign appends its run record
- * (benchmark "fault_campaign") so sweeps are trend-analyzable with
- * perf_trend.
+ * common/flight.hpp), and when $YOUTIAO_RUN_LEDGER is set every
+ * campaign appends its run record (benchmark "fault_campaign") so
+ * sweeps are trend-analyzable with perf_trend.
  *
  * Robustness: --deadline SECONDS arms a cooperative deadline
  * (common/cancel.hpp) -- the sweep aborts between cells with a flight
@@ -58,7 +57,6 @@
 #include "common/metrics.hpp"
 #include "common/runledger.hpp"
 #include "common/trace.hpp"
-#include "common/watchdog.hpp"
 #include "core/fault_campaign.hpp"
 
 namespace {
@@ -213,7 +211,6 @@ runCampaign(int argc, char **argv, runledger::Recorder &recorder)
     else
         usage(argv[0]);
 
-    watchdog::startFromEnv();
     if (!trace_path.empty())
         trace::Tracer::global().enable();
 
@@ -335,7 +332,6 @@ main(int argc, char **argv)
     flight::install("fault_campaign");
     runledger::Recorder recorder("fault_campaign", argc, argv);
     const int status = runCampaign(argc, argv, recorder);
-    watchdog::stop();
     recorder.setExitStatus(status);
     recorder.finish();
     return status;

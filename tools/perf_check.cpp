@@ -7,7 +7,7 @@
  *              [--max-regression R] [--min-seconds S]
  *
  * Both files are run records (`BENCH_<name>.json`; docs/FILE_FORMATS.md,
- * schemas youtiao-perf-4 and -5 accepted). Every baseline phase
+ * only schema youtiao-perf-5 accepted). Every baseline phase
  * with at least S seconds of wall time (default 0.01 -- faster phases
  * are timing noise) is compared; the check fails when any current
  * phase exceeds baseline * (1 + R) (default R = 0.25). Baseline phases

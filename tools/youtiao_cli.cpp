@@ -41,14 +41,12 @@
  *
  * Observability: the crash flight recorder is armed on startup
  * (FLIGHT_youtiao_cli.json on a fatal signal, uncaught exception, or
- * DesignError; see common/flight.hpp), YOUTIAO_WATCHDOG starts the
- * resource sampler with optional per-phase stall budgets, and when
- * $YOUTIAO_RUN_LEDGER is set every invocation appends its run record
- * (schema "youtiao-perf-5", benchmark "youtiao_cli") with argv, input
- * hashes, wall/CPU time, peak RSS, exit status and phase timings, ready
- * for trend analysis with tools/perf_trend. All three are
- * observation-only: the designed wiring is byte-identical with or
- * without them.
+ * DesignError; see common/flight.hpp), and when $YOUTIAO_RUN_LEDGER is
+ * set every invocation appends its run record (schema
+ * "youtiao-perf-5", benchmark "youtiao_cli") with argv, input hashes,
+ * wall/CPU time, peak RSS, exit status and phase timings, ready for
+ * trend analysis with tools/perf_trend. Both are observation-only: the
+ * designed wiring is byte-identical with or without them.
  *
  * Robustness: --deadline SECONDS arms a cooperative deadline
  * (common/cancel.hpp); a run that exceeds it aborts cleanly with a
@@ -88,7 +86,6 @@
 #include "common/runledger.hpp"
 #include "core/hierarchical.hpp"
 #include "common/trace.hpp"
-#include "common/watchdog.hpp"
 #include "core/baselines.hpp"
 #include "core/drift_adaptation.hpp"
 #include "core/report.hpp"
@@ -300,8 +297,6 @@ runCli(int argc, char **argv, runledger::Recorder &recorder)
         family = TopologyFamily::SquareGrid;
     else
         usage(argv[0]);
-
-    watchdog::startFromEnv();
 
     try {
         ChipTopology chip;
@@ -595,7 +590,6 @@ main(int argc, char **argv)
     flight::install("youtiao_cli");
     runledger::Recorder recorder("youtiao_cli", argc, argv);
     const int status = runCli(argc, argv, recorder);
-    watchdog::stop();
     recorder.setExitStatus(status);
     recorder.finish();
     return status;
