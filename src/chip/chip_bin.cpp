@@ -1,7 +1,9 @@
 #include "chip/chip_bin.hpp"
 
+#include <cmath>
 #include <fstream>
 #include <limits>
+#include <utility>
 
 #include "chip/chip_io.hpp"
 #include "common/binfmt.hpp"
@@ -36,6 +38,21 @@ chipFromReader(const binfmt::Reader &reader)
     const std::span<const std::uint32_t> cb = reader.u32("coupler_b");
     const std::span<const double> cx = reader.f64("coupler_x");
     const std::span<const double> cy = reader.f64("coupler_y");
+
+    // NaN and infinite values would poison every distance downstream (a
+    // zero-weight term becomes 0 * inf = NaN), so refuse them here, as
+    // the text loader refuses "nan" and "inf".
+    using Section = std::pair<const char *, std::span<const double>>;
+    for (const auto &[section, values] :
+         {Section{"qubit_x", qx}, Section{"qubit_y", qy},
+          Section{"qubit_freq", qf}, Section{"qubit_t1", qt1},
+          Section{"coupler_x", cx}, Section{"coupler_y", cy}}) {
+        for (const double v : values) {
+            if (!std::isfinite(v))
+                throw ConfigError(std::string("chip binary: section '") +
+                                  section + "' holds a non-finite value");
+        }
+    }
 
     const std::size_t qubits = qx.size();
     requireConfig(qy.size() == qubits && qf.size() == qubits &&

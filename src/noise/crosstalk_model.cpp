@@ -87,9 +87,9 @@ CrosstalkModel::fit(const std::vector<CrosstalkSample> &samples,
             }
             Prng fold_prng = prng.split();
             RandomForest forest(config.forest);
-            forest.fit(train_x, 1, train_y, fold_prng);
+            forest.fit(train_x, train_y, fold_prng);
             std::vector<double> pred(test_x.size());
-            forest.predictBatch(test_x, 1, pred);
+            forest.predictBatch(test_x, pred);
             for (std::size_t i = 0; i < test_x.size(); ++i) {
                 const double err = pred[i] - test_y[i];
                 error_sum += err * err;
@@ -112,7 +112,7 @@ CrosstalkModel::fit(const std::vector<CrosstalkSample> &samples,
         equivalentFeatures(samples, model.wPhy_, model.wTop_);
     Prng final_prng = prng.split();
     model.forest_ = RandomForest(config.forest);
-    model.forest_.fit(features, 1, targets, final_prng);
+    model.forest_.fit(features, targets, final_prng);
     return model;
 }
 
@@ -120,7 +120,7 @@ double
 CrosstalkModel::predict(double d_phy, double d_top) const
 {
     const double d_equiv = equivalentDistance(d_phy, d_top);
-    return std::exp(forest_.predict({&d_equiv, 1}));
+    return std::exp(forest_.predict(d_equiv));
 }
 
 SymmetricMatrix
@@ -130,9 +130,9 @@ CrosstalkModel::predictQubitMatrix(const ChipTopology &chip) const
     const SymmetricMatrix d_top = qubitTopologicalDistanceMatrix(chip);
     SymmetricMatrix out(chip.qubitCount());
 
-    // One batched forest pass over all n*(n-1)/2 pair features instead of
-    // a tree walk per pair; exp() applied per slot afterwards matches
-    // per-pair predict() bit for bit.
+    // One parallel batched forest pass over all n*(n-1)/2 pair features;
+    // exp() applied per slot afterwards matches per-pair predict() bit
+    // for bit.
     std::vector<double> d_equiv;
     d_equiv.reserve(out.size() * (out.size() - 1) / 2);
     for (std::size_t i = 0; i < out.size(); ++i) {
@@ -140,7 +140,7 @@ CrosstalkModel::predictQubitMatrix(const ChipTopology &chip) const
             d_equiv.push_back(equivalentDistance(d_phy(i, j), d_top(i, j)));
     }
     std::vector<double> log_pred(d_equiv.size());
-    forest_.predictBatch(d_equiv, 1, log_pred);
+    forest_.predictBatch(d_equiv, log_pred);
     std::size_t k = 0;
     for (std::size_t i = 0; i < out.size(); ++i) {
         for (std::size_t j = i + 1; j < out.size(); ++j)

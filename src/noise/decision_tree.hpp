@@ -1,54 +1,24 @@
 /**
  * @file
- * CART-style regression tree.
+ * One-feature CART regression tree, stored as an interval table.
  *
- * The substrate under the random-forest crosstalk fit (paper Section 4.1).
- * Splits minimize the weighted sum of child variances; leaves predict the
- * mean target of their training samples.
+ * The substrate under the random-forest crosstalk fit (paper Section 4.1),
+ * which regresses on one feature, the equivalent distance. Splits
+ * minimize the sum of child squared errors; leaves predict the mean
+ * target of their samples. Every split cuts the same line, so a fitted
+ * tree is its in-order thresholds (strictly increasing) and its leaves.
  */
 
 #ifndef YOUTIAO_NOISE_DECISION_TREE_HPP
 #define YOUTIAO_NOISE_DECISION_TREE_HPP
 
-#include <cstddef>
-#include <cstdint>
+#include <algorithm>
 #include <span>
 #include <vector>
 
+#include "common/error.hpp"
+
 namespace youtiao {
-
-/**
- * Contiguous SoA node pool holding one or more flattened trees. Walking a
- * tree touches four parallel arrays instead of pointer-sized Node structs,
- * so batch inference streams through cache lines; a pool can hold a whole
- * forest back to back (see DecisionTree::appendFlattened).
- */
-struct FlatTreeNodes
-{
-    /** Split feature per node; kFlatLeaf marks a leaf. */
-    std::vector<std::int32_t> feature;
-    /** Split threshold per node ("<=" goes left; unused on leaves). */
-    std::vector<double> threshold;
-    /** Leaf prediction per node (unused on splits). */
-    std::vector<double> value;
-    std::vector<std::uint32_t> left;
-    std::vector<std::uint32_t> right;
-
-    static constexpr std::int32_t kFlatLeaf = -1;
-
-    std::size_t size() const { return feature.size(); }
-
-    /** Walk one tree rooted at @p root for @p row. */
-    double predictRow(std::uint32_t root, std::span<const double> row) const
-    {
-        std::uint32_t at = root;
-        while (feature[at] != kFlatLeaf)
-            at = row[static_cast<std::size_t>(feature[at])] <= threshold[at]
-                     ? left[at]
-                     : right[at];
-        return value[at];
-    }
-};
 
 /** Hyper-parameters of a regression tree. */
 struct DecisionTreeConfig
@@ -58,65 +28,53 @@ struct DecisionTreeConfig
     std::size_t minSamplesSplit = 6;
 };
 
-/**
- * Regression tree over dense feature rows.
- *
- * Features are row-major: sample i occupies
- * features[i * featureCount .. (i+1) * featureCount).
- */
+/** Regression tree over one feature. */
 class DecisionTree
 {
   public:
     explicit DecisionTree(DecisionTreeConfig config = {});
 
-    /**
-     * Fit on @p features (n x featureCount, row-major) against @p targets
-     * (size n). Optionally restrict to @p sample_indices (for bagging).
-     */
-    void fit(std::span<const double> features, std::size_t feature_count,
-             std::span<const double> targets,
+    /** Fit on feature values @p x against @p targets (same size),
+     *  optionally restricted to @p sample_indices (for bagging). */
+    void fit(std::span<const double> x, std::span<const double> targets,
              const std::vector<std::size_t> &sample_indices = {});
 
-    /** Predict one sample (featureCount values). */
-    double predict(std::span<const double> row) const;
-
-    /**
-     * Append this tree's nodes to @p out in SoA layout (child indices
-     * rebased onto the pool) and return the index of its root.
-     */
-    std::uint32_t appendFlattened(FlatTreeNodes &out) const;
+    /** Predict the target at @p x; throws before fit(). A walk from the
+     *  root goes left iff x <= t, so it ends in leaf #{t : !(x <= t)}:
+     *  one binary search, and NaN lands in the rightmost leaf. */
+    double
+    predict(double x) const
+    {
+        if (!trained()) // not requireConfig: no message built per call
+            throw ConfigError("predict() before fit()");
+        const auto past = std::ranges::partition_point(
+            thresholds_, [x](double t) { return !(x <= t); });
+        return leaves_[static_cast<std::size_t>(past - thresholds_.begin())];
+    }
 
     /** True once fit() has produced at least a root leaf. */
-    bool trained() const { return !nodes_.empty(); }
+    bool trained() const { return !leaves_.empty(); }
 
-    /** Number of tree nodes (diagnostic). */
-    std::size_t nodeCount() const { return nodes_.size(); }
+    /** Number of tree nodes, splits plus leaves (diagnostic). */
+    std::size_t
+    nodeCount() const
+    {
+        return thresholds_.size() + leaves_.size();
+    }
 
     /** Depth of the deepest leaf (diagnostic). */
-    std::size_t depth() const;
+    std::size_t depth() const { return depth_; }
 
   private:
-    struct Node
-    {
-        // Leaf when feature == kLeaf.
-        std::size_t feature = kLeaf;
-        double threshold = 0.0;
-        double value = 0.0;      // leaf prediction
-        std::size_t left = 0;    // child indices (valid when not leaf)
-        std::size_t right = 0;
-        std::size_t nodeDepth = 0;
-    };
-    static constexpr std::size_t kLeaf = static_cast<std::size_t>(-1);
-
-    std::size_t build(std::span<const double> features,
-                      std::size_t feature_count,
-                      std::span<const double> targets,
-                      std::vector<std::size_t> &indices, std::size_t begin,
-                      std::size_t end, std::size_t node_depth);
+    void build(std::span<const double> x, std::span<const double> targets,
+               std::vector<std::size_t> &indices, std::size_t begin,
+               std::size_t end, std::size_t node_depth);
 
     DecisionTreeConfig config_;
-    std::size_t featureCount_ = 0;
-    std::vector<Node> nodes_;
+    std::vector<double> thresholds_;
+    /** Leaf means left to right, one more than thresholds_. */
+    std::vector<double> leaves_;
+    std::size_t depth_ = 0;
 };
 
 } // namespace youtiao

@@ -11,6 +11,8 @@
 
 #include <cstring>
 #include <fstream>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "chip/chip_bin.hpp"
@@ -259,6 +261,40 @@ TEST(ChipBinary, RejectsHostileImages)
         const std::vector<unsigned char> bad = writer.toBytes();
         EXPECT_THROW((void)chipFromBinary(bad.data(), bad.size()),
                      ConfigError);
+    }
+}
+
+TEST(ChipBinary, RejectsNonFiniteValues)
+{
+    // A NaN or infinite position poisons every distance (0 * inf is
+    // NaN), and an infinite frequency or T1 passes a "> 0" check. Every
+    // double section must refuse all three values and name itself.
+    const std::vector<unsigned char> image = chipToBinary(sampleChip());
+    const binfmt::Reader reader(image, kChipBinMagic, kChipBinVersion,
+                                "chip binary");
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    for (const char *section : {"qubit_x", "qubit_y", "qubit_freq",
+                                "qubit_t1", "coupler_x", "coupler_y"}) {
+        // Overwrite the section's second value in place.
+        const std::size_t at =
+            static_cast<std::size_t>(
+                reinterpret_cast<const unsigned char *>(
+                    reader.f64(section).data()) -
+                image.data()) +
+            sizeof(double);
+        for (const double value :
+             {std::numeric_limits<double>::quiet_NaN(), kInf, -kInf}) {
+            std::vector<unsigned char> bad = image;
+            std::memcpy(bad.data() + at, &value, sizeof value);
+            try {
+                (void)chipFromBinary(bad.data(), bad.size());
+                ADD_FAILURE() << section << " accepted " << value;
+            } catch (const ConfigError &e) {
+                EXPECT_NE(std::string(e.what()).find(section),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
     }
 }
 

@@ -15,6 +15,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "chip/topology_builder.hpp"
 #include "common/cancel.hpp"
@@ -112,6 +113,11 @@ TEST_F(CancelTest, RobustDesignSurfacesStructuredCancellation)
     ASSERT_FALSE(result.hasValue());
     EXPECT_TRUE(result.error().isCancellation());
     EXPECT_EQ(result.error().code, DesignErrorCode::Cancelled);
+    // The characterization fit (two models, each 11 weights x 5 folds
+    // plus a final forest) runs before the designer's first stage, and
+    // every forest fit polls: the fit itself observes the token.
+    EXPECT_EQ(result.error().context,
+              std::vector<std::string>{"where=noise.forest_fit"});
 }
 
 TEST_F(CancelTest, ThrowingDesignRethrowsTheCancellationReason)

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/prng.hpp"
 #include "noise/decision_tree.hpp"
 
 namespace youtiao {
@@ -15,8 +14,8 @@ TEST(DecisionTree, ConstantTargetGivesConstantLeaf)
     DecisionTree tree;
     const std::vector<double> x{1.0, 2.0, 3.0, 4.0, 5.0, 6.0};
     const std::vector<double> y(6, 3.5);
-    tree.fit(x, 1, y);
-    EXPECT_DOUBLE_EQ(tree.predict({&x[0], 1}), 3.5);
+    tree.fit(x, y);
+    EXPECT_DOUBLE_EQ(tree.predict(x[0]), 3.5);
     EXPECT_EQ(tree.nodeCount(), 1u);
 }
 
@@ -28,10 +27,9 @@ TEST(DecisionTree, LearnsStepFunction)
         x.push_back(i);
         y.push_back(i < 10 ? 1.0 : 5.0);
     }
-    tree.fit(x, 1, y);
-    const double lo = 2.0, hi = 15.0;
-    EXPECT_NEAR(tree.predict({&lo, 1}), 1.0, 1e-9);
-    EXPECT_NEAR(tree.predict({&hi, 1}), 5.0, 1e-9);
+    tree.fit(x, y);
+    EXPECT_NEAR(tree.predict(2.0), 1.0, 1e-9);
+    EXPECT_NEAR(tree.predict(15.0), 5.0, 1e-9);
 }
 
 TEST(DecisionTree, ApproximatesSmoothFunction)
@@ -47,31 +45,11 @@ TEST(DecisionTree, ApproximatesSmoothFunction)
         x.push_back(v);
         y.push_back(std::exp(-v));
     }
-    tree.fit(x, 1, y);
+    tree.fit(x, y);
     double max_err = 0.0;
     for (int i = 0; i < 200; ++i)
-        max_err = std::max(max_err,
-                           std::abs(tree.predict({&x[i], 1}) - y[i]));
+        max_err = std::max(max_err, std::abs(tree.predict(x[i]) - y[i]));
     EXPECT_LT(max_err, 0.1);
-}
-
-TEST(DecisionTree, TwoFeatureSplit)
-{
-    // Target depends only on feature 1; tree must pick it.
-    DecisionTree tree;
-    std::vector<double> x, y;
-    Prng prng(3);
-    for (int i = 0; i < 50; ++i) {
-        x.push_back(prng.uniform());        // irrelevant feature 0
-        const double f1 = prng.uniform();
-        x.push_back(f1);
-        y.push_back(f1 > 0.5 ? 10.0 : -10.0);
-    }
-    tree.fit(x, 2, y);
-    const double row_hi[2] = {0.5, 0.9};
-    const double row_lo[2] = {0.5, 0.1};
-    EXPECT_GT(tree.predict(row_hi), 5.0);
-    EXPECT_LT(tree.predict(row_lo), -5.0);
 }
 
 TEST(DecisionTree, RespectsMaxDepth)
@@ -86,7 +64,7 @@ TEST(DecisionTree, RespectsMaxDepth)
         x.push_back(i);
         y.push_back(i);
     }
-    tree.fit(x, 1, y);
+    tree.fit(x, y);
     EXPECT_LE(tree.depth(), 2u);
 }
 
@@ -98,7 +76,7 @@ TEST(DecisionTree, RespectsMinSamplesLeaf)
     DecisionTree tree(cfg);
     std::vector<double> x{1, 2, 3, 4, 5, 6};
     std::vector<double> y{0, 0, 0, 1, 1, 1};
-    tree.fit(x, 1, y);
+    tree.fit(x, y);
     // 6 samples cannot split into two leaves of >= 5.
     EXPECT_EQ(tree.nodeCount(), 1u);
 }
@@ -109,9 +87,8 @@ TEST(DecisionTree, BaggingSubsetUsed)
     std::vector<double> x{0, 1, 2, 3, 4, 5, 6, 7};
     std::vector<double> y{0, 0, 0, 0, 9, 9, 9, 9};
     // Restrict to the low half only: prediction everywhere ~0.
-    tree.fit(x, 1, y, {0, 1, 2, 3});
-    const double probe = 7.0;
-    EXPECT_DOUBLE_EQ(tree.predict({&probe, 1}), 0.0);
+    tree.fit(x, y, {0, 1, 2, 3});
+    EXPECT_DOUBLE_EQ(tree.predict(7.0), 0.0);
 }
 
 TEST(DecisionTree, ErrorsOnBadInput)
@@ -119,23 +96,15 @@ TEST(DecisionTree, ErrorsOnBadInput)
     DecisionTree tree;
     std::vector<double> x{1, 2};
     std::vector<double> y{1};
-    EXPECT_THROW(tree.fit(x, 2, {}), ConfigError);
-    EXPECT_THROW(tree.fit(x, 3, y), ConfigError);
-    EXPECT_THROW(tree.predict({&x[0], 1}), ConfigError);
+    EXPECT_THROW(tree.fit(x, {}), ConfigError);
+    EXPECT_THROW(tree.fit(x, y), ConfigError);
+    EXPECT_THROW(tree.fit({}, {}), ConfigError);
+    EXPECT_THROW(tree.fit(x, x, {2}), ConfigError);
+    EXPECT_THROW(tree.predict(x[0]), ConfigError);
     DecisionTreeConfig bad;
     bad.minSamplesLeaf = 4;
     bad.minSamplesSplit = 4;
     EXPECT_THROW(DecisionTree{bad}, ConfigError);
-}
-
-TEST(DecisionTree, PredictWrongWidthThrows)
-{
-    DecisionTree tree;
-    std::vector<double> x{1, 2, 3, 4, 5, 6};
-    std::vector<double> y{1, 2, 3, 4, 5, 6};
-    tree.fit(x, 1, y);
-    const double row[2] = {1.0, 2.0};
-    EXPECT_THROW(tree.predict(row), ConfigError);
 }
 
 TEST(DecisionTree, EqualFeatureValuesNotSplit)
@@ -143,10 +112,9 @@ TEST(DecisionTree, EqualFeatureValuesNotSplit)
     DecisionTree tree;
     std::vector<double> x(10, 1.0); // all identical
     std::vector<double> y{0, 1, 0, 1, 0, 1, 0, 1, 0, 1};
-    tree.fit(x, 1, y);
+    tree.fit(x, y);
     EXPECT_EQ(tree.nodeCount(), 1u);
-    const double probe = 1.0;
-    EXPECT_DOUBLE_EQ(tree.predict({&probe, 1}), 0.5);
+    EXPECT_DOUBLE_EQ(tree.predict(1.0), 0.5);
 }
 
 } // namespace

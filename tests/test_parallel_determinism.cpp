@@ -162,11 +162,9 @@ TEST(ParallelDeterminism, RandomForestPredictionsBitIdentical)
     auto predictions = [&] {
         RandomForest forest;
         Prng prng(0xAB);
-        forest.fit(x, 1, y, prng);
-        std::vector<double> preds;
-        preds.reserve(x.size());
-        for (const double &v : x)
-            preds.push_back(forest.predict({&v, 1}));
+        forest.fit(x, y, prng);
+        std::vector<double> preds(x.size());
+        forest.predictBatch(x, preds);
         return preds;
     };
     const auto runs = resultsAtThreadCounts(kCounts, predictions);
