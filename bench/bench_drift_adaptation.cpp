@@ -10,11 +10,9 @@
  * re-allocation must beat the static allocation on end-of-trace
  * fidelity and must finish with zero spectrum-DRC violations.
  *
- * Robustness flags (stripped before google-benchmark sees argv):
- * --deadline SECONDS cancels the replay cooperatively (exit 3);
- * --checkpoint DIR journals every finished epoch per policy; --resume
- * replays a matching journal, landing on a byte-identical figure (the
- * crash drill pins this).
+ * Robustness flag (stripped before google-benchmark sees argv):
+ * --deadline SECONDS cancels the replay cooperatively (exit 3); the
+ * figure is pinned by its hard-coded seeds, so a rerun recovers it.
  */
 
 #include <benchmark/benchmark.h>
@@ -25,7 +23,6 @@
 #include <vector>
 
 #include "common/cancel.hpp"
-#include "common/checkpoint.hpp"
 #include "common/cli_parse.hpp"
 #include "common/flight.hpp"
 
@@ -146,9 +143,7 @@ BENCHMARK(BM_ReallocateReplay)->Unit(benchmark::kMillisecond);
 int
 main(int argc, char **argv)
 {
-    // Strip the robustness flags before google-benchmark parses argv.
-    std::string checkpoint_dir;
-    bool resume = false;
+    // Strip the robustness flag before google-benchmark parses argv.
     double deadline_s = 0.0;
     int kept = 1;
     for (int i = 1; i < argc; ++i) {
@@ -161,44 +156,25 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
-        if (arg == "--checkpoint")
-            checkpoint_dir = next();
-        else if (arg == "--resume")
-            resume = true;
-        else if (arg == "--deadline")
+        if (arg == "--deadline")
             deadline_s =
                 youtiao::parsePositiveDoubleArg(next(), "--deadline");
         else
             argv[kept++] = argv[i];
     }
     argc = kept;
-    if (resume && checkpoint_dir.empty()) {
-        std::fprintf(stderr,
-                     "error: --resume requires --checkpoint DIR\n");
-        return 2;
-    }
 
     youtiao::bench::PerfReport perf("drift_adaptation", argc, argv);
     if (deadline_s > 0.0)
         youtiao::cancel::armDeadline(deadline_s);
-    if (!checkpoint_dir.empty()) {
-        // The figure is fully pinned by its hard-coded seeds, so the
-        // manifest only needs the tool name to refuse foreign journals.
-        youtiao::checkpoint::open(checkpoint_dir, "bench_drift_adaptation",
-                                  {{"seed", "0xD41F/0xD21F7"}}, resume);
-    }
     bool ok = false;
     try {
         ok = printFigure();
     } catch (const youtiao::cancel::Cancelled &e) {
-        youtiao::checkpoint::close();
         youtiao::flight::dump("cancelled");
         std::fprintf(stderr, "error: %s\n", e.what());
         return 3;
     }
-    // Close before the benchmark loops: BM_ReallocateReplay would churn
-    // the per-epoch journal on every iteration otherwise.
-    youtiao::checkpoint::close();
     benchmark::Initialize(&argc, argv);
     benchmark::RunSpecifiedBenchmarks();
     return ok ? 0 : 1;

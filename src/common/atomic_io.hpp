@@ -2,12 +2,13 @@
  * @file
  * Crash-safe file replacement: write to a sibling temp file, fsync, then
  * rename over the target. POSIX rename is atomic within a filesystem, so
- * a reader (or a resumed run) sees either the old complete file or the
- * new complete file -- never a torn prefix. Every JSON artifact writer
- * (BENCH_*.json perf records, trace exports, fault-campaign output,
- * saved designs) and the checkpoint journal go through this helper; the
- * flight recorder's dump path stays on raw async-signal-safe writes and
- * the run ledger on its single O_APPEND write, which are already safe.
+ * a reader sees either the old complete file or the new complete file --
+ * never a torn prefix, even when the writer is killed and rerun. Every
+ * artifact writer (BENCH_*.json perf records, trace exports,
+ * fault-campaign output, saved designs, hop and drift records) goes
+ * through this helper; the flight recorder's dump path stays on raw
+ * async-signal-safe writes and the run ledger on its single O_APPEND
+ * write, which are already safe.
  */
 
 #ifndef YOUTIAO_COMMON_ATOMIC_IO_HPP

@@ -24,10 +24,10 @@
  * appends a 64-byte trailer -- 8-byte magic "YTCKSUM1", u64 FNV-1a of
  * every byte before the trailer, zero padding. Readers verify the
  * checksum before the section table is trusted and reject unknown flag
- * bits, so a torn or bit-flipped file fails loudly. The checkpoint
- * journal (common/checkpoint.hpp) always writes the trailer; the chip
- * and design formats stay flag-free so their files are byte-identical
- * to earlier builds.
+ * bits, so a torn or bit-flipped file fails loudly. The chip and design
+ * writers stay flag-free so their files are byte-identical to earlier
+ * builds; their readers still verify the trailer of any file from
+ * outside that carries one.
  */
 
 #ifndef YOUTIAO_COMMON_BINFMT_HPP

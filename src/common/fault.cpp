@@ -25,9 +25,6 @@ namespace {
  */
 const std::vector<std::string> kSiteCatalog = {
     // Sorted; isKnownSite relies on it.
-    "checkpoint.read",     // snapshot unreadable at resume -> rejected
-    "checkpoint.rename",   // crash before publish -> snapshot lost
-    "checkpoint.write",    // torn write -> checksum rejects at resume
     "chip.load_coupler",   // drop the coupler while loading (broken bond)
     "design.fdm_group",    // XY grouping attempt infeasible -> ladder
     "design.partition",    // partition stage fails -> single region
@@ -223,19 +220,6 @@ stats()
         out.emplace(name, s);
     }
     return out;
-}
-
-void
-restoreCounters(const std::map<std::string, SiteStats> &saved)
-{
-    const std::lock_guard<std::mutex> lock(g_configMutex);
-    for (const auto &[name, s] : saved) {
-        const auto it = g_sites.find(name);
-        if (it == g_sites.end())
-            continue;
-        it->second->hits.store(s.hits, std::memory_order_relaxed);
-        it->second->fires.store(s.fires, std::memory_order_relaxed);
-    }
 }
 
 const std::vector<std::string> &

@@ -120,16 +120,6 @@ void reset();
 /** Stats per configured site (name -> stats), for campaign reports. */
 std::map<std::string, SiteStats> stats();
 
-/**
- * Overwrite the hit/fire counters of configured sites with the values
- * in @p saved (sites absent from the current configuration are
- * ignored). Whether hit n fires is a pure function of (site, rate,
- * seed, n), so a resumed fault campaign that fast-forwards the counters
- * to a checkpoint's snapshot replays the exact tail the uninterrupted
- * run would have seen. Call only from quiescent points.
- */
-void restoreCounters(const std::map<std::string, SiteStats> &saved);
-
 /** The catalog of valid site names, sorted (see docs/FAULT_INJECTION.md
  *  for what each one breaks). */
 const std::vector<std::string> &siteCatalog();

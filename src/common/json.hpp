@@ -58,8 +58,8 @@ class Value
 };
 
 /** Deepest nesting of arrays and objects parse() accepts. Records nest
- *  4 levels and checkpoint manifests 2; the cap keeps a hostile file
- *  from overflowing the stack of the recursive-descent parser. */
+ *  4 levels; the cap keeps a hostile file from overflowing the stack of
+ *  the recursive-descent parser. */
 inline constexpr std::size_t kMaxDepth = 64;
 
 /**

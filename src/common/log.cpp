@@ -34,14 +34,10 @@ initialLevel()
     return static_cast<int>(Level::Warn);
 }
 
-/** Process start reference for the `ts` field. Pinned on first use;
- *  every log call routes through here so the epoch is consistent. */
-std::chrono::steady_clock::time_point
-processT0()
-{
-    static const auto t0 = std::chrono::steady_clock::now();
-    return t0;
-}
+/** Process start reference for the `ts` field, fixed when the library
+ *  loads (static initialization, before main), not at the first line. */
+const std::chrono::steady_clock::time_point kProcessT0 =
+    std::chrono::steady_clock::now();
 
 struct Sink
 {
@@ -218,7 +214,7 @@ write(Level l, std::string_view msg,
         return;
     const double ts =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      processT0())
+                                      kProcessT0)
             .count();
     std::string line =
         formatLine(l, msg, fields, ts, trace::currentThreadTag());

@@ -533,27 +533,32 @@ std::vector<BenchmarkTrend>
 ledgerTrends(const std::vector<PerfRecord> &records,
              const TrendOptions &options)
 {
-    // benchmark -> trend skeleton, and benchmark -> phase -> seconds
-    // series in ledger (chronological) order. A run that did not exit 0
-    // (cut short by --deadline, failed) recorded truncated phase times:
-    // counted, but never a prior and never the latest value.
-    std::map<std::string, BenchmarkTrend> by_benchmark;
-    std::map<std::string, std::map<std::string, std::vector<double>>>
+    // (benchmark, hashes) -> trend skeleton and phase -> seconds series
+    // in ledger (chronological) order: runs on different inputs never
+    // share a series. A run that did not exit 0 (cut short by
+    // --deadline, failed) recorded truncated phase times: counted, but
+    // never a prior and never the latest value.
+    using SeriesKey =
+        std::pair<std::string, std::map<std::string, std::string>>;
+    std::map<SeriesKey, BenchmarkTrend> by_series;
+    std::map<SeriesKey, std::map<std::string, std::vector<double>>>
         series;
     for (const PerfRecord &record : records) {
-        BenchmarkTrend &trend = by_benchmark[record.benchmark];
+        const SeriesKey key{record.benchmark, record.hashes};
+        BenchmarkTrend &trend = by_series[key];
         if (record.exitStatus != 0) {
             ++trend.excludedRuns;
             continue;
         }
         ++trend.runs;
         for (const auto &[phase, stats] : record.phases)
-            series[record.benchmark][phase].push_back(stats.seconds);
+            series[key][phase].push_back(stats.seconds);
     }
     std::vector<BenchmarkTrend> trends;
-    for (auto &[benchmark, trend] : by_benchmark) {
-        trend.benchmark = benchmark;
-        for (const auto &[phase, values] : series[benchmark]) {
+    for (auto &[key, trend] : by_series) {
+        trend.benchmark = key.first;
+        trend.hashes = key.second;
+        for (const auto &[phase, values] : series[key]) {
             PhaseTrend p;
             p.phase = phase;
             p.observations = values.size();
@@ -586,7 +591,14 @@ trendReport(const std::vector<BenchmarkTrend> &trends,
         return out.str();
     }
     for (const BenchmarkTrend &trend : trends) {
-        out << "-- " << trend.benchmark << " (" << trend.runs << " runs";
+        out << "-- " << trend.benchmark;
+        if (!trend.hashes.empty()) {
+            std::string lines;
+            for (const auto &[key, value] : trend.hashes)
+                lines += key + "=" + value + "\n";
+            out << " inputs " << fnv1aHex(lines).substr(0, 8);
+        }
+        out << " (" << trend.runs << " runs";
         if (trend.excludedRuns > 0)
             out << ", " << trend.excludedRuns
                 << " with non-zero exit excluded";

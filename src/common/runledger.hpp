@@ -211,7 +211,7 @@ struct TrendOptions
     double minSeconds = 0.01;
 };
 
-/** Longitudinal view of one phase within one benchmark's clean runs. */
+/** Longitudinal view of one phase within one series' clean runs. */
 struct PhaseTrend
 {
     std::string phase;
@@ -230,10 +230,18 @@ struct PhaseTrend
     bool regressed = false;
 };
 
-/** Per-benchmark trend summary, sorted by benchmark name. */
+/**
+ * Trend summary of one series: the runs of one benchmark on identical
+ * inputs. Every CLI record names the benchmark "youtiao_cli" whatever
+ * the chip, so the input hashes (chip, seed, config) split the series;
+ * records without hashes (bench perf records) form one series per
+ * benchmark. Sorted by benchmark name, then hashes.
+ */
 struct BenchmarkTrend
 {
     std::string benchmark;
+    /** The input hashes every run of the series carries. */
+    std::map<std::string, std::string> hashes;
     /** Runs with exit status 0: the only ones in the series. */
     std::size_t runs = 0;
     /** Runs left out for a non-zero exit status (cancelled, failed):
@@ -251,13 +259,16 @@ struct BenchmarkTrend
     }
 };
 
-/** Aggregate @p records (ledger order = chronological) into
- *  per-benchmark, per-phase trends over the runs that exited 0. */
+/** Aggregate @p records (ledger order = chronological) into per-series
+ *  (benchmark, input hashes), per-phase trends over the runs that
+ *  exited 0. */
 std::vector<BenchmarkTrend> ledgerTrends(
     const std::vector<PerfRecord> &records,
     const TrendOptions &options = {});
 
-/** Human-readable report of @p trends, regressions marked. */
+/** Human-readable report of @p trends, regressions marked. A series
+ *  with input hashes is headed by its benchmark and the first 8 hex
+ *  digits of fnv1aHex over its "key=value\n" hash lines. */
 std::string trendReport(const std::vector<BenchmarkTrend> &trends,
                         const TrendOptions &options = {});
 

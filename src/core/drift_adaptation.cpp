@@ -9,13 +9,11 @@
 #include <unordered_map>
 
 #include "common/cancel.hpp"
-#include "common/checkpoint.hpp"
 #include "common/error.hpp"
 #include "common/metrics.hpp"
 #include "common/parallel.hpp"
 #include "common/prng.hpp"
 #include "common/units.hpp"
-#include "core/checkpoint_codec.hpp"
 
 namespace youtiao {
 
@@ -128,70 +126,6 @@ maskViolations(const std::vector<double> &frequency_ghz,
     for (double f : frequency_ghz)
         hits += isMasked(f, masks) ? 1 : 0;
     return hits;
-}
-
-/**
- * Per-epoch checkpoint payload: everything the epoch loop mutates (the
- * wiring plans, the retune baseline, the running degradation report and
- * every epoch row so far). One evolving key per policy -- three
- * policies may run concurrently in one process -- whose newest valid
- * snapshot resumes the loop at epoch + 1.
- */
-struct EpochSnapshot
-{
-    std::size_t epoch = 0;
-    FdmPlan plan;
-    FrequencyPlan freq;
-    std::vector<double> retuneScale;
-    DegradationReport degradation;
-    std::vector<DriftEpochResult> rows;
-};
-
-std::vector<std::uint8_t>
-packEpochSnapshot(const EpochSnapshot &s)
-{
-    checkpoint::ByteWriter w;
-    w.u64(s.epoch);
-    ckptcodec::putFdmPlan(w, s.plan);
-    ckptcodec::putFrequencyPlan(w, s.freq);
-    w.vecF64(s.retuneScale);
-    ckptcodec::putDegradation(w, s.degradation);
-    w.u64(s.rows.size());
-    for (const DriftEpochResult &row : s.rows) {
-        w.u64(row.epoch);
-        w.f64(row.fidelity);
-        w.f64(row.allocationCost);
-        w.u64(row.dirtyGroups);
-        w.u64(row.retunedQubits);
-        w.u64(row.spectrumViolations);
-        w.boolean(row.fullRedesign);
-    }
-    return w.bytes();
-}
-
-EpochSnapshot
-unpackEpochSnapshot(const std::vector<std::uint8_t> &bytes)
-{
-    checkpoint::ByteReader r(bytes);
-    EpochSnapshot s;
-    s.epoch = r.u64();
-    s.plan = ckptcodec::getFdmPlan(r);
-    s.freq = ckptcodec::getFrequencyPlan(r);
-    s.retuneScale = r.vecF64();
-    s.degradation = ckptcodec::getDegradation(r);
-    s.rows.resize(r.u64());
-    for (DriftEpochResult &row : s.rows) {
-        row.epoch = r.u64();
-        row.fidelity = r.f64();
-        row.allocationCost = r.f64();
-        row.dirtyGroups = r.u64();
-        row.retunedQubits = r.u64();
-        row.spectrumViolations = r.u64();
-        row.fullRedesign = r.boolean();
-    }
-    requireConfig(r.exhausted(),
-                  "drift epoch snapshot has trailing bytes");
-    return s;
 }
 
 /** Fold one full-redesign's concessions into the running report. */
@@ -319,27 +253,7 @@ DriftAdapter::run(const ChipTopology &chip, const YoutiaoDesign &design,
 
     const NoiseModel noise(config_.noise);
 
-    // Per-epoch checkpoint barrier: resume replays the journal's newest
-    // snapshot of this policy's state and re-enters the loop at the
-    // next epoch.
-    const std::string ckpt_key =
-        std::string("drift-") + driftPolicyName(adapt_.policy) + "-epoch";
-    std::size_t first_epoch = 0;
-    if (checkpoint::active()) {
-        std::vector<std::uint8_t> blob;
-        if (checkpoint::fetch(ckpt_key, blob)) {
-            EpochSnapshot snap = unpackEpochSnapshot(blob);
-            plan = std::move(snap.plan);
-            freq = std::move(snap.freq);
-            retune_scale = std::move(snap.retuneScale);
-            out.degradation = std::move(snap.degradation);
-            out.epochs = std::move(snap.rows);
-            first_epoch = snap.epoch + 1;
-        }
-    }
-
-    for (std::size_t epoch = first_epoch; epoch < trace.config.epochs;
-         ++epoch) {
+    for (std::size_t epoch = 0; epoch < trace.config.epochs; ++epoch) {
         cancel::poll("drift.epoch");
         DriftEpochResult row;
         row.epoch = epoch;
@@ -548,16 +462,6 @@ DriftAdapter::run(const ChipTopology &chip, const YoutiaoDesign &design,
         }
 
         out.epochs.push_back(row);
-        if (checkpoint::active()) {
-            EpochSnapshot snap;
-            snap.epoch = epoch;
-            snap.plan = plan;
-            snap.freq = freq;
-            snap.retuneScale = retune_scale;
-            snap.degradation = out.degradation;
-            snap.rows = out.epochs;
-            checkpoint::store(ckpt_key, packEpochSnapshot(snap));
-        }
     }
 
     out.finalFrequencyGHz = freq.frequencyGHz;

@@ -1,20 +1,17 @@
 #include "core/fault_campaign.hpp"
 
 #include <exception>
-#include <map>
 #include <sstream>
 #include <utility>
 
 #include "chip/defects.hpp"
 #include "common/cancel.hpp"
-#include "common/checkpoint.hpp"
 #include "common/error.hpp"
 #include "common/fault.hpp"
 #include "common/json.hpp"
 #include "common/log.hpp"
 #include "common/metrics.hpp"
 #include "common/prng.hpp"
-#include "core/checkpoint_codec.hpp"
 #include "noise/crosstalk_data.hpp"
 #include "routing/chip_router.hpp"
 #include "routing/drc.hpp"
@@ -119,77 +116,6 @@ runOne(const ChipTopology &chip, const FaultCampaignConfig &config,
         run.error = std::string("unexpected exception: ") + e.what();
     }
     return run;
-}
-
-/**
- * Per-cell checkpoint payload: the finished run plus a snapshot of the
- * fault-site counters taken right after it. A site's firing sequence is
- * a pure function of (site, rate, seed, hit index), so fast-forwarding
- * the counters (fault::restoreCounters) before the first live cell
- * makes the resumed tail fire exactly as the uninterrupted run would.
- */
-std::vector<std::uint8_t>
-packCell(const FaultCampaignRun &run,
-         const std::map<std::string, fault::SiteStats> &counters)
-{
-    checkpoint::ByteWriter w;
-    w.f64(run.defectRate);
-    w.u64(run.seed);
-    w.u64(run.deadQubits);
-    w.u64(run.brokenCouplers);
-    w.u64(run.maskedBands);
-    w.boolean(run.ok);
-    w.boolean(run.degraded);
-    w.boolean(run.routed);
-    w.boolean(run.drcClean);
-    w.u64(run.drcViolations);
-    w.u64(run.failedConnections);
-    ckptcodec::putDegradation(w, run.degradation);
-    w.f64(run.costUsd);
-    w.str(run.error);
-    w.u64(counters.size());
-    for (const auto &[site, s] : counters) {
-        w.str(site);
-        w.f64(s.rate);
-        w.u64(s.seed);
-        w.u64(s.hits);
-        w.u64(s.fires);
-    }
-    return w.bytes();
-}
-
-void
-unpackCell(const std::vector<std::uint8_t> &bytes, FaultCampaignRun &run,
-           std::map<std::string, fault::SiteStats> &counters)
-{
-    checkpoint::ByteReader r(bytes);
-    run.defectRate = r.f64();
-    run.seed = r.u64();
-    run.deadQubits = r.u64();
-    run.brokenCouplers = r.u64();
-    run.maskedBands = r.u64();
-    run.ok = r.boolean();
-    run.degraded = r.boolean();
-    run.routed = r.boolean();
-    run.drcClean = r.boolean();
-    run.drcViolations = r.u64();
-    run.failedConnections = r.u64();
-    run.degradation = ckptcodec::getDegradation(r);
-    run.costUsd = r.f64();
-    run.error = r.str();
-    counters.clear();
-    const std::size_t sites = r.u64();
-    for (std::size_t i = 0; i < sites; ++i) {
-        const std::string site = r.str();
-        fault::SiteStats s;
-        s.rate = r.f64();
-        s.seed = r.u64();
-        s.hits = r.u64();
-        s.fires = r.u64();
-        counters.emplace(site, s);
-    }
-    requireConfig(r.exhausted(),
-                  "campaign cell snapshot has trailing bytes");
 }
 
 void
@@ -310,46 +236,16 @@ runFaultCampaign(const ChipTopology &chip,
                {"seeds_per_rate", config.seedsPerRate},
                {"inject", inject}});
 
-    // Cells run in deterministic (rate, seed) order; each finished cell
-    // is a checkpoint barrier. On resume, cached cells replay from the
-    // journal and the first live cell fast-forwards the fault-site
-    // counters to where the cached stream left them.
-    std::map<std::string, fault::SiteStats> cached_counters;
-    bool counters_stale = false;
+    // Cells run in deterministic (rate, seed) order, so the fault-site
+    // counters fire the same sequence on every run of the campaign.
     try {
         std::size_t index = 0;
         for (double rate : config.defectRates) {
             for (std::size_t s = 0; s < config.seedsPerRate; ++s) {
-                const std::uint64_t run_seed =
-                    taskSeed(config.baseSeed, index);
-                const std::string ckpt_key =
-                    "cell-" + std::to_string(index);
-                ++index;
-                if (checkpoint::active()) {
-                    std::vector<std::uint8_t> blob;
-                    if (checkpoint::fetch(ckpt_key, blob)) {
-                        FaultCampaignRun run;
-                        unpackCell(blob, run, cached_counters);
-                        summary.runs.push_back(std::move(run));
-                        counters_stale = true;
-                        continue;
-                    }
-                }
                 cancel::poll("campaign.cell");
-                if (counters_stale) {
-                    if (inject)
-                        fault::restoreCounters(cached_counters);
-                    counters_stale = false;
-                }
-                summary.runs.push_back(
-                    runOne(chip, config, rate, run_seed));
-                if (checkpoint::active())
-                    checkpoint::store(
-                        ckpt_key,
-                        packCell(summary.runs.back(),
-                                 inject ? fault::stats()
-                                        : std::map<std::string,
-                                                   fault::SiteStats>{}));
+                summary.runs.push_back(runOne(
+                    chip, config, rate, taskSeed(config.baseSeed, index)));
+                ++index;
             }
         }
     } catch (...) {

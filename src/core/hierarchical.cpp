@@ -6,8 +6,6 @@
 #include <unordered_map>
 
 #include "common/cancel.hpp"
-#include "common/checkpoint.hpp"
-#include "core/checkpoint_codec.hpp"
 #include "common/error.hpp"
 #include "common/log.hpp"
 #include "common/metrics.hpp"
@@ -119,143 +117,6 @@ struct SeamNeighbor
     std::size_t other = 0;
     double crosstalk = 0.0;
 };
-
-// Checkpoint payloads for the per-tile barriers. Every field the merge,
-// seam stitch, and hierarchical router read from a tile design is
-// serialized byte-exactly (checkpoint::ByteWriter memcpy's doubles), so
-// a resumed run replays the remaining tiles against identical inputs
-// and lands on a bit-identical artifact. The fitted models and
-// predicted matrices are deliberately skipped: the multi-tile merge
-// never reads them, and at scale they dominate the snapshot size.
-
-std::vector<std::uint8_t>
-packTileDesign(const YoutiaoDesign &d)
-{
-    checkpoint::ByteWriter w;
-    w.vecVecU64(d.partition.regions);
-    w.vecU64(d.partition.regionOfQubit);
-    w.vecU64(d.partition.seeds);
-    w.u64(d.partition.swapCount);
-    ckptcodec::putFdmPlan(w, d.xyPlan);
-    ckptcodec::putFrequencyPlan(w, d.frequencyPlan);
-    ckptcodec::putTdmPlan(w, d.zPlan);
-    ckptcodec::putFdmPlan(w, d.readoutPlan);
-    w.vecVecU64(d.readout.feedlines);
-    w.vecU64(d.readout.feedlineOfQubit);
-    w.vecF64(d.readout.resonatorGHz);
-    w.u64(d.counts.xyLines);
-    w.u64(d.counts.zLines);
-    w.u64(d.counts.readoutFeeds);
-    w.u64(d.counts.readoutDacs);
-    w.u64(d.counts.demuxSelectLines);
-    w.u64(d.counts.demux12);
-    w.u64(d.counts.demux14);
-    w.f64(d.costUsd);
-    ckptcodec::putDegradation(w, d.degradation);
-    return w.bytes();
-}
-
-YoutiaoDesign
-unpackTileDesign(const std::vector<std::uint8_t> &bytes)
-{
-    checkpoint::ByteReader r(bytes);
-    YoutiaoDesign d;
-    d.partition.regions = r.vecVecU64();
-    d.partition.regionOfQubit = r.vecU64();
-    d.partition.seeds = r.vecU64();
-    d.partition.swapCount = r.u64();
-    d.xyPlan = ckptcodec::getFdmPlan(r);
-    d.frequencyPlan = ckptcodec::getFrequencyPlan(r);
-    d.zPlan = ckptcodec::getTdmPlan(r);
-    d.readoutPlan = ckptcodec::getFdmPlan(r);
-    d.readout.feedlines = r.vecVecU64();
-    d.readout.feedlineOfQubit = r.vecU64();
-    d.readout.resonatorGHz = r.vecF64();
-    d.counts.xyLines = r.u64();
-    d.counts.zLines = r.u64();
-    d.counts.readoutFeeds = r.u64();
-    d.counts.readoutDacs = r.u64();
-    d.counts.demuxSelectLines = r.u64();
-    d.counts.demux12 = r.u64();
-    d.counts.demux14 = r.u64();
-    d.costUsd = r.f64();
-    d.degradation = ckptcodec::getDegradation(r);
-    requireConfig(r.exhausted(),
-                  "tile design snapshot has trailing bytes");
-    return d;
-}
-
-// Route snapshots skip the occupancy grid (it is only consumed by the
-// DRC, whose verdict is snapshotted alongside) -- at 10k qubits the
-// grids dwarf every other artifact combined.
-
-std::vector<std::uint8_t>
-packTileRoute(const RoutedWiring &wiring, const DrcReport &drc)
-{
-    const ChipRoutingResult &res = wiring.result;
-    checkpoint::ByteWriter w;
-    w.u64(res.netCount);
-    w.u64(res.failedConnections);
-    w.vecU64(res.failedNets);
-    w.u64(res.retryPasses);
-    w.f64(res.totalLengthMm);
-    w.f64(res.routingAreaMm2);
-    w.u64(res.interfaceCount);
-    w.u64(res.interfaces.size());
-    for (const Point &p : res.interfaces) {
-        w.f64(p.x);
-        w.f64(p.y);
-    }
-    w.u64(res.crossovers.size());
-    for (const Crossover &c : res.crossovers) {
-        w.u64(c.cell.x);
-        w.u64(c.cell.y);
-        w.u64(static_cast<std::uint64_t>(
-            static_cast<std::int64_t>(c.byNet)));
-        w.u64(static_cast<std::uint64_t>(
-            static_cast<std::int64_t>(c.overNet)));
-    }
-    w.vecU64(wiring.fallbackNets);
-    w.u64(wiring.dedicatedNetFallbacks);
-    w.boolean(drc.clean);
-    w.vecStr(drc.violations);
-    return w.bytes();
-}
-
-void
-unpackTileRoute(const std::vector<std::uint8_t> &bytes,
-                RoutedWiring &wiring, DrcReport &drc)
-{
-    checkpoint::ByteReader r(bytes);
-    ChipRoutingResult &res = wiring.result;
-    res.netCount = r.u64();
-    res.failedConnections = r.u64();
-    res.failedNets = r.vecU64();
-    res.retryPasses = r.u64();
-    res.totalLengthMm = r.f64();
-    res.routingAreaMm2 = r.f64();
-    res.interfaceCount = r.u64();
-    res.interfaces.resize(r.u64());
-    for (Point &p : res.interfaces) {
-        p.x = r.f64();
-        p.y = r.f64();
-    }
-    res.crossovers.resize(r.u64());
-    for (Crossover &c : res.crossovers) {
-        c.cell.x = r.u64();
-        c.cell.y = r.u64();
-        c.byNet = static_cast<std::int32_t>(
-            static_cast<std::int64_t>(r.u64()));
-        c.overNet = static_cast<std::int32_t>(
-            static_cast<std::int64_t>(r.u64()));
-    }
-    wiring.fallbackNets = r.vecU64();
-    wiring.dedicatedNetFallbacks = r.u64();
-    drc.clean = r.boolean();
-    drc.violations = r.vecStr();
-    requireConfig(r.exhausted(),
-                  "tile route snapshot has trailing bytes");
-}
 
 } // namespace
 
@@ -472,20 +333,6 @@ HierarchicalDesigner::designTiles(const ChipTopology &chip, TileMap map,
     std::vector<YoutiaoDesign> designs = parallelMap(
         order, [&](std::size_t t) {
             const HierarchicalTile &tile = out.tiles[t];
-            // Per-tile checkpoint barrier (multi-tile only: a single
-            // tile IS the run and gets nothing out of snapshotting
-            // itself). A snapshot from a previous interrupted run
-            // replays this tile verbatim.
-            const std::string ckpt_key = "tile-" + std::to_string(t);
-            if (!single_tile && checkpoint::active()) {
-                std::vector<std::uint8_t> blob;
-                if (checkpoint::fetch(ckpt_key, blob)) {
-                    if (tiles_done != nullptr)
-                        tiles_done->fetch_add(1,
-                                              std::memory_order_relaxed);
-                    return unpackTileDesign(blob);
-                }
-            }
             cancel::poll("hier.tile");
             YoutiaoConfig tile_config = config_;
             tile_config.seed = single_tile
@@ -516,17 +363,15 @@ HierarchicalDesigner::designTiles(const ChipTopology &chip, TileMap map,
                 tile.chip, tile_data, w_phy);
             if (!result.hasValue())
                 throwDesignError(result.error().with("tile", t));
-            if (!single_tile && checkpoint::active())
-                checkpoint::store(ckpt_key,
-                                  packTileDesign(result.value()));
             if (tiles_done != nullptr)
                 tiles_done->fetch_add(1, std::memory_order_relaxed);
             return std::move(result.value());
         });
     for (std::size_t t = 0; t < out.tiles.size(); ++t)
         out.tiles[t].design = std::move(designs[t]);
-    // Merge barrier: tiles replayed from a checkpoint never polled, so
-    // a deadline that expired during the fan-out is observed here.
+    // Merge barrier: a tile polls only before it starts, so a deadline
+    // that expires while the last tiles are designed is observed here,
+    // before the merge and seam stitch.
     cancel::poll("hier.merge");
 
     if (single_tile) {
@@ -922,22 +767,8 @@ routeHierarchical(const ChipTopology &chip,
         RoutedWiring wiring;
         DrcReport drc;
     };
-    const bool multi_tile = design.tiles.size() > 1;
     std::vector<TileRoute> routed = parallelMap(
         order, [&](std::size_t t) {
-            // Same per-tile barrier as the designer; a restored route
-            // carries no grid (the DRC verdict travels in the snapshot
-            // instead).
-            const std::string ckpt_key = "route-tile-" +
-                                         std::to_string(t);
-            if (multi_tile && checkpoint::active()) {
-                std::vector<std::uint8_t> blob;
-                if (checkpoint::fetch(ckpt_key, blob)) {
-                    TileRoute route;
-                    unpackTileRoute(blob, route.wiring, route.drc);
-                    return route;
-                }
-            }
             cancel::poll("hier.route_tile");
             TileRoute route;
             route.wiring = routeTileWithFallback(design.tiles[t].chip,
@@ -947,10 +778,6 @@ routeHierarchical(const ChipTopology &chip,
                             "tile routing returned no grid");
             route.drc = checkRoutingDrc(*result.grid, result.netCount,
                                         result.crossovers);
-            if (multi_tile && checkpoint::active())
-                checkpoint::store(ckpt_key,
-                                  packTileRoute(route.wiring,
-                                                route.drc));
             return route;
         });
 

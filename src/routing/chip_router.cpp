@@ -250,12 +250,15 @@ routeOnce(const ChipTopology &chip, const std::vector<NetSpec> &nets,
         const trace::TraceSpan net_span("routing.net", "routing");
         const auto net_start = std::chrono::steady_clock::now();
 
-        // Claim the perimeter slot nearest the net centroid.
+        // Claim the perimeter slot nearest the net centroid, skipping a
+        // slot whose cell a net already owns: two slots can share a
+        // corner cell, and a claim's clearSquare can free a neighbouring
+        // slot's reserved cell for another net's wire.
         const Point c = centroid(net);
         double best = std::numeric_limits<double>::infinity();
         std::size_t best_slot = slots.size();
         for (std::size_t s = 0; s < slots.size(); ++s) {
-            if (slot_used[s])
+            if (slot_used[s] || grid.owner(grid.cellAt(slots[s])) >= 0)
                 continue;
             const double d = distance(slots[s], c);
             if (d < best) {
@@ -263,7 +266,13 @@ routeOnce(const ChipTopology &chip, const std::vector<NetSpec> &nets,
                 best_slot = s;
             }
         }
-        requireInternal(best_slot < slots.size(), "out of interface slots");
+        if (best_slot == slots.size()) {
+            // No slot left: every connection of the net fails, and the
+            // retry order or the dedicated-line fallback takes it.
+            result.failedConnections += net.terminals.size();
+            net_failed[net_index] = true;
+            continue;
+        }
         slot_used[best_slot] = true;
         ++result.interfaceCount;
         if (result.interfaces.empty())

@@ -56,11 +56,12 @@ struct ChipRoutingResult
     double totalLengthMm = 0.0;
     /** Routing area: length x line pitch (mm^2). */
     double routingAreaMm2 = 0.0;
-    /** Perimeter interfaces consumed (= nets). */
+    /** Perimeter interfaces consumed: one per net that claimed a slot
+     *  (a net left without one fails all its connections). */
     std::size_t interfaceCount = 0;
     /** Interface pad claimed by each net, indexed by net (the
-     *  hierarchical router anchors corridor entry on these). Empty for
-     *  nets that never claimed a slot. */
+     *  hierarchical router anchors corridor entry on these). A net that
+     *  claimed no slot reads the lower-left corner of the device box. */
     std::vector<Point> interfaces;
     /** Airbridge crossovers used (cell + the net bridged over). */
     std::vector<Crossover> crossovers;

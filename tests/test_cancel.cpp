@@ -2,16 +2,14 @@
  * @file
  * Cooperative-cancellation tests (common/cancel.hpp): token semantics,
  * the structured DesignError surface of the robust entry points and its
- * mapping back onto the throwing ones, a cancellation the hierarchical
- * designer must observe after its tile fan-out, and the clean-run
- * identity -- an armed-but-untripped deadline must not change a single
- * output byte.
+ * mapping back onto the throwing ones (flat and hierarchical), and the
+ * clean-run identity -- an armed-but-untripped deadline must not change
+ * a single output byte.
  */
 
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -19,28 +17,19 @@
 
 #include "chip/topology_builder.hpp"
 #include "common/cancel.hpp"
-#include "common/checkpoint.hpp"
 #include "common/expected.hpp"
 #include "core/hierarchical.hpp"
 #include "core/serialization.hpp"
 #include "core/youtiao.hpp"
-#include "test_support.hpp"
 
 namespace youtiao {
 namespace {
 
-/** Every test leaves the ambient token disarmed and the checkpoint
- *  journal closed. */
+/** Every test leaves the ambient token disarmed. */
 struct CancelTest : ::testing::Test
 {
     void SetUp() override { cancel::disarm(); }
-
-    void
-    TearDown() override
-    {
-        cancel::disarm();
-        checkpoint::close();
-    }
+    void TearDown() override { cancel::disarm(); }
 };
 
 TEST_F(CancelTest, PollIsNoOpWhenDisarmed)
@@ -149,40 +138,30 @@ TEST_F(CancelTest, ThrowingDesignRethrowsTheCancellationReason)
     }
 }
 
-TEST_F(CancelTest, HierarchicalCancellationAfterTileFanOutIsObserved)
+TEST_F(CancelTest, HierarchicalDesignReportsTileProgress)
 {
-    // Deterministic trigger for the tail after the per-tile polls:
-    // journal a 4-tile run, then resume it with the token already
-    // tripped. Every tile replays its snapshot without polling, so only
-    // the merge barrier and the seam stitch can observe the
-    // cancellation -- and one of them must.
+    // A pre-tripped token stops every tile at its first poll: the
+    // robust entry returns a structured Cancelled error naming the poll
+    // site and the tile progress, and the partial report says the same.
     const ChipTopology chip = makeSquareGrid(8, 8);
     YoutiaoConfig config;
     config.seed = 7;
     HierarchicalConfig hier;
     hier.tileSizeQubits = 16;
     const HierarchicalDesigner designer(config, hier);
-    const TestDir journal;
-    const std::map<std::string, std::string> hashes{{"chip", "8x8"}};
 
-    checkpoint::open(journal.path(), "test_cancel", hashes, false);
-    const Expected<HierarchicalDesign, DesignError> journaled =
-        designer.designSynthesizedRobust(chip);
-    checkpoint::close();
-    ASSERT_TRUE(journaled.hasValue());
-    ASSERT_EQ(journaled.value().tiles.size(), 4u);
-
-    checkpoint::open(journal.path(), "test_cancel", hashes, true);
     cancel::requestCancel("test");
     DegradationReport partial;
-    const Expected<HierarchicalDesign, DesignError> resumed =
+    const Expected<HierarchicalDesign, DesignError> result =
         designer.designSynthesizedRobust(chip, 0.6, &partial);
-    checkpoint::close();
-
-    ASSERT_FALSE(resumed.hasValue());
-    EXPECT_EQ(resumed.error().code, DesignErrorCode::Cancelled);
+    ASSERT_FALSE(result.hasValue());
+    EXPECT_EQ(result.error().code, DesignErrorCode::Cancelled);
+    EXPECT_EQ(result.error().context,
+              (std::vector<std::string>{"where=hier.tile",
+                                        "tiles_designed=0",
+                                        "tiles_total=4"}));
     ASSERT_EQ(partial.notes.size(), 1u);
-    EXPECT_EQ(partial.notes[0], "cancelled after 4 of 4 tiles designed");
+    EXPECT_EQ(partial.notes[0], "cancelled after 0 of 4 tiles designed");
 }
 
 TEST_F(CancelTest, ArmedCleanRunIsByteIdentical)

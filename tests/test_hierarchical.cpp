@@ -33,7 +33,9 @@
 #include "noise/crosstalk_data.hpp"
 #include "noise/noise_model.hpp"
 #include "routing/astar_router.hpp"
+#include "routing/chip_router.hpp"
 #include "routing/corridor_router.hpp"
+#include "routing/drc.hpp"
 
 namespace youtiao {
 namespace {
@@ -342,6 +344,76 @@ TEST(HierarchicalRouting, PeakArenaIsTheLargestTileArena)
         largest = std::max(largest, arena.memoryBytes());
     }
     EXPECT_EQ(routing.peakArenaBytes, largest);
+}
+
+TEST(HierarchicalRouting, NoNetClaimsAnotherNetsInterfaceCell)
+{
+    // Tile 414 of the 316x316 CLI run (--hierarchical --tile-size 64,
+    // seed 2025), rebuilt from its seeds exactly as designTiles builds
+    // it. Two of its perimeter slots share a corner cell; when a later
+    // net claimed the second one it overwrote net 110's interface cell
+    // and split that net in two (DRC dirty with either tile search).
+    const ChipTopology chip = makeSquareGrid(316, 316);
+    const TileMap map = makeUniformTileMap(chip, 64);
+    ASSERT_EQ(map.tileCount(), 1600u);
+    constexpr std::size_t kTile = 414;
+    std::vector<std::size_t> tile_size(map.tileCount(), 0);
+    for (std::size_t t : map.tileOfQubit)
+        ++tile_size[t];
+    // Every tile is non-empty, so map tile 414 is design tile 414.
+    ASSERT_EQ(std::count(tile_size.begin(), tile_size.end(), 0u), 0);
+
+    std::vector<std::size_t> local(chip.qubitCount(), 0);
+    ChipTopology tile(chip.name() + " tile (" +
+                      std::to_string(kTile % map.tilesX) + "," +
+                      std::to_string(kTile / map.tilesX) + ")");
+    for (std::size_t q = 0; q < chip.qubitCount(); ++q) {
+        if (map.tileOfQubit[q] != kTile)
+            continue;
+        local[q] = tile.qubitCount();
+        tile.addQubit(chip.qubit(q));
+    }
+    for (const CouplerInfo &c : chip.couplers()) {
+        if (map.tileOfQubit[c.qubitA] == kTile &&
+            map.tileOfQubit[c.qubitB] == kTile)
+            tile.addCoupler(local[c.qubitA], local[c.qubitB], c.position);
+    }
+
+    constexpr std::uint64_t kSeed = 2025;
+    YoutiaoConfig config;
+    config.seed = taskSeed(kSeed, kTile);
+    config.fit.forest.treeCount = 25;
+    Prng prng(taskSeed(kSeed, 0xC0FFEE00ull + kTile));
+    const ChipCharacterization data = characterizeChip(tile, prng);
+    const YoutiaoDesign design =
+        YoutiaoDesigner(config).designFromMeasurements(tile, data, 0.6);
+    const ChipRoutingConfig routing = tunedTileRoutingConfig();
+    const std::vector<NetSpec> nets =
+        buildWiringNets(tile, design.xyPlan, design.zPlan,
+                        design.readoutPlan, routing);
+
+    for (const RoutedWiring &routed :
+         {routeTileWithFallback(tile, nets, routing),
+          routeChipWithFallback(tile, nets, routing)}) {
+        const ChipRoutingResult &result = routed.result;
+        ASSERT_TRUE(result.grid.has_value());
+        EXPECT_EQ(result.failedConnections, 0u);
+        ASSERT_EQ(result.interfaces.size(), result.netCount);
+        for (std::size_t n = 0; n < result.netCount; ++n) {
+            const Cell iface = result.grid->cellAt(result.interfaces[n]);
+            EXPECT_EQ(result.grid->owner(iface),
+                      static_cast<std::int32_t>(n))
+                << "net " << n << " lost its interface cell";
+        }
+        const DrcReport drc = checkRoutingDrc(
+            *result.grid, result.netCount, result.crossovers);
+        EXPECT_TRUE(drc.clean) << [&] {
+            std::string all;
+            for (const std::string &v : drc.violations)
+                all += v + "\n";
+            return all;
+        }();
+    }
 }
 
 // --------------------------------------------- 64-bit corridor indexing

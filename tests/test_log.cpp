@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/log.hpp"
@@ -165,6 +167,22 @@ TEST(Log, SinkReceivesNewlineTerminatedLines)
     EXPECT_EQ(line.back(), '\n');
     EXPECT_NE(line.find("msg=\"hello\""), std::string::npos);
     EXPECT_NE(line.find("k=v"), std::string::npos);
+}
+
+TEST(Log, TimestampCountsFromProcessStart)
+{
+    // ctest runs each case as its own process, so this is the first line
+    // the process logs: its `ts` must count from process start, not from
+    // the line itself.
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    const LevelGuard guard(log::Level::Info);
+    const CaptureSink sink;
+    log::info("first line");
+    ASSERT_EQ(sink.lines().size(), 1u);
+    const std::string &line = sink.lines()[0];
+    const std::size_t at = line.find(" ts=");
+    ASSERT_NE(at, std::string::npos) << line;
+    EXPECT_GT(std::stod(line.substr(at + 4)), 0.0) << line;
 }
 
 TEST(Log, EnabledMatchesThreshold)

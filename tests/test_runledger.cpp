@@ -357,6 +357,63 @@ TEST(RunLedger, TrendsSeparateTools)
     EXPECT_FALSE(trends[1].anyRegression());
 }
 
+PerfRecord
+cliRecordOnChip(const std::string &chip_hash, double seconds)
+{
+    PerfRecord record =
+        recordWithPhase("youtiao_cli", "noise.forest_fit", seconds);
+    record.hashes = {{"chip", chip_hash}, {"seed", "7"}};
+    return record;
+}
+
+TEST(RunLedger, TrendsSeparateInputHashes)
+{
+    // Every CLI record names the benchmark "youtiao_cli": three 4x4
+    // runs then one 10x10 run are two series, not a 65x regression.
+    std::vector<PerfRecord> records = {
+        cliRecordOnChip("4x4", 0.1), cliRecordOnChip("4x4", 0.1),
+        cliRecordOnChip("4x4", 0.1), cliRecordOnChip("10x10", 6.5),
+    };
+    std::vector<runledger::BenchmarkTrend> trends =
+        runledger::ledgerTrends(records);
+    ASSERT_EQ(trends.size(), 2u);
+    EXPECT_EQ(trends[0].benchmark, "youtiao_cli");
+    EXPECT_EQ(trends[0].hashes.at("chip"), "10x10");
+    EXPECT_EQ(trends[0].runs, 1u);
+    EXPECT_EQ(trends[1].benchmark, "youtiao_cli");
+    EXPECT_EQ(trends[1].hashes.at("chip"), "4x4");
+    EXPECT_EQ(trends[1].runs, 3u);
+    EXPECT_FALSE(trends[0].anyRegression());
+    EXPECT_FALSE(trends[1].anyRegression());
+
+    // Each series is headed by its benchmark and a short input hash;
+    // a record without hashes keeps the plain heading.
+    records.push_back(recordWithPhase("table2_wiring", "p", 1.0));
+    trends = runledger::ledgerTrends(records);
+    ASSERT_EQ(trends.size(), 3u);
+    const std::string report = runledger::trendReport(trends);
+    const std::string heading = "-- youtiao_cli inputs ";
+    const std::size_t first = report.find(heading);
+    ASSERT_NE(first, std::string::npos);
+    const std::size_t second = report.find(heading, first + 1);
+    ASSERT_NE(second, std::string::npos);
+    EXPECT_NE(report.substr(first + heading.size(), 8),
+              report.substr(second + heading.size(), 8));
+    EXPECT_NE(report.find("-- table2_wiring (1 runs"), std::string::npos);
+
+    // Inside one series a slower run is still flagged.
+    records.push_back(cliRecordOnChip("10x10", 6.5));
+    records.push_back(cliRecordOnChip("10x10", 9.0));
+    trends = runledger::ledgerTrends(records);
+    ASSERT_EQ(trends.size(), 3u);
+    EXPECT_EQ(trends[0].benchmark, "table2_wiring");
+    EXPECT_FALSE(trends[0].anyRegression());
+    EXPECT_EQ(trends[1].hashes.at("chip"), "10x10");
+    EXPECT_TRUE(trends[1].anyRegression());
+    EXPECT_EQ(trends[2].hashes.at("chip"), "4x4");
+    EXPECT_FALSE(trends[2].anyRegression());
+}
+
 TEST(RunLedger, TrendSkipsCancelledAndFailedRuns)
 {
     // Runs cut short by --deadline (exit 3) record truncated phase

@@ -6,7 +6,7 @@
  *   fault_campaign [--rates R1,R2,...] [--seeds N] [--base-seed S]
  *                  [--topology NAME] [--rows N] [--cols N] [--chip FILE]
  *                  [--inject-faults SPEC] [--no-route] [--out FILE]
- *                  [--deadline SECONDS] [--checkpoint DIR] [--resume]
+ *                  [--deadline SECONDS]
  *                  [--profile] [--trace FILE] [--log-level LEVEL]
  *
  * Every (rate, seed) cell generates a random defect set, applies it to
@@ -25,11 +25,9 @@
  *
  * Robustness: --deadline SECONDS arms a cooperative deadline
  * (common/cancel.hpp) -- the sweep aborts between cells with a flight
- * dump and exit code 3. --checkpoint DIR journals every finished cell
- * (design, route, DRC verdict, fault counters); --resume replays a
- * matching journal and fast-forwards the fault-injection counters, so
- * the finished record is byte-identical to an uninterrupted sweep. The
- * campaign JSON is written atomically (temp + fsync + rename).
+ * dump and exit code 3. The sweep is a pure function of its chip, seeds
+ * and fault spec, so rerunning an interrupted sweep is its recovery.
+ * The campaign JSON is written atomically (temp + fsync + rename).
  *
  * Exit codes: 0 every run accounted for (design DRC-clean or structured
  * failure), 1 some run was not, 2 usage / bad argument, 3 cancelled /
@@ -48,7 +46,6 @@
 #include "chip/topology_builder.hpp"
 #include "common/atomic_io.hpp"
 #include "common/cancel.hpp"
-#include "common/checkpoint.hpp"
 #include "common/cli_parse.hpp"
 #include "common/error.hpp"
 #include "common/fault.hpp"
@@ -73,7 +70,7 @@ usage(const char *argv0)
         "low-density|grid]\n"
         "          [--rows N] [--cols N] [--chip FILE]\n"
         "          [--inject-faults SPEC] [--no-route] [--out FILE]\n"
-        "          [--deadline SECONDS] [--checkpoint DIR] [--resume]\n"
+        "          [--deadline SECONDS]\n"
         "          [--profile] [--trace FILE]\n"
         "          [--log-level error|warn|info|debug]\n"
         "  --rates: comma-separated defect rates in [0,1] "
@@ -84,8 +81,6 @@ usage(const char *argv0)
         "  --no-route: skip routing + DRC of surviving designs\n"
         "  --out: campaign JSON path (default fault_campaign.json)\n"
         "  --deadline: cancel the sweep after SECONDS (exit 3)\n"
-        "  --checkpoint: journal finished cells into DIR\n"
-        "  --resume: replay a matching journal from --checkpoint DIR\n"
         "  --profile: print the phase/counter profile after the sweep\n"
         "  --trace: write a Chrome trace of the campaign to FILE\n",
         argv0);
@@ -125,8 +120,6 @@ runCampaign(int argc, char **argv, runledger::Recorder &recorder)
     std::string trace_path;
     bool profile = false;
     double deadline_s = 0.0;
-    std::string checkpoint_dir;
-    bool resume = false;
 
     try {
         for (int i = 1; i < argc; ++i) {
@@ -163,10 +156,6 @@ runCampaign(int argc, char **argv, runledger::Recorder &recorder)
             else if (arg == "--deadline")
                 deadline_s =
                     parsePositiveDoubleArg(next(), "--deadline");
-            else if (arg == "--checkpoint")
-                checkpoint_dir = next();
-            else if (arg == "--resume")
-                resume = true;
             else if (arg == "--log-level") {
                 const char *name = next();
                 if (!log::setLevelByName(name)) {
@@ -187,11 +176,6 @@ runCampaign(int argc, char **argv, runledger::Recorder &recorder)
             fault::configure(campaign.faultSpec); // validate grammar now
     } catch (const ConfigError &e) {
         std::fprintf(stderr, "error: %s\n", e.what());
-        return 2;
-    }
-    if (resume && checkpoint_dir.empty()) {
-        std::fprintf(stderr,
-                     "error: --resume requires --checkpoint DIR\n");
         return 2;
     }
 
@@ -234,14 +218,14 @@ runCampaign(int argc, char **argv, runledger::Recorder &recorder)
             }
         }
         campaign.designer.seed = campaign.baseSeed;
-        std::ostringstream cfg;
-        cfg << "rates=";
-        for (double rate : campaign.defectRates)
-            cfg << rate << ",";
-        cfg << "seeds=" << campaign.seedsPerRate
-            << ",route=" << campaign.route
-            << ",faults=" << campaign.faultSpec;
         if (runledger::ledgerConfigured()) {
+            std::ostringstream cfg;
+            cfg << "rates=";
+            for (double rate : campaign.defectRates)
+                cfg << rate << ",";
+            cfg << "seeds=" << campaign.seedsPerRate
+                << ",route=" << campaign.route
+                << ",faults=" << campaign.faultSpec;
             recorder.hashBytes("chip", chipToString(chip));
             recorder.setHash("seed",
                              std::to_string(campaign.baseSeed));
@@ -250,28 +234,6 @@ runCampaign(int argc, char **argv, runledger::Recorder &recorder)
 
         if (deadline_s > 0.0)
             cancel::armDeadline(deadline_s);
-        if (!checkpoint_dir.empty()) {
-            try {
-                checkpoint::open(
-                    checkpoint_dir, "fault_campaign",
-                    {{"chip", runledger::fnv1aHex(chipToString(chip))},
-                     {"seed", std::to_string(campaign.baseSeed)},
-                     {"config", runledger::fnv1aHex(cfg.str())}},
-                    resume);
-            } catch (const ConfigError &e) {
-                std::fprintf(stderr, "error: %s\n", e.what());
-                return 2;
-            }
-            const checkpoint::Stats st = checkpoint::stats();
-            if (resume)
-                std::printf("checkpoint: resumed %zu snapshot(s) from "
-                            "%s (%zu rejected)\n",
-                            st.snapshotsLoaded, checkpoint_dir.c_str(),
-                            st.snapshotsRejected);
-        }
-        struct CheckpointCloser {
-            ~CheckpointCloser() { checkpoint::close(); }
-        } checkpoint_closer;
 
         const FaultCampaignSummary summary =
             runFaultCampaign(chip, campaign);

@@ -8,8 +8,10 @@
  * Where perf_check compares exactly two run records, perf_trend reads
  * a JSONL run ledger (one youtiao-perf-5 record per line, appended by
  * every tool and bench when $YOUTIAO_RUN_LEDGER is set; see
- * docs/FILE_FORMATS.md) and aggregates each benchmark's runs into
- * per-phase trends: the median of the prior runs, the p99 across the
+ * docs/FILE_FORMATS.md) and aggregates the runs of each series -- one
+ * benchmark on identical input hashes (chip, seed, config), headed by a
+ * short hash of them; bench records carry none -- into per-phase
+ * trends: the median of the prior runs, the p99 across the
  * whole series, the latest value, and the latest/median ratio. Only
  * runs that exited 0 enter a series: a run cut short by --deadline or
  * a failure recorded truncated times, which would otherwise become

@@ -8,7 +8,7 @@
  *               [--hop] [--hop-save FILE]
  *               [--drift-trace FILE] [--drift-epochs N]
  *               [--trace FILE] [--inject-faults SPEC]
- *               [--deadline SECONDS] [--checkpoint DIR] [--resume]
+ *               [--deadline SECONDS]
  *               [--log-level LEVEL]
  *
  * Topologies: square, hexagon, heavy-square, heavy-hexagon, low-density,
@@ -51,13 +51,10 @@
  * Robustness: --deadline SECONDS arms a cooperative deadline
  * (common/cancel.hpp); a run that exceeds it aborts cleanly with a
  * structured deadline_exceeded error, a flight dump, and exit code 3.
- * --checkpoint DIR journals the pipeline's natural barriers (per tile
- * for --hierarchical design and routing, per epoch for --drift-trace)
- * into DIR; --resume (requires --checkpoint) replays a prior
- * interrupted run's journal -- the manifest must hash to the same chip,
- * seed and configuration -- and the finished artifacts are
- * byte-identical to an uninterrupted run (see docs/CHECKPOINTS.md).
- * All artifact files are written atomically (temp + fsync + rename).
+ * Every run is a pure function of (chip, seed, configuration), so
+ * rerunning an interrupted run is its recovery: the rerun writes the
+ * same bytes. All artifact files are written atomically (temp + fsync +
+ * rename), so an interrupted run never leaves a torn artifact behind.
  *
  * Exit codes: 0 success, 1 runtime failure (including structured design
  * failures), 2 usage / bad argument (including chip files that fail to
@@ -76,7 +73,6 @@
 #include "chip/topology_builder.hpp"
 #include "common/atomic_io.hpp"
 #include "common/cancel.hpp"
-#include "common/checkpoint.hpp"
 #include "common/cli_parse.hpp"
 #include "common/error.hpp"
 #include "common/fault.hpp"
@@ -113,7 +109,7 @@ usage(const char *argv0)
         "          [--hop] [--hop-save FILE] [--drift-trace FILE] "
         "[--drift-epochs N]\n"
         "          [--trace FILE] [--inject-faults SPEC]\n"
-        "          [--deadline SECONDS] [--checkpoint DIR] [--resume]\n"
+        "          [--deadline SECONDS]\n"
         "          [--log-level error|warn|info|debug]\n"
         "  --rows/--cols/--capacity take integers >= 1, --theta a "
         "positive number;\n"
@@ -143,14 +139,11 @@ usage(const char *argv0)
         "  site[:rate[:seed]][,...]; also YOUTIAO_FAULTS);\n"
         "  --deadline SECONDS cancels the run cooperatively when the "
         "budget runs\n"
-        "  out (exit 3); --checkpoint DIR journals per-tile/per-epoch "
-        "snapshots;\n"
-        "  --resume replays a matching journal so the finished artifact "
-        "is\n"
-        "  byte-identical to an uninterrupted run; --log-level "
-        "sets the\n"
-        "  structured-log threshold (also the YOUTIAO_LOG environment "
-        "variable)\n",
+        "  out (exit 3); rerunning is the recovery of an interrupted "
+        "run;\n"
+        "  --log-level sets the structured-log threshold (also the "
+        "YOUTIAO_LOG\n"
+        "  environment variable)\n",
         argv0);
     std::exit(2);
 }
@@ -180,8 +173,6 @@ runCli(int argc, char **argv, runledger::Recorder &recorder)
     std::string drift_path;
     std::size_t drift_epochs = 48;
     double deadline_s = 0.0;
-    std::string checkpoint_dir;
-    bool resume = false;
 
     try {
         for (int i = 1; i < argc; ++i) {
@@ -232,10 +223,6 @@ runCli(int argc, char **argv, runledger::Recorder &recorder)
             else if (arg == "--deadline")
                 deadline_s =
                     parsePositiveDoubleArg(next(), "--deadline");
-            else if (arg == "--checkpoint")
-                checkpoint_dir = next();
-            else if (arg == "--resume")
-                resume = true;
             else if (arg == "--inject-faults")
                 fault_spec = next();
             else if (arg == "--log-level") {
@@ -258,11 +245,6 @@ runCli(int argc, char **argv, runledger::Recorder &recorder)
         }
     } catch (const ConfigError &e) {
         std::fprintf(stderr, "error: %s\n", e.what());
-        return 2;
-    }
-    if (resume && checkpoint_dir.empty()) {
-        std::fprintf(stderr,
-                     "error: --resume requires --checkpoint DIR\n");
         return 2;
     }
     // The hierarchical path has its own report, routing and exit
@@ -350,41 +332,6 @@ runCli(int argc, char **argv, runledger::Recorder &recorder)
 
         if (deadline_s > 0.0)
             cancel::armDeadline(deadline_s);
-        if (!checkpoint_dir.empty()) {
-            // The manifest hashes mirror the run record's provenance
-            // values: a resume under a different chip, seed or
-            // configuration is refused up front instead of splicing
-            // incompatible snapshots.
-            try {
-                checkpoint::open(
-                    checkpoint_dir, "youtiao_cli",
-                    {{"chip", runledger::fnv1aHex(chipToString(chip))},
-                     {"seed", std::to_string(seed)},
-                     {"config",
-                      runledger::fnv1aHex(
-                          "topology=" + topology +
-                          ",capacity=" + std::to_string(capacity) +
-                          ",theta=" + std::to_string(theta) +
-                          ",hierarchical=" +
-                          (hierarchical ? "1" : "0") +
-                          ",tile_size=" + std::to_string(tile_size) +
-                          ",faults=" + fault_spec)}},
-                    resume);
-            } catch (const ConfigError &e) {
-                std::fprintf(stderr, "error: %s\n", e.what());
-                return 2;
-            }
-            const checkpoint::Stats st = checkpoint::stats();
-            if (resume)
-                std::printf("checkpoint: resumed %zu snapshot(s) from "
-                            "%s (%zu rejected)\n",
-                            st.snapshotsLoaded, checkpoint_dir.c_str(),
-                            st.snapshotsRejected);
-        }
-        // From here every return path must release the journal.
-        struct CheckpointCloser {
-            ~CheckpointCloser() { checkpoint::close(); }
-        } checkpoint_closer;
 
         if (hierarchical) {
             // Tiled scale-out: per-tile synthetic characterization
