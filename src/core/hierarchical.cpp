@@ -32,6 +32,16 @@ binOf(double v, const std::vector<double> &cuts)
     return std::min(bin, bins - 1);
 }
 
+/**
+ * Half-width of the seam band within which qubits join the boundary
+ * stitch, in median coupler spans: covers nearest and next-nearest
+ * cross-seam neighbours.
+ */
+constexpr double kSeamRadiusSpans = 2.05;
+/** Retune sweeps over the seam band (even passes move the higher-tile
+ *  endpoint of a hot pair, odd passes the lower). */
+constexpr std::size_t kMaxSeamPasses = 4;
+
 /** Median coupler span (mm): the chip's effective device pitch. */
 double
 medianCouplerSpanMm(const ChipTopology &chip)
@@ -487,9 +497,7 @@ HierarchicalDesigner::stitchSeamsImpl(const ChipTopology &chip,
 {
     const metrics::ScopedTimer timer("hier.seam_stitch");
     const TileMap &map = out.map;
-    const double radius =
-        hier_.seamRadiusMm > 0.0 ? hier_.seamRadiusMm
-                                 : 2.05 * medianCouplerSpanMm(chip);
+    const double radius = kSeamRadiusSpans * medianCouplerSpanMm(chip);
     out.seamRadiusMmUsed = radius;
 
     std::vector<double> x_cuts(map.xCutsMm.begin() + 1,
@@ -604,7 +612,7 @@ HierarchicalDesigner::stitchSeamsImpl(const ChipTopology &chip,
     // pair whose first qubit is boxed in by its own neighbours still has
     // a degree of freedom. Deterministic: pairs in ascending order,
     // cells in ascending order, strict improvement required.
-    for (std::size_t pass = 0; pass < hier_.maxSeamPasses; ++pass) {
+    for (std::size_t pass = 0; pass < kMaxSeamPasses; ++pass) {
         cancel::poll("hier.seam_stitch");
         std::size_t retunes_this_pass = 0;
         for (const auto &[a, b] : cross_pairs) {
@@ -615,7 +623,7 @@ HierarchicalDesigner::stitchSeamsImpl(const ChipTopology &chip,
                     break;
                 }
             }
-            if (pairCost(a, b, xt) <= hier_.seamCrosstalkEpsilon)
+            if (pairCost(a, b, xt) <= kSeamCrosstalkEpsilon)
                 continue;
             const bool pick_high = pass % 2 == 0;
             const std::size_t q =
@@ -688,7 +696,7 @@ HierarchicalDesigner::stitchSeamsImpl(const ChipTopology &chip,
         const double cost = pairCost(a, b, xt);
         cross_cost += cost;
         out.maxSeamCrosstalk = std::max(out.maxSeamCrosstalk, cost);
-        if (cost > hier_.seamCrosstalkEpsilon)
+        if (cost > kSeamCrosstalkEpsilon)
             ++out.seamViolationsUnresolved;
     }
     plan.crosstalkCost += cross_cost;
@@ -822,11 +830,9 @@ routeHierarchical(const ChipTopology &chip,
         ++out.totalNets;
     }
 
-    out.corridor =
-        routeCorridors(out.lattice, out.corridorEntries, config.corridor);
-    out.corridorDrc = checkCorridorDrc(out.lattice, out.corridor,
-                                       out.corridorEntries,
-                                       config.corridor);
+    out.corridor = routeCorridors(out.lattice, out.corridorEntries);
+    out.corridorDrc =
+        checkCorridorDrc(out.lattice, out.corridor, out.corridorEntries);
     for (const CorridorPath &path : out.corridor.paths)
         out.totalLengthMm += path.lengthMm;
 

@@ -18,7 +18,8 @@
  *    ones;
  *  - tile-level routing terminates at each tile's perimeter, and the
  *    corridor router carries every net through the reserved seam
- *    corridors to the chip boundary over 64-bit segment indices.
+ *    corridors to the chip boundary, on dense per-segment search state
+ *    whose size is budgeted before it is allocated.
  *
  * Differential contract (the correctness backbone, pinned by
  * tests/test_hierarchical.cpp): with a single tile covering the whole
@@ -80,23 +81,15 @@ struct HierarchicalConfig
 {
     /** Target qubits per tile; 0 = one tile spanning the chip. */
     std::size_t tileSizeQubits = 64;
-    /**
-     * Half-width of the seam band (mm) within which qubits participate
-     * in the boundary stitch; 0 = auto (2.05x the median coupler span,
-     * covering nearest and next-nearest cross-seam neighbours).
-     */
-    double seamRadiusMm = 0.0;
-    /**
-     * A cross-seam pair whose spectral crosstalk cost
-     * (crosstalk * Lorentzian overlap) exceeds this retunes one of its
-     * qubits. Calibrated against the flat allocator's residual per-pair
-     * costs on grid chips (worst in-tile pairs sit well below 1e-4).
-     */
-    double seamCrosstalkEpsilon = 1e-4;
-    /** Retune sweeps over the seam band (even passes move the
-     *  higher-tile endpoint of a hot pair, odd passes the lower). */
-    std::size_t maxSeamPasses = 4;
 };
+
+/**
+ * A cross-seam pair whose spectral crosstalk cost (crosstalk *
+ * Lorentzian overlap) exceeds this retunes one of its qubits.
+ * Calibrated against the flat allocator's residual per-pair costs on
+ * grid chips (worst in-tile pairs sit well below 1e-4).
+ */
+inline constexpr double kSeamCrosstalkEpsilon = 1e-4;
 
 /** One designed tile. */
 struct HierarchicalTile
@@ -234,8 +227,6 @@ struct HierarchicalRoutingConfig
 {
     /** Per-tile maze-routing configuration. */
     ChipRoutingConfig tile = tunedTileRoutingConfig();
-    /** Seam corridor routing configuration. */
-    CorridorConfig corridor;
     /**
      * Upper bound on one tile search's per-state arena memory
      * (GoalDirectedArena::bytesFor the tile's routing grid; the search's

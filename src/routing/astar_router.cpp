@@ -129,7 +129,7 @@ requireAstarIndexable(std::size_t width, std::size_t height)
                       std::to_string(height) +
                       " cells exceeds the A* 32-bit state index; shrink "
                       "the grid, coarsen the cell pitch, or use the "
-                      "hierarchical tile router (64-bit corridor ids)");
+                      "hierarchical tile router");
 }
 
 std::optional<RoutedPath>

@@ -1,8 +1,8 @@
 #include "routing/corridor_router.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
-#include <queue>
 
 #include "common/cancel.hpp"
 #include "common/error.hpp"
@@ -55,109 +55,43 @@ segmentsAtVertex(const CorridorLattice &lattice, std::uint64_t i,
         out.push_back(lattice.horizontalCount() + i * ty + j);
 }
 
-double
-traversalCost(const CorridorLattice &lattice, std::uint64_t id,
-              const std::unordered_map<std::uint64_t, std::uint32_t> &usage,
-              const CorridorConfig &config)
+/** Segments sharing a lattice vertex with @p ref, itself included. */
+void
+segmentsAround(const CorridorLattice &lattice, const SegRef &ref,
+               std::vector<std::uint64_t> &out)
 {
-    double factor = 1.0;
-    const auto it = usage.find(id);
-    if (it != usage.end() && config.usageNorm > 0.0) {
-        factor += config.congestionWeight *
-                  static_cast<double>(it->second) / config.usageNorm;
-    }
-    return lattice.segmentLengthMm(id) * factor;
+    segmentsAtVertex(lattice, ref.i, ref.j, out);
+    if (ref.horizontal)
+        segmentsAtVertex(lattice, ref.i + 1, ref.j, out);
+    else
+        segmentsAtVertex(lattice, ref.i, ref.j + 1, out);
 }
 
 bool
-atCapacity(std::uint64_t id,
-           const std::unordered_map<std::uint64_t, std::uint32_t> &usage,
-           const CorridorConfig &config)
+onBoundary(const CorridorLattice &lattice, const SegRef &ref)
 {
-    if (config.segmentCapacity == 0)
-        return false;
-    const auto it = usage.find(id);
-    return it != usage.end() && it->second >= config.segmentCapacity;
+    if (ref.horizontal)
+        return ref.j == 0 || ref.j == lattice.tilesY();
+    return ref.i == 0 || ref.i == lattice.tilesX();
 }
 
 /**
- * Sparse Dijkstra from @p from until @p isGoal. 64-bit segment ids keyed
- * through hash maps: only the explored neighbourhood allocates, so the
- * lattice itself can be arbitrarily large. The priority queue orders by
- * (cost, id), making pop order -- and therefore the parent forest --
- * deterministic regardless of hash-map iteration order.
+ * Congestion pressure: a segment already carrying u nets costs
+ * length * (1 + kCongestionWeight * u / kUsageNorm) to traverse.
  */
-template <typename Goal>
-std::optional<CorridorPath>
-searchCorridor(const CorridorLattice &lattice, std::uint64_t from,
-               const Goal &isGoal,
-               const std::unordered_map<std::uint64_t, std::uint32_t> &usage,
-               const CorridorConfig &config)
+constexpr double kCongestionWeight = 4.0;
+constexpr double kUsageNorm = 32.0;
+/** Line pitch inside a corridor (mm); sizes the width report. */
+constexpr double kLinePitchMm = 0.03;
+/** Search state per segment: lengthMm, g, parent, stamp and usage. */
+constexpr std::uint64_t kStateBytesPerSegment =
+    2 * sizeof(double) + 2 * sizeof(std::uint64_t) + sizeof(std::uint32_t);
+
+double
+traversalCost(double length_mm, std::uint32_t usage)
 {
-    if (atCapacity(from, usage, config))
-        return std::nullopt;
-
-    std::unordered_map<std::uint64_t, double> g;
-    std::unordered_map<std::uint64_t, std::uint64_t> parent;
-    using Entry = std::pair<double, std::uint64_t>;
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> open;
-
-    g[from] = traversalCost(lattice, from, usage, config);
-    open.emplace(g[from], from);
-    std::vector<std::uint64_t> adjacent;
-    std::size_t expanded = 0;
-    std::optional<std::uint64_t> goal;
-    while (!open.empty()) {
-        const auto [cost, id] = open.top();
-        open.pop();
-        const auto gi = g.find(id);
-        if (gi == g.end() || cost > gi->second)
-            continue; // stale queue entry
-        ++expanded;
-        if ((expanded & 0xFFF) == 0)
-            cancel::poll("corridor");
-        if (isGoal(id)) {
-            goal = id;
-            break;
-        }
-        adjacent.clear();
-        const SegRef ref = decode(lattice, id);
-        if (ref.horizontal) {
-            segmentsAtVertex(lattice, ref.i, ref.j, adjacent);
-            segmentsAtVertex(lattice, ref.i + 1, ref.j, adjacent);
-        } else {
-            segmentsAtVertex(lattice, ref.i, ref.j, adjacent);
-            segmentsAtVertex(lattice, ref.i, ref.j + 1, adjacent);
-        }
-        for (std::uint64_t next : adjacent) {
-            if (next == id || atCapacity(next, usage, config))
-                continue;
-            const double cand =
-                cost + traversalCost(lattice, next, usage, config);
-            const auto it = g.find(next);
-            if (it == g.end() || cand < it->second) {
-                g[next] = cand;
-                parent[next] = id;
-                open.emplace(cand, next);
-            }
-        }
-    }
-    metrics::count("corridor.segments_expanded", expanded);
-    if (!goal.has_value())
-        return std::nullopt;
-
-    CorridorPath path;
-    std::uint64_t at = *goal;
-    while (true) {
-        path.segments.push_back(at);
-        path.lengthMm += lattice.segmentLengthMm(at);
-        const auto it = parent.find(at);
-        if (it == parent.end())
-            break;
-        at = it->second;
-    }
-    std::reverse(path.segments.begin(), path.segments.end());
-    return path;
+    return length_mm * (1.0 + kCongestionWeight *
+                                  static_cast<double>(usage) / kUsageNorm);
 }
 
 } // namespace
@@ -186,14 +120,7 @@ std::vector<std::uint64_t>
 CorridorLattice::adjacentSegments(std::uint64_t id) const
 {
     std::vector<std::uint64_t> out;
-    const SegRef ref = decode(*this, id);
-    if (ref.horizontal) {
-        segmentsAtVertex(*this, ref.i, ref.j, out);
-        segmentsAtVertex(*this, ref.i + 1, ref.j, out);
-    } else {
-        segmentsAtVertex(*this, ref.i, ref.j, out);
-        segmentsAtVertex(*this, ref.i, ref.j + 1, out);
-    }
+    segmentsAround(*this, decode(*this, id), out);
     out.erase(std::remove(out.begin(), out.end(), id), out.end());
     std::sort(out.begin(), out.end());
     out.erase(std::unique(out.begin(), out.end()), out.end());
@@ -203,10 +130,7 @@ CorridorLattice::adjacentSegments(std::uint64_t id) const
 bool
 CorridorLattice::isBoundary(std::uint64_t id) const
 {
-    const SegRef ref = decode(*this, id);
-    if (ref.horizontal)
-        return ref.j == 0 || ref.j == tilesY();
-    return ref.i == 0 || ref.i == tilesX();
+    return onBoundary(*this, decode(*this, id));
 }
 
 std::uint64_t
@@ -250,56 +174,105 @@ makeCorridorLattice(std::vector<double> x_cuts_mm,
 
 CorridorResult
 routeCorridors(const CorridorLattice &lattice,
-               const std::vector<std::uint64_t> &entries,
-               const CorridorConfig &config)
+               const std::vector<std::uint64_t> &entries)
 {
     const metrics::ScopedTimer timer("corridor.route");
+    const std::uint64_t segments = lattice.segmentCount();
+    requireConfig(
+        segments <= kCorridorStateBudgetBytes / kStateBytesPerSegment,
+        "corridor lattice of " + std::to_string(segments) +
+            " segments needs " +
+            std::to_string(segments * kStateBytesPerSegment) +
+            " bytes of search state, over the budget of " +
+            std::to_string(kCorridorStateBudgetBytes) +
+            " bytes; use larger tiles");
+
+    // Dense per-segment search state, reused across nets: g[s] and
+    // parent[s] belong to net n's search only while stamp[s] == n + 1.
+    std::vector<double> length_mm(segments);
+    std::vector<double> g(segments);
+    std::vector<std::uint64_t> parent(segments);
+    std::vector<std::uint64_t> stamp(segments, 0);
+    for (std::uint64_t id = 0; id < segments; ++id)
+        length_mm[id] = lattice.segmentLengthMm(id);
+    // Min-heap on (cost, id): pop order, and with it the parent forest,
+    // is a function of the costs alone.
+    using Entry = std::pair<double, std::uint64_t>;
+    std::vector<Entry> open;
+    std::vector<std::uint64_t> adjacent;
+
     CorridorResult result;
     result.paths.resize(entries.size());
-    const auto boundary = [&lattice](std::uint64_t id) {
-        return lattice.isBoundary(id);
-    };
+    result.usage.assign(segments, 0);
+    const std::vector<std::uint32_t> &usage = result.usage;
     for (std::size_t n = 0; n < entries.size(); ++n) {
-        auto path = searchCorridor(lattice, entries[n], boundary,
-                                   result.usage, config);
-        if (!path.has_value()) {
-            ++result.failedNets;
-            metrics::count("corridor.failed_nets");
-            continue;
+        // Dijkstra from the entry to the nearest boundary segment; the
+        // lattice is connected, so every net arrives.
+        const std::uint64_t from = entries[n];
+        requireConfig(from < segments, "corridor segment id out of range");
+        const std::uint64_t search = n + 1;
+        g[from] = traversalCost(length_mm[from], usage[from]);
+        stamp[from] = search;
+        parent[from] = from;
+        open.assign(1, Entry{g[from], from});
+        std::size_t expanded = 0;
+        std::uint64_t goal = from;
+        while (!open.empty()) {
+            std::pop_heap(open.begin(), open.end(), std::greater<>{});
+            const auto [cost, id] = open.back();
+            open.pop_back();
+            if (cost > g[id])
+                continue; // stale queue entry
+            ++expanded;
+            if ((expanded & 0xFFF) == 0)
+                cancel::poll("corridor");
+            const SegRef ref = decode(lattice, id);
+            if (onBoundary(lattice, ref)) {
+                goal = id;
+                break;
+            }
+            adjacent.clear();
+            segmentsAround(lattice, ref, adjacent);
+            for (std::uint64_t next : adjacent) {
+                if (next == id)
+                    continue;
+                const double cand =
+                    cost + traversalCost(length_mm[next], usage[next]);
+                if (stamp[next] != search || cand < g[next]) {
+                    g[next] = cand;
+                    stamp[next] = search;
+                    parent[next] = id;
+                    open.emplace_back(cand, next);
+                    std::push_heap(open.begin(), open.end(),
+                                   std::greater<>{});
+                }
+            }
         }
-        for (std::uint64_t id : path->segments) {
-            const std::uint32_t u = ++result.usage[id];
+        metrics::count("corridor.segments_expanded", expanded);
+
+        // Walk back from the goal, then reverse: entry segment first.
+        CorridorPath &path = result.paths[n];
+        for (std::uint64_t at = goal;; at = parent[at]) {
+            path.segments.push_back(at);
+            path.lengthMm += length_mm[at];
+            const std::uint32_t u = ++result.usage[at];
             result.maxSegmentUsage =
                 std::max<std::size_t>(result.maxSegmentUsage, u);
+            if (at == from)
+                break;
         }
-        result.paths[n] = std::move(*path);
+        std::reverse(path.segments.begin(), path.segments.end());
     }
     result.maxCorridorWidthMm =
-        static_cast<double>(result.maxSegmentUsage) * config.linePitchMm;
-    metrics::count("corridor.nets_routed",
-                   entries.size() - result.failedNets);
+        static_cast<double>(result.maxSegmentUsage) * kLinePitchMm;
+    metrics::count("corridor.nets_routed", entries.size());
     return result;
-}
-
-std::optional<CorridorPath>
-routeCorridorPath(const CorridorLattice &lattice, std::uint64_t from,
-                  std::uint64_t to,
-                  const std::unordered_map<std::uint64_t, std::uint32_t>
-                      &usage,
-                  const CorridorConfig &config)
-{
-    requireConfig(to < lattice.segmentCount(),
-                  "corridor segment id out of range");
-    return searchCorridor(
-        lattice, from, [to](std::uint64_t id) { return id == to; }, usage,
-        config);
 }
 
 CorridorDrcReport
 checkCorridorDrc(const CorridorLattice &lattice,
                  const CorridorResult &result,
-                 const std::vector<std::uint64_t> &entries,
-                 const CorridorConfig &config)
+                 const std::vector<std::uint64_t> &entries)
 {
     CorridorDrcReport report;
     const auto fail = [&report](std::string what) {
@@ -309,7 +282,8 @@ checkCorridorDrc(const CorridorLattice &lattice,
     if (result.paths.size() != entries.size())
         fail("path count does not match net count");
 
-    std::unordered_map<std::uint64_t, std::uint32_t> recount;
+    const std::uint64_t segments = lattice.segmentCount();
+    std::vector<std::uint32_t> recount(segments, 0);
     const std::size_t nets =
         std::min(result.paths.size(), entries.size());
     for (std::size_t n = 0; n < nets; ++n) {
@@ -321,6 +295,19 @@ checkCorridorDrc(const CorridorLattice &lattice,
         }
         if (path.segments.front() != entries[n])
             fail(net + ": does not start at its entry segment");
+        // Ids first: the adjacency and boundary queries decode each id
+        // and would throw on one outside the lattice.
+        bool ids_valid = true;
+        for (std::uint64_t id : path.segments) {
+            if (id < segments)
+                ++recount[id];
+            else
+                ids_valid = false;
+        }
+        if (!ids_valid) {
+            fail(net + ": references an invalid segment id");
+            continue;
+        }
         for (std::size_t k = 0; k + 1 < path.segments.size(); ++k) {
             const auto adj =
                 lattice.adjacentSegments(path.segments[k]);
@@ -332,25 +319,9 @@ checkCorridorDrc(const CorridorLattice &lattice,
         }
         if (!lattice.isBoundary(path.segments.back()))
             fail(net + ": ends inside the chip, not on the boundary");
-        for (std::uint64_t id : path.segments) {
-            if (id >= lattice.segmentCount()) {
-                fail(net + ": references an invalid segment id");
-                continue;
-            }
-            ++recount[id];
-        }
     }
     if (recount != result.usage)
         fail("recorded segment usage does not match the routed paths");
-    if (config.segmentCapacity > 0) {
-        for (const auto &[id, u] : recount) {
-            if (u > config.segmentCapacity) {
-                fail("segment " + std::to_string(id) + " carries " +
-                     std::to_string(u) + " nets over capacity " +
-                     std::to_string(config.segmentCapacity));
-            }
-        }
-    }
     std::sort(report.violations.begin(), report.violations.end());
     return report;
 }

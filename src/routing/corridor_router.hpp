@@ -11,21 +11,19 @@
  * entry segment nearest its interface pad to any segment on the chip
  * boundary.
  *
- * Segment indices are 64-bit by design: a 100k-qubit chip tiled at a few
- * dozen qubits per tile produces lattices far beyond the 32-bit state
- * budget of the dense cell-level A* (see requireAstarIndexable), and the
- * regression tests drive lattices whose ids exceed uint32 outright. The
- * search is a sparse congestion-aware Dijkstra over hash maps, so memory
- * scales with cells *visited*, not lattice size.
+ * The search is a congestion-aware Dijkstra whose state (best cost,
+ * parent, visit stamp, usage) lives in arrays indexed by segment, sized
+ * once per routeCorridors call and reused across nets. A 100k-qubit chip
+ * at 64 qubits per tile is a 40x40-tile lattice of 3,280 segments; a
+ * lattice whose state would exceed kCorridorStateBudgetBytes is refused
+ * with ConfigError before anything is allocated.
  */
 
 #ifndef YOUTIAO_ROUTING_CORRIDOR_ROUTER_HPP
 #define YOUTIAO_ROUTING_CORRIDOR_ROUTER_HPP
 
 #include <cstdint>
-#include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "chip/device.hpp"
@@ -37,7 +35,7 @@ namespace youtiao {
  * design. xCutsMm/yCutsMm are the ascending tile boundary coordinates
  * including the outer chip edges, so tilesX() = xCutsMm.size() - 1.
  *
- * Segment id scheme (all 64-bit):
+ * Segment id scheme:
  *   horizontal segment (i, j): runs along y = yCutsMm[j] from xCutsMm[i]
  *     to xCutsMm[i+1], for i in [0, tilesX), j in [0, tilesY]; its id is
  *     j * tilesX + i.
@@ -67,11 +65,6 @@ struct CorridorLattice
         return horizontalCount() + (tilesX() + 1) * tilesY();
     }
 
-    bool isHorizontal(std::uint64_t id) const
-    {
-        return id < horizontalCount();
-    }
-
     /** Length of segment @p id (mm). */
     double segmentLengthMm(std::uint64_t id) const;
 
@@ -98,26 +91,12 @@ struct CorridorLattice
 CorridorLattice makeCorridorLattice(std::vector<double> x_cuts_mm,
                                     std::vector<double> y_cuts_mm);
 
-/** Corridor routing knobs. */
-struct CorridorConfig
-{
-    /**
-     * Congestion pressure: a segment already carrying u nets costs
-     * length * (1 + congestionWeight * u / usageNorm) to traverse, so
-     * later nets spread across parallel corridors instead of piling
-     * onto one seam.
-     */
-    double congestionWeight = 4.0;
-    /** Usage normalization for the congestion term. */
-    double usageNorm = 32.0;
-    /**
-     * Hard per-segment net capacity; 0 = uncapped (the result reports
-     * the peak usage so callers can size the corridor width instead).
-     */
-    std::size_t segmentCapacity = 0;
-    /** Line pitch inside a corridor (mm); sizes the width report. */
-    double linePitchMm = 0.03;
-};
+/**
+ * Upper bound on routeCorridors' per-segment search state (bytes; the
+ * queue is not counted, as in the tile arena budget): half the default
+ * tile budget, and over 2,000x what the 100k-qubit chip's lattice needs.
+ */
+inline constexpr std::uint64_t kCorridorStateBudgetBytes = 256ull << 20;
 
 /** One net's corridor path (entry segment first). */
 struct CorridorPath
@@ -129,11 +108,12 @@ struct CorridorPath
 /** Result of routing a batch of nets through the corridors. */
 struct CorridorResult
 {
-    /** Per net, in input order; a failed net has an empty path. */
+    /** Per net, in input order, entry segment first. */
     std::vector<CorridorPath> paths;
+    /** Always 0: every entry segment reaches the chip boundary. */
     std::size_t failedNets = 0;
-    /** Nets crossing each used segment. */
-    std::unordered_map<std::uint64_t, std::uint32_t> usage;
+    /** Nets crossing each segment, indexed by segment id. */
+    std::vector<std::uint32_t> usage;
     std::size_t maxSegmentUsage = 0;
     /** Corridor width needed for the busiest segment (usage * pitch). */
     double maxCorridorWidthMm = 0.0;
@@ -141,22 +121,15 @@ struct CorridorResult
 
 /**
  * Route every net from its entry segment to the chip boundary,
- * congestion-aware, in input order (deterministic). A net whose entry
- * segment is already on the boundary gets the one-segment path.
+ * congestion-aware, in input order (deterministic): a segment's cost
+ * grows with the nets already crossing it, so later nets spread across
+ * parallel corridors instead of piling onto one seam. A net whose entry
+ * segment is already on the boundary gets the one-segment path. Throws
+ * ConfigError for an entry outside the lattice or a lattice whose
+ * search state would exceed kCorridorStateBudgetBytes.
  */
 CorridorResult routeCorridors(const CorridorLattice &lattice,
-                              const std::vector<std::uint64_t> &entries,
-                              const CorridorConfig &config = {});
-
-/**
- * Point-to-point corridor search (tests and diagnostics): cheapest
- * segment chain from @p from to @p to under @p usage. Sparse: on a huge
- * lattice only the neighbourhood between the endpoints is touched.
- */
-std::optional<CorridorPath> routeCorridorPath(
-    const CorridorLattice &lattice, std::uint64_t from, std::uint64_t to,
-    const std::unordered_map<std::uint64_t, std::uint32_t> &usage = {},
-    const CorridorConfig &config = {});
+                              const std::vector<std::uint64_t> &entries);
 
 /** Corridor design-rule report. */
 struct CorridorDrcReport
@@ -166,16 +139,14 @@ struct CorridorDrcReport
 };
 
 /**
- * Check the corridor invariants: every net routed, each path starts at
- * its entry segment, consecutive segments are lattice-adjacent, the
- * last segment reaches the chip boundary, the recorded usage matches
- * the paths, and (when @p config caps segments) no segment exceeds its
- * capacity.
+ * Check the corridor invariants: every net routed, every segment id
+ * inside the lattice, each path starts at its entry segment, consecutive
+ * segments are lattice-adjacent, the last segment reaches the chip
+ * boundary, and the recorded usage matches the paths.
  */
 CorridorDrcReport checkCorridorDrc(const CorridorLattice &lattice,
                                    const CorridorResult &result,
-                                   const std::vector<std::uint64_t> &entries,
-                                   const CorridorConfig &config = {});
+                                   const std::vector<std::uint64_t> &entries);
 
 } // namespace youtiao
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
@@ -7,16 +8,19 @@
 #include <optional>
 #include <queue>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "chip/topology_builder.hpp"
 #include "common/error.hpp"
+#include "common/metrics.hpp"
 #include "common/prng.hpp"
 #include "core/baselines.hpp"
 #include "core/youtiao.hpp"
 #include "routing/astar_router.hpp"
 #include "routing/chip_router.hpp"
+#include "routing/corridor_router.hpp"
 #include "routing/drc.hpp"
 
 namespace youtiao {
@@ -642,6 +646,233 @@ TEST(ChipRouterExtra, RoutingAreaEqualsLengthTimesPitch)
     const ChipRoutingResult result = routeChip(chip, nets, config);
     EXPECT_NEAR(result.routingAreaMm2,
                 result.totalLengthMm * config.grid.cellMm, 1e-9);
+}
+
+} // namespace
+} // namespace youtiao
+
+// -- corridor routing between tiles ---------------------------------------
+
+namespace youtiao {
+namespace {
+
+/** Nets crossing each segment, as the sparse search kept them. */
+using SparseUsage = std::unordered_map<std::uint64_t, std::uint32_t>;
+
+double
+sparseCost(const CorridorLattice &lattice, std::uint64_t id,
+           const SparseUsage &usage)
+{
+    double factor = 1.0;
+    const auto it = usage.find(id);
+    if (it != usage.end())
+        factor += 4.0 * static_cast<double>(it->second) / 32.0;
+    return lattice.segmentLengthMm(id) * factor;
+}
+
+/** The sparse search routeCorridors replaced, kept as the oracle: a
+ *  Dijkstra over hash maps with the same (cost, id) queue, stale-entry
+ *  test, strict relaxation and cost expression. */
+CorridorPath
+sparseToBoundary(const CorridorLattice &lattice, std::uint64_t from,
+                 const SparseUsage &usage, std::uint64_t &expanded)
+{
+    std::unordered_map<std::uint64_t, double> g;
+    std::unordered_map<std::uint64_t, std::uint64_t> parent;
+    using Entry = std::pair<double, std::uint64_t>;
+    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> open;
+    g[from] = sparseCost(lattice, from, usage);
+    open.emplace(g[from], from);
+    std::optional<std::uint64_t> goal;
+    while (!open.empty()) {
+        const auto [cost, id] = open.top();
+        open.pop();
+        const auto gi = g.find(id);
+        if (gi == g.end() || cost > gi->second)
+            continue;
+        ++expanded;
+        if (lattice.isBoundary(id)) {
+            goal = id;
+            break;
+        }
+        for (std::uint64_t next : lattice.adjacentSegments(id)) {
+            const double cand = cost + sparseCost(lattice, next, usage);
+            const auto it = g.find(next);
+            if (it == g.end() || cand < it->second) {
+                g[next] = cand;
+                parent[next] = id;
+                open.emplace(cand, next);
+            }
+        }
+    }
+    CorridorPath path;
+    if (!goal.has_value())
+        return path;
+    for (std::uint64_t at = *goal;;) {
+        path.segments.push_back(at);
+        path.lengthMm += lattice.segmentLengthMm(at);
+        const auto it = parent.find(at);
+        if (it == parent.end())
+            break;
+        at = it->second;
+    }
+    std::reverse(path.segments.begin(), path.segments.end());
+    return path;
+}
+
+std::uint64_t
+segmentsExpanded()
+{
+    return metrics::Registry::global()
+        .counters()["corridor.segments_expanded"];
+}
+
+/** @p tiles + 1 ascending cuts from 0: steps of @p pitch, or seeded
+ *  steps in [0.5, 3) mm when @p pitch is 0. */
+std::vector<double>
+corridorCuts(std::size_t tiles, double pitch, Prng &prng)
+{
+    std::vector<double> cuts(tiles + 1, 0.0);
+    for (std::size_t i = 1; i <= tiles; ++i)
+        cuts[i] = pitch > 0.0 ? pitch * static_cast<double>(i)
+                              : cuts[i - 1] + prng.uniform(0.5, 3.0);
+    return cuts;
+}
+
+/** @p nets entries, each the segment nearest a seeded point of a seeded
+ *  tile, as routeHierarchical places a tile net's entry. */
+std::vector<std::uint64_t>
+corridorEntries(const CorridorLattice &lattice, std::size_t nets,
+                Prng &prng)
+{
+    std::vector<std::uint64_t> entries;
+    for (std::size_t n = 0; n < nets; ++n) {
+        const std::size_t ix = prng.uniformInt(lattice.tilesX());
+        const std::size_t iy = prng.uniformInt(lattice.tilesY());
+        const double x =
+            prng.uniform(lattice.xCutsMm[ix], lattice.xCutsMm[ix + 1]);
+        const double y =
+            prng.uniform(lattice.yCutsMm[iy], lattice.yCutsMm[iy + 1]);
+        entries.push_back(lattice.entrySegmentForTile(ix, iy, Point{x, y}));
+    }
+    return entries;
+}
+
+TEST(CorridorRouter, MatchesSparseReferenceExactly)
+{
+    struct Case
+    {
+        std::size_t tilesX, tilesY;
+        double pitch; // 0 = seeded uneven cuts
+        std::size_t nets;
+        std::uint64_t seed;
+    };
+    // The 10k-qubit chip's 13x13 lattice on equal cuts (every tie
+    // breaks on the id), a non-square lattice on uneven cuts, and one
+    // tile, whose four segments are all on the boundary.
+    const Case cases[] = {{13, 13, 4.0, 2000, 1},
+                          {11, 4, 0.0, 1200, 2},
+                          {1, 1, 0.0, 50, 3}};
+    for (const Case &c : cases) {
+        SCOPED_TRACE(std::to_string(c.tilesX) + "x" +
+                     std::to_string(c.tilesY));
+        Prng prng(c.seed);
+        const CorridorLattice lattice =
+            makeCorridorLattice(corridorCuts(c.tilesX, c.pitch, prng),
+                                corridorCuts(c.tilesY, c.pitch, prng));
+        const std::vector<std::uint64_t> entries =
+            corridorEntries(lattice, c.nets, prng);
+
+        const std::uint64_t before = segmentsExpanded();
+        const CorridorResult dense = routeCorridors(lattice, entries);
+        const std::uint64_t dense_expanded = segmentsExpanded() - before;
+
+        SparseUsage usage;
+        std::size_t max_usage = 0;
+        std::uint64_t expanded = 0;
+        std::size_t rerouted = 0;
+        ASSERT_EQ(dense.paths.size(), entries.size());
+        for (std::size_t n = 0; n < entries.size(); ++n) {
+            const CorridorPath path =
+                sparseToBoundary(lattice, entries[n], usage, expanded);
+            std::uint64_t unused = 0;
+            if (sparseToBoundary(lattice, entries[n], {}, unused)
+                    .segments != path.segments)
+                ++rerouted;
+            ASSERT_EQ(dense.paths[n].segments, path.segments)
+                << "net " << n;
+            ASSERT_EQ(dense.paths[n].lengthMm, path.lengthMm)
+                << "net " << n;
+            for (std::uint64_t id : path.segments)
+                max_usage = std::max<std::size_t>(max_usage, ++usage[id]);
+        }
+        ASSERT_EQ(dense.usage.size(), lattice.segmentCount());
+        for (std::uint64_t id = 0; id < lattice.segmentCount(); ++id) {
+            const auto it = usage.find(id);
+            EXPECT_EQ(dense.usage[id], it == usage.end() ? 0u : it->second)
+                << "segment " << id;
+        }
+        EXPECT_EQ(dense.maxSegmentUsage, max_usage);
+        EXPECT_EQ(dense.maxCorridorWidthMm,
+                  static_cast<double>(max_usage) * 0.03);
+        EXPECT_EQ(dense.failedNets, 0u);
+        EXPECT_EQ(dense_expanded, expanded);
+        EXPECT_TRUE(checkCorridorDrc(lattice, dense, entries).clean);
+        if (c.tilesX > 1) {
+            EXPECT_GT(rerouted, 0u) << "congestion never moved a path";
+        }
+    }
+}
+
+TEST(CorridorLattice, StateBudgetRefusesBeforeAllocating)
+{
+    // 100,000 x 100,000 tiles (6.4e11 qubits at 64 per tile) has 2e10
+    // segments: its search state is refused before it is allocated.
+    std::vector<double> cuts(100001);
+    for (std::size_t i = 0; i < cuts.size(); ++i)
+        cuts[i] = static_cast<double>(i);
+    const CorridorLattice huge = makeCorridorLattice(cuts, cuts);
+    try {
+        (void)routeCorridors(huge, {0});
+        FAIL() << "a lattice over the state budget routed";
+    } catch (const ConfigError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("budget of " +
+                            std::to_string(kCorridorStateBudgetBytes)),
+                  std::string::npos)
+            << what;
+    }
+
+    // The 100k-qubit chip's 40 x 40 lattice routes a net from every
+    // segment.
+    cuts.resize(41);
+    const CorridorLattice chip = makeCorridorLattice(cuts, cuts);
+    ASSERT_EQ(chip.segmentCount(), 3280u);
+    std::vector<std::uint64_t> entries(chip.segmentCount());
+    for (std::uint64_t id = 0; id < entries.size(); ++id)
+        entries[id] = id;
+    const CorridorResult result = routeCorridors(chip, entries);
+    EXPECT_EQ(result.failedNets, 0u);
+    EXPECT_TRUE(checkCorridorDrc(chip, result, entries).clean);
+}
+
+TEST(CorridorDrc, ReportsAnInvalidSegmentId)
+{
+    const CorridorLattice lattice =
+        makeCorridorLattice({0.0, 1.0, 2.0}, {0.0, 1.0, 2.0});
+    // The east side of tile (0, 0) is interior: a two-segment path.
+    const std::vector<std::uint64_t> entries = {
+        lattice.entrySegmentForTile(0, 0, Point{1.0, 0.5})};
+    CorridorResult result = routeCorridors(lattice, entries);
+    ASSERT_TRUE(checkCorridorDrc(lattice, result, entries).clean);
+
+    result.paths[0].segments.push_back(999);
+    CorridorDrcReport drc;
+    ASSERT_NO_THROW(drc = checkCorridorDrc(lattice, result, entries));
+    EXPECT_FALSE(drc.clean);
+    EXPECT_EQ(drc.violations,
+              std::vector<std::string>{
+                  "net 0: references an invalid segment id"});
 }
 
 } // namespace
