@@ -26,35 +26,11 @@ taskSeed(std::uint64_t root_seed, std::uint64_t task_index)
     return splitMix64(state);
 }
 
-namespace {
-
-std::uint64_t
-rotl(std::uint64_t v, int k)
-{
-    return (v << k) | (v >> (64 - k));
-}
-
-} // namespace
-
 Prng::Prng(std::uint64_t seed)
 {
     std::uint64_t s = seed;
     for (auto &word : state_)
         word = splitMix64(s);
-}
-
-std::uint64_t
-Prng::next()
-{
-    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-    const std::uint64_t t = state_[1] << 17;
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl(state_[3], 45);
-    return result;
 }
 
 double
@@ -68,20 +44,6 @@ double
 Prng::uniform(double lo, double hi)
 {
     return lo + (hi - lo) * uniform();
-}
-
-std::size_t
-Prng::uniformInt(std::size_t n)
-{
-    requireInternal(n > 0, "uniformInt(n) needs n > 0");
-    // Rejection sampling to avoid modulo bias.
-    const std::uint64_t bound = n;
-    const std::uint64_t limit = UINT64_MAX - UINT64_MAX % bound;
-    std::uint64_t v;
-    do {
-        v = next();
-    } while (v >= limit);
-    return static_cast<std::size_t>(v % bound);
 }
 
 int

@@ -15,8 +15,11 @@
 #define YOUTIAO_COMMON_PRNG_HPP
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <vector>
+
+#include "common/error.hpp"
 
 namespace youtiao {
 
@@ -49,7 +52,19 @@ class Prng
     explicit Prng(std::uint64_t seed = 0x59544AFull);
 
     /** Next raw 64-bit value. */
-    std::uint64_t next();
+    std::uint64_t
+    next()
+    {
+        const std::uint64_t result = std::rotl(state_[1] * 5, 7) * 9;
+        const std::uint64_t t = state_[1] << 17;
+        state_[2] ^= state_[0];
+        state_[3] ^= state_[1];
+        state_[1] ^= state_[2];
+        state_[0] ^= state_[3];
+        state_[2] ^= t;
+        state_[3] = std::rotl(state_[3], 45);
+        return result;
+    }
 
     /** Uniform double in [0, 1). */
     double uniform();
@@ -57,8 +72,22 @@ class Prng
     /** Uniform double in [lo, hi). */
     double uniform(double lo, double hi);
 
-    /** Uniform integer in [0, n); n must be > 0. */
-    std::size_t uniformInt(std::size_t n);
+    /** Uniform integer in [0, n); n must be > 0. Inline, so a loop of
+     *  draws under one n (a bootstrap bag) computes the limit once. */
+    std::size_t
+    uniformInt(std::size_t n)
+    {
+        if (n == 0) // not requireInternal: no message built per draw
+            throw InternalError("uniformInt(n) needs n > 0");
+        // Rejection sampling to avoid modulo bias.
+        const std::uint64_t bound = n;
+        const std::uint64_t limit = UINT64_MAX - UINT64_MAX % bound;
+        std::uint64_t v;
+        do {
+            v = next();
+        } while (v >= limit);
+        return static_cast<std::size_t>(v % bound);
+    }
 
     /** Uniform integer in [lo, hi] inclusive. */
     int uniformInt(int lo, int hi);

@@ -1,9 +1,185 @@
 #include "noise/decision_tree.hpp"
 
+#include <cfloat>
+#include <cmath>
+#include <limits>
 #include <numeric>
 #include <utility>
 
+#include "common/metrics.hpp"
+
 namespace youtiao {
+
+namespace {
+
+/** One training sample, packed so a node's scans read no index. */
+struct Sample
+{
+    double x;
+    double y;
+};
+
+/** A scan's best boundary gain and its threshold, and the best gain of
+ *  any other boundary; both gains read -inf with no legal boundary. */
+struct SplitScan
+{
+    double best = -std::numeric_limits<double>::infinity();
+    double threshold = 0.0;
+    double runnerUp = -std::numeric_limits<double>::infinity();
+};
+
+/** Scan the boundaries of @p by_x (sorted by x) for the least child
+ *  SSE. Boundaries fall only between distinct x values and leave at
+ *  least @p min_leaf samples each side; the first greatest gain wins. */
+SplitScan
+scanSplits(std::span<const Sample> by_x, double sum, double sum_sq,
+           double node_sse, std::size_t min_leaf)
+{
+    SplitScan scan;
+    const std::size_t count = by_x.size();
+    double left_sum = 0.0, left_sq = 0.0;
+    for (std::size_t k = 0; k + 1 < count; ++k) {
+        const double y = by_x[k].y;
+        left_sum += y;
+        left_sq += y * y;
+        const std::size_t left_n = k + 1;
+        const std::size_t right_n = count - left_n;
+        const double x_here = by_x[k].x;
+        if (left_n < min_leaf || right_n < min_leaf ||
+            by_x[k + 1].x <= x_here) // equal values stay together
+            continue;
+        const double right_sum = sum - left_sum;
+        const double right_sq = sum_sq - left_sq;
+        const double left_sse =
+            left_sq - left_sum * left_sum / static_cast<double>(left_n);
+        const double right_sse =
+            right_sq - right_sum * right_sum / static_cast<double>(right_n);
+        const double gain = node_sse - left_sse - right_sse;
+        if (gain > scan.best) {
+            scan.runnerUp = scan.best;
+            scan.best = gain;
+            // Split at the left value itself ("<=" goes left): the
+            // midpoint of two adjacent doubles can round up to the right
+            // value and empty a child.
+            scan.threshold = x_here;
+        } else if (gain > scan.runnerUp) {
+            scan.runnerUp = gain;
+        }
+    }
+    return scan;
+}
+
+/** Grows one tree into its interval table, left to right. */
+struct TreeBuilder
+{
+    const DecisionTreeConfig &config;
+    std::vector<double> &thresholds;
+    std::vector<double> &leaves;
+    std::size_t &depth;
+
+    /** Grow the node whose samples are @p live (draw order, partitioned
+     *  here) and, the same samples, @p by_x (x order). */
+    void build(std::span<Sample> live, std::span<const Sample> by_x,
+               std::size_t node_depth);
+};
+
+void
+TreeBuilder::build(std::span<Sample> live, std::span<const Sample> by_x,
+                   std::size_t node_depth)
+{
+    const std::size_t count = live.size();
+    double sum = 0.0, sum_sq = 0.0, max_sq = 0.0;
+    for (const Sample &s : live) {
+        sum += s.y;
+        sum_sq += s.y * s.y;
+        max_sq = std::max(max_sq, s.y * s.y);
+    }
+    const double node_mean = sum / static_cast<double>(count);
+    const double node_sse = sum_sq - sum * node_mean;
+
+    bool split = false;
+    double threshold = 0.0;
+    if (node_depth < config.maxDepth && count >= config.minSamplesSplit &&
+        node_sse > 1e-18) {
+        // The reference decision sorts the live run by x and scans it:
+        // the first greatest gain splits iff it is > 0. The presorted
+        // scan sees the same boundaries at the same positions (group
+        // ends), the same min-leaf tests, thresholds equal as values and
+        // the same sum, sum_sq and node_sse (all from the live run). Only
+        // the order in which each boundary's prefix sums L = sum y and
+        // Q = sum fl(y*y) add the same l samples differs. With
+        // u = DBL_EPSILON / 2, Y2 = max y^2 over the m = count samples
+        // and r = m - l, to first order in u:
+        //  - recursive summation errs by at most (l - 1) u sum|y|, so the
+        //    two orders' L differ by at most 2 (l - 1) l u Y;
+        //  - the exact gain node_sse - sum_sq + L^2/l + R^2/r (R = sum - L)
+        //    does not depend on Q, and |d/dL| = |2L/l - 2R/r| <= 4Y, so
+        //    the orders move it by at most 8 (l - 1) l u Y2 <= 4 m^2 eps Y2;
+        //  - evaluating the expression rounds R, sum_sq - Q, each child
+        //    SSE's product, quotient and difference, and the two final
+        //    differences: at most (3l + 6r + 2m) u Y2 <= 8 m u Y2 per
+        //    order, 8 m eps Y2 for the two.
+        // So |gain_ref - gain_scan| <= 12 m^2 eps Y2 at every boundary;
+        // delta leaves over 2.5x of that for the higher-order terms, and
+        // a wider delta would only add rescans.
+        const double m = static_cast<double>(count);
+        const double delta = 32.0 * m * m * DBL_EPSILON * max_sq;
+        const SplitScan scan =
+            scanSplits(by_x, sum, sum_sq, node_sse, config.minSamplesLeaf);
+        if (scan.best > delta && scan.best - scan.runnerUp > 2.0 * delta) {
+            // The reference gain there is > 0 and above every other one.
+            split = true;
+            threshold = scan.threshold;
+        } else if (!(scan.best < -delta)) {
+            // Not certified a leaf either (every reference gain < 0):
+            // rescan in the reference order. So does every node once
+            // y * y overflows and delta is infinite.
+            metrics::count("noise.split_rescans");
+            std::vector<Sample> sorted(live.begin(), live.end());
+            std::sort(sorted.begin(), sorted.end(),
+                      [](const Sample &a, const Sample &b) {
+                          return a.x < b.x;
+                      });
+            const SplitScan reference = scanSplits(
+                sorted, sum, sum_sq, node_sse, config.minSamplesLeaf);
+            split = reference.best > 0.0;
+            threshold = reference.threshold;
+        }
+    }
+    if (!split) {
+        leaves.push_back(node_mean);
+        depth = std::max(depth, node_depth);
+        return;
+    }
+
+    // Partition the live run around the threshold and emit in order:
+    // left subtree, threshold, right subtree. The x-order run needs no
+    // move: its first mid samples are exactly those with x <= threshold.
+    const auto mid_it =
+        std::partition(live.begin(), live.end(), [&](const Sample &s) {
+            return s.x <= threshold;
+        });
+    const auto mid = static_cast<std::size_t>(mid_it - live.begin());
+    if (mid == 0 || mid == count)
+        throw InternalError("split produced an empty child");
+    build(live.first(mid), by_x.first(mid), node_depth + 1);
+    thresholds.push_back(threshold);
+    build(live.subspan(mid), by_x.subspan(mid), node_depth + 1);
+}
+
+} // namespace
+
+std::vector<std::size_t>
+sortRowsByX(std::span<const double> x)
+{
+    requireConfig(
+        std::ranges::none_of(x, [](double v) { return std::isnan(v); }),
+        "feature values must not be NaN");
+    std::vector<std::size_t> rows(x.size());
+    std::iota(rows.begin(), rows.end(), 0);
+    std::ranges::stable_sort(rows, {}, [x](std::size_t r) { return x[r]; });
+    return rows;
+}
 
 DecisionTree::DecisionTree(DecisionTreeConfig config)
     : config_(config)
@@ -19,20 +195,60 @@ DecisionTree::fit(std::span<const double> x,
                   std::span<const double> targets,
                   const std::vector<std::size_t> &sample_indices)
 {
+    fit(x, targets, sample_indices, sortRowsByX(x));
+}
+
+void
+DecisionTree::fit(std::span<const double> x,
+                  std::span<const double> targets,
+                  const std::vector<std::size_t> &sample_indices,
+                  std::span<const std::size_t> by_x)
+{
     requireConfig(x.size() == targets.size(),
                   "feature and target counts differ");
     requireConfig(!targets.empty(), "cannot fit on zero samples");
+    requireConfig(by_x.size() == x.size(),
+                  "row order and feature counts differ");
+    const std::size_t n = targets.size();
 
-    std::vector<std::size_t> indices(sample_indices);
-    if (indices.empty()) {
-        indices.resize(targets.size());
-        std::iota(indices.begin(), indices.end(), 0);
+    std::vector<std::size_t> every_row;
+    std::span<const std::size_t> bag = sample_indices;
+    if (bag.empty()) {
+        every_row.resize(n);
+        std::iota(every_row.begin(), every_row.end(), 0);
+        bag = every_row;
     }
-    requireConfig(std::ranges::max(indices) < targets.size(),
-                  "bagging index out of range");
+    requireConfig(std::ranges::max(bag) < n, "bagging index out of range");
+
+    // The live samples in draw order, and how often each row was drawn.
+    std::vector<Sample> live;
+    live.reserve(bag.size());
+    std::vector<std::size_t> copies(n, 0);
+    for (const std::size_t r : bag) {
+        live.push_back({x[r], targets[r]});
+        ++copies[r];
+    }
+    // The same samples in x order: each row's copies, walked in by_x.
+    // Taking a row's copies zeroes its count, so a repeated row adds
+    // none and a missing drawn row shows as a short array.
+    std::vector<Sample> sorted;
+    sorted.reserve(live.size());
+    for (const std::size_t r : by_x) {
+        if (r >= n) // not requireConfig: no message built per row
+            throw ConfigError("row order index out of range");
+        for (; copies[r] > 0; --copies[r]) {
+            if (!sorted.empty() && !(sorted.back().x <= x[r]))
+                throw ConfigError("row order is not sorted by x");
+            sorted.push_back({x[r], targets[r]});
+        }
+    }
+    requireConfig(sorted.size() == live.size(),
+                  "row order misses a drawn row");
+
     // Build into a fresh tree, so a throw leaves this one as it was.
     DecisionTree tree(config_);
-    tree.build(x, targets, indices, 0, indices.size(), 0);
+    TreeBuilder{tree.config_, tree.thresholds_, tree.leaves_, tree.depth_}
+        .build(live, sorted, 0);
     requireInternal(tree.leaves_.size() == tree.thresholds_.size() + 1,
                     "interval table: leaves must be splits + 1");
     for (std::size_t s = 1; s < tree.thresholds_.size(); ++s) {
@@ -40,81 +256,6 @@ DecisionTree::fit(std::span<const double> x,
             throw InternalError("interval table: splits must increase");
     }
     *this = std::move(tree);
-}
-
-void
-DecisionTree::build(std::span<const double> x,
-                    std::span<const double> targets,
-                    std::vector<std::size_t> &indices, std::size_t begin,
-                    std::size_t end, std::size_t node_depth)
-{
-    const auto first = indices.begin() + static_cast<std::ptrdiff_t>(begin);
-    const auto last = indices.begin() + static_cast<std::ptrdiff_t>(end);
-    const std::size_t count = end - begin;
-    double sum = 0.0, sum_sq = 0.0;
-    for (auto it = first; it != last; ++it) {
-        const double y = targets[*it];
-        sum += y;
-        sum_sq += y * y;
-    }
-    const double node_mean = sum / static_cast<double>(count);
-    const double node_sse = sum_sq - sum * node_mean;
-
-    // Exhaustive best split: sort a copy of the range by x and scan the
-    // boundaries for the least child SSE. The live range keeps its order
-    // for the partition below, which fixes the children's summation order.
-    double best_gain = 0.0, best_threshold = 0.0;
-    if (node_depth < config_.maxDepth && count >= config_.minSamplesSplit &&
-        node_sse > 1e-18) {
-        std::vector<std::size_t> sorted(first, last);
-        std::sort(sorted.begin(), sorted.end(),
-                  [&](std::size_t a, std::size_t b) { return x[a] < x[b]; });
-        double left_sum = 0.0, left_sq = 0.0;
-        for (std::size_t k = 0; k + 1 < count; ++k) {
-            const double y = targets[sorted[k]];
-            left_sum += y;
-            left_sq += y * y;
-            const std::size_t left_n = k + 1;
-            const std::size_t right_n = count - left_n;
-            const double x_here = x[sorted[k]];
-            if (left_n < config_.minSamplesLeaf ||
-                right_n < config_.minSamplesLeaf ||
-                x[sorted[k + 1]] <= x_here) // equal values stay together
-                continue;
-            const double right_sum = sum - left_sum;
-            const double right_sq = sum_sq - left_sq;
-            const double left_sse =
-                left_sq - left_sum * left_sum / static_cast<double>(left_n);
-            const double right_sse =
-                right_sq -
-                right_sum * right_sum / static_cast<double>(right_n);
-            const double gain = node_sse - left_sse - right_sse;
-            if (gain > best_gain) {
-                best_gain = gain;
-                // Split at the left value itself ("<=" goes left): the
-                // midpoint of two adjacent doubles can round up to the
-                // right value and empty a child.
-                best_threshold = x_here;
-            }
-        }
-    }
-    if (best_gain <= 0.0) {
-        leaves_.push_back(node_mean);
-        depth_ = std::max(depth_, node_depth);
-        return;
-    }
-
-    // Partition the live range around the threshold and emit in order:
-    // left subtree, threshold, right subtree.
-    const auto mid_it = std::partition(first, last, [&](std::size_t s) {
-        return x[s] <= best_threshold;
-    });
-    const auto mid = static_cast<std::size_t>(mid_it - indices.begin());
-    if (mid == begin || mid == end)
-        throw InternalError("split produced an empty child");
-    build(x, targets, indices, begin, mid, node_depth + 1);
-    thresholds_.push_back(best_threshold);
-    build(x, targets, indices, mid, end, node_depth + 1);
 }
 
 } // namespace youtiao

@@ -7,6 +7,19 @@
  * minimize the sum of child squared errors; leaves predict the mean
  * target of their samples. Every split cuts the same line, so a fitted
  * tree is its in-order thresholds (strictly increasing) and its leaves.
+ *
+ * The fit is presorted. With one feature every node is a contiguous run
+ * of its samples in x order, so a fit keeps two arrays of the same
+ * samples: the live one in draw order, partitioned at each split as the
+ * per-node-sort fit did (it fixes every node's summation order and so
+ * every leaf mean), and one sorted by x, built in O(n) from the rows'
+ * x order (sortRowsByX). Each node finds its split with one prefix scan
+ * of its sorted run. That scan sums tied x values in another order than
+ * a sort of the live run would, which moves only the rounding of the
+ * split gains; a bound on that rounding certifies the scan's decision,
+ * and the rare node it cannot certify sorts its live run and rescans
+ * (counted as noise.split_rescans). The fitted tree is therefore bit for
+ * bit the per-node-sort tree (decision_tree.cpp has the bound).
  */
 
 #ifndef YOUTIAO_NOISE_DECISION_TREE_HPP
@@ -28,6 +41,11 @@ struct DecisionTreeConfig
     std::size_t minSamplesSplit = 6;
 };
 
+/** Row indices of @p x in increasing x, ties by row index: the order a
+ *  presorted fit walks. Throws ConfigError on a NaN, which has no place
+ *  in it. */
+std::vector<std::size_t> sortRowsByX(std::span<const double> x);
+
 /** Regression tree over one feature. */
 class DecisionTree
 {
@@ -38,6 +56,13 @@ class DecisionTree
      *  optionally restricted to @p sample_indices (for bagging). */
     void fit(std::span<const double> x, std::span<const double> targets,
              const std::vector<std::size_t> &sample_indices = {});
+
+    /** fit() with the rows' x order supplied: @p by_x holds every row
+     *  index in nondecreasing x, as sortRowsByX(x) returns (ConfigError
+     *  otherwise). A forest sorts once and shares it among its trees. */
+    void fit(std::span<const double> x, std::span<const double> targets,
+             const std::vector<std::size_t> &sample_indices,
+             std::span<const std::size_t> by_x);
 
     /** Predict the target at @p x; throws before fit(). A walk from the
      *  root goes left iff x <= t, so it ends in leaf #{t : !(x <= t)}:
@@ -66,10 +91,6 @@ class DecisionTree
     std::size_t depth() const { return depth_; }
 
   private:
-    void build(std::span<const double> x, std::span<const double> targets,
-               std::vector<std::size_t> &indices, std::size_t begin,
-               std::size_t end, std::size_t node_depth);
-
     DecisionTreeConfig config_;
     std::vector<double> thresholds_;
     /** Leaf means left to right, one more than thresholds_. */

@@ -33,6 +33,9 @@ RandomForest::fit(std::span<const double> x,
     for (std::uint64_t &seed : seeds)
         seed = prng.next();
 
+    // One sort of the rows by x serves every tree: each walks its bag's
+    // draw counts in this order for its x-sorted samples.
+    const std::vector<std::size_t> by_x = sortRowsByX(x);
     cancel::poll("noise.forest_fit");
     std::vector<DecisionTree> trees(config_.treeCount,
                                     DecisionTree(config_.tree));
@@ -42,7 +45,7 @@ RandomForest::fit(std::span<const double> x,
         std::vector<std::size_t> bag(n);
         for (std::size_t &draw : bag)
             draw = local.uniformInt(n);
-        trees[t].fit(x, targets, bag);
+        trees[t].fit(x, targets, bag, by_x);
     });
     trees_ = std::move(trees);
 }

@@ -416,18 +416,6 @@ TEST(HierarchicalRouting, NoNetClaimsAnotherNetsInterfaceCell)
     }
 }
 
-// --------------------------------------------------------- A* index guard
-
-TEST(AstarGuard, RegressionAtTheOldOverflowBoundary)
-{
-    // The dense A* stays 32-bit indexed: the guard must still trip at
-    // exactly the same boundary as before the hierarchical path landed.
-    const std::size_t limit = astarMaxCells();
-    EXPECT_NO_THROW(requireAstarIndexable(1, limit));
-    EXPECT_THROW(requireAstarIndexable(1, limit + 1), ConfigError);
-    EXPECT_THROW(requireAstarIndexable(70000, 70000), ConfigError);
-}
-
 // ------------------------------------------------------------ cross-check
 
 TEST(HierarchicalDesign, MergedCoaxWithinAnalyticBand)

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
+#include <vector>
 
+#include "common/binfmt.hpp"
 #include "common/error.hpp"
 #include "common/prng.hpp"
 
@@ -144,6 +147,33 @@ TEST(Prng, SampleTooManyThrows)
 {
     Prng prng(37);
     EXPECT_THROW(prng.sampleWithoutReplacement(3, 4), ConfigError);
+}
+
+TEST(Prng, UniformIntStreamIsPinned)
+{
+    // Every forest bootstrap draws its bag through uniformInt(n), so the
+    // fitted trees depend on this exact stream. 2^63 + 1 rejects about
+    // half of its raw draws, so the rejection loop runs; the raw value
+    // taken after each batch pins how many draws the batch consumed.
+    const std::uint64_t bounds[] = {1,
+                                    2,
+                                    7,
+                                    1613,
+                                    (std::uint64_t{1} << 32) + 1,
+                                    (std::uint64_t{1} << 63) + 1,
+                                    UINT64_MAX};
+    Prng prng(0x5EED);
+    std::vector<std::uint64_t> stream;
+    for (const std::uint64_t n : bounds) {
+        for (int i = 0; i < 1000; ++i) {
+            stream.push_back(prng.uniformInt(n));
+            ASSERT_LT(stream.back(), n);
+        }
+        stream.push_back(prng.next());
+    }
+    EXPECT_EQ(binfmt::fnv1a(stream.data(),
+                            stream.size() * sizeof(std::uint64_t)),
+              0x1157dfd7375b1ff4ull);
 }
 
 TEST(Prng, SplitDecorrelates)
