@@ -103,11 +103,4 @@ loadChip(std::istream &in)
     return chip;
 }
 
-ChipTopology
-chipFromString(const std::string &text)
-{
-    std::istringstream in(text);
-    return loadChip(in);
-}
-
 } // namespace youtiao

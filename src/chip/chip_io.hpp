@@ -37,9 +37,6 @@ std::string chipToString(const ChipTopology &chip);
 /** Parse a chip; throws ConfigError on malformed input. */
 ChipTopology loadChip(std::istream &in);
 
-/** Parse from a string. */
-ChipTopology chipFromString(const std::string &text);
-
 } // namespace youtiao
 
 #endif // YOUTIAO_CHIP_CHIP_IO_HPP

@@ -85,10 +85,4 @@ makeSurfaceCodeLayout(std::size_t distance, double pitch_mm)
     return layout;
 }
 
-std::size_t
-idealCzLayersPerCycle()
-{
-    return 4;
-}
-
 } // namespace youtiao

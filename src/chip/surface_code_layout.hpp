@@ -53,13 +53,6 @@ struct SurfaceCodeLayout
 SurfaceCodeLayout makeSurfaceCodeLayout(std::size_t distance,
                                         double pitch_mm = 1.6);
 
-/**
- * Number of two-qubit-gate layers in one error-correction cycle when every
- * stabilizer runs its four (or two) CZs in the standard 4-step dance with
- * no wiring constraints: always 4.
- */
-std::size_t idealCzLayersPerCycle();
-
 } // namespace youtiao
 
 #endif // YOUTIAO_CHIP_SURFACE_CODE_LAYOUT_HPP

@@ -16,7 +16,6 @@ ChipTopology::addQubit(const QubitInfo &info)
 {
     qubits_.push_back(info);
     qubitGraph_.addVertex();
-    deviceGraphDirty_ = true;
     return qubits_.size() - 1;
 }
 
@@ -43,7 +42,6 @@ ChipTopology::addCoupler(std::size_t qubit_a, std::size_t qubit_b,
     requireInternal(edge == couplers_.size(),
                     "coupler/edge index correspondence broken");
     couplers_.push_back(CouplerInfo{at, qubit_a, qubit_b});
-    deviceGraphDirty_ = true;
     return couplers_.size() - 1;
 }
 
@@ -85,33 +83,10 @@ ChipTopology::devicePosition(std::size_t device) const
 }
 
 std::size_t
-ChipTopology::qubitDeviceId(std::size_t q) const
-{
-    requireConfig(q < qubits_.size(), "qubit index out of range");
-    return q;
-}
-
-std::size_t
 ChipTopology::couplerDeviceId(std::size_t c) const
 {
     requireConfig(c < couplers_.size(), "coupler index out of range");
     return qubits_.size() + c;
-}
-
-const Graph &
-ChipTopology::deviceGraph() const
-{
-    if (deviceGraphDirty_) {
-        Graph g(deviceCount());
-        for (std::size_t c = 0; c < couplers_.size(); ++c) {
-            const std::size_t device = qubits_.size() + c;
-            g.addEdge(couplers_[c].qubitA, device);
-            g.addEdge(device, couplers_[c].qubitB);
-        }
-        deviceGraph_ = std::move(g);
-        deviceGraphDirty_ = false;
-    }
-    return deviceGraph_;
 }
 
 double

@@ -2,12 +2,9 @@
  * @file
  * ChipTopology: the full device-level model of a superconducting chip.
  *
- * Two graph views are exposed:
- *  - the qubit graph (vertices = qubits, edges = couplers), used for
- *    circuit mapping and two-qubit-gate reasoning;
- *  - the device graph (vertices = qubits followed by couplers, edges =
- *    qubit-coupler incidences), used for Z-line/TDM reasoning where
- *    couplers are first-class devices.
+ * The qubit graph (vertices = qubits, edges = couplers) serves circuit
+ * mapping and two-qubit-gate reasoning. Z-line/TDM reasoning treats
+ * couplers as first-class devices next to the qubits.
  *
  * Device indexing convention: device id d refers to qubit d when
  * d < qubitCount(), otherwise to coupler d - qubitCount().
@@ -67,9 +64,6 @@ class ChipTopology
     /** Chip-plane position of device id @p device. */
     Point devicePosition(std::size_t device) const;
 
-    /** Device id of qubit @p q (identity). */
-    std::size_t qubitDeviceId(std::size_t q) const;
-
     /** Device id of coupler @p c (offset by qubitCount). */
     std::size_t couplerDeviceId(std::size_t c) const;
 
@@ -77,12 +71,6 @@ class ChipTopology
      * Qubit connectivity graph; edge index i corresponds to coupler i.
      */
     const Graph &qubitGraph() const { return qubitGraph_; }
-
-    /**
-     * Device-level graph over qubits and couplers: each coupler is a vertex
-     * adjacent to its two endpoint qubits. Built lazily and cached.
-     */
-    const Graph &deviceGraph() const;
 
     /** Euclidean distance between two qubits (mm). */
     double physicalDistance(std::size_t qubit_a, std::size_t qubit_b) const;
@@ -102,8 +90,6 @@ class ChipTopology
     std::vector<QubitInfo> qubits_;
     std::vector<CouplerInfo> couplers_;
     Graph qubitGraph_;
-    mutable Graph deviceGraph_;
-    mutable bool deviceGraphDirty_ = true;
 };
 
 } // namespace youtiao

@@ -1,7 +1,7 @@
 #include "circuit/circuit.hpp"
 
-#include <algorithm>
 #include <numbers>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -103,108 +103,6 @@ void
 QuantumCircuit::barrier()
 {
     append(Gate{GateKind::Barrier, 0, 0, 0.0});
-}
-
-std::size_t
-QuantumCircuit::twoQubitGateCount() const
-{
-    return static_cast<std::size_t>(
-        std::count_if(gates_.begin(), gates_.end(),
-                      [](const Gate &g) { return isTwoQubit(g.kind); }));
-}
-
-bool
-QuantumCircuit::isBasisOnly() const
-{
-    return std::all_of(gates_.begin(), gates_.end(),
-                       [](const Gate &g) { return isBasisGate(g.kind); });
-}
-
-QuantumCircuit
-QuantumCircuit::inverse() const
-{
-    QuantumCircuit out(qubitCount_, name_.empty() ? "" : name_ + "^-1");
-    for (auto it = gates_.rbegin(); it != gates_.rend(); ++it) {
-        Gate g = *it;
-        requireConfig(g.kind != GateKind::Measure,
-                      "measured circuits are not invertible");
-        switch (g.kind) {
-          case GateKind::RX:
-          case GateKind::RY:
-          case GateKind::RZ:
-            g.angle = -g.angle;
-            break;
-          default:
-            break; // H, X, CZ, CNOT, SWAP, Barrier are self-inverse
-        }
-        out.append(g);
-    }
-    return out;
-}
-
-namespace {
-
-/** ASAP layer index per gate under qubit-availability constraints only. */
-std::vector<std::size_t>
-asapLayers(const QuantumCircuit &qc)
-{
-    std::vector<std::size_t> ready(qc.qubitCount(), 0);
-    std::vector<std::size_t> layer_of(qc.gateCount(), 0);
-    std::size_t barrier_floor = 0;
-    for (std::size_t g = 0; g < qc.gateCount(); ++g) {
-        const Gate &gate = qc.gates()[g];
-        if (gate.kind == GateKind::Barrier) {
-            std::size_t highest = barrier_floor;
-            for (std::size_t q = 0; q < qc.qubitCount(); ++q)
-                highest = std::max(highest, ready[q]);
-            barrier_floor = highest;
-            layer_of[g] = highest; // barrier occupies no layer itself
-            continue;
-        }
-        std::size_t at = std::max(barrier_floor, ready[gate.qubit0]);
-        if (isTwoQubit(gate.kind))
-            at = std::max(at, ready[gate.qubit1]);
-        layer_of[g] = at;
-        ready[gate.qubit0] = at + 1;
-        if (isTwoQubit(gate.kind))
-            ready[gate.qubit1] = at + 1;
-    }
-    return layer_of;
-}
-
-} // namespace
-
-std::size_t
-QuantumCircuit::depth() const
-{
-    if (gates_.empty())
-        return 0;
-    const auto layers = asapLayers(*this);
-    std::size_t depth = 0;
-    for (std::size_t g = 0; g < gates_.size(); ++g) {
-        if (gates_[g].kind == GateKind::Barrier)
-            continue;
-        depth = std::max(depth, layers[g] + 1);
-    }
-    return depth;
-}
-
-std::size_t
-QuantumCircuit::twoQubitDepth() const
-{
-    if (gates_.empty())
-        return 0;
-    const auto layers = asapLayers(*this);
-    std::vector<bool> has_two_qubit;
-    for (std::size_t g = 0; g < gates_.size(); ++g) {
-        if (!isTwoQubit(gates_[g].kind))
-            continue;
-        if (layers[g] >= has_two_qubit.size())
-            has_two_qubit.resize(layers[g] + 1, false);
-        has_two_qubit[layers[g]] = true;
-    }
-    return static_cast<std::size_t>(
-        std::count(has_two_qubit.begin(), has_two_qubit.end(), true));
 }
 
 } // namespace youtiao

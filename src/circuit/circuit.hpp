@@ -45,31 +45,6 @@ class QuantumCircuit
     void barrier();
     /** @} */
 
-    /** Number of two-qubit gates (CZ/CNOT/SWAP count as written). */
-    std::size_t twoQubitGateCount() const;
-
-    /** True when every gate is in the native basis. */
-    bool isBasisOnly() const;
-
-    /**
-     * Logical depth: greedy ASAP layering by qubit availability only
-     * (barriers cut across all qubits; RZ counts as a layer occupant).
-     */
-    std::size_t depth() const;
-
-    /**
-     * Two-qubit depth: number of ASAP layers containing at least one
-     * two-qubit gate, the metric of paper Figure 14 / Table 1.
-     */
-    std::size_t twoQubitDepth() const;
-
-    /**
-     * The inverse circuit: gates reversed, rotation angles negated
-     * (H, X, CZ, CNOT, SWAP are self-inverse). Throws ConfigError if the
-     * circuit contains measurements (not invertible).
-     */
-    QuantumCircuit inverse() const;
-
   private:
     std::size_t qubitCount_ = 0;
     std::string name_;

@@ -38,15 +38,6 @@ isTwoQubit(GateKind kind)
            kind == GateKind::SWAP;
 }
 
-/** True for kinds in the device's native basis. */
-constexpr bool
-isBasisGate(GateKind kind)
-{
-    return kind == GateKind::RX || kind == GateKind::RY ||
-           kind == GateKind::RZ || kind == GateKind::CZ ||
-           kind == GateKind::Measure || kind == GateKind::Barrier;
-}
-
 /** True for gates realized by an XY-line microwave drive. */
 constexpr bool
 usesXyLine(GateKind kind)

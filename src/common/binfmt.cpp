@@ -129,31 +129,6 @@ MappedFile::~MappedFile()
     delete[] data_;
 }
 
-MappedFile::MappedFile(MappedFile &&other) noexcept
-    : data_(other.data_)
-    , size_(other.size_)
-    , mapped_(other.mapped_)
-{
-    other.data_ = nullptr;
-    other.size_ = 0;
-    other.mapped_ = false;
-}
-
-MappedFile &
-MappedFile::operator=(MappedFile &&other) noexcept
-{
-    if (this != &other) {
-        this->~MappedFile();
-        data_ = other.data_;
-        size_ = other.size_;
-        mapped_ = other.mapped_;
-        other.data_ = nullptr;
-        other.size_ = 0;
-        other.mapped_ = false;
-    }
-    return *this;
-}
-
 Writer::Writer(const char *magic, std::uint32_t schema_version)
     : schemaVersion_(schema_version)
 {
@@ -238,19 +213,6 @@ Writer::toBytes() const
         storeU64(trailer + 8, fnv1a(out.data(), payload_end));
     }
     return out;
-}
-
-void
-Writer::writeFile(const std::string &path) const
-{
-    const std::vector<unsigned char> image = toBytes();
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    requireConfig(static_cast<bool>(out),
-                  "cannot write '" + path + "'");
-    out.write(reinterpret_cast<const char *>(image.data()),
-              static_cast<std::streamsize>(image.size()));
-    requireConfig(static_cast<bool>(out),
-                  "short write to '" + path + "'");
 }
 
 Reader::Reader(std::span<const unsigned char> bytes, const char *magic,
@@ -356,36 +318,20 @@ Reader::Reader(std::span<const unsigned char> bytes, const char *magic,
     }
 }
 
-bool
-Reader::hasSection(const std::string &name) const
-{
-    for (const Section &s : sections_) {
-        if (s.name == name)
-            return true;
-    }
-    return false;
-}
-
 const Reader::Section &
 Reader::find(const std::string &name, std::uint32_t elem_size) const
 {
     for (const Section &s : sections_) {
         if (s.name != name)
             continue;
-        requireConfig(elem_size == 0 || s.elemSize == elem_size,
-                      what_ + ": section '" + name +
-                          "' has element size " +
-                          std::to_string(s.elemSize) + ", expected " +
-                          std::to_string(elem_size));
+        if (s.elemSize != elem_size)
+            throw ConfigError(what_ + ": section '" + name +
+                              "' has element size " +
+                              std::to_string(s.elemSize) + ", expected " +
+                              std::to_string(elem_size));
         return s;
     }
     throw ConfigError(what_ + ": missing section '" + name + "'");
-}
-
-std::uint64_t
-Reader::count(const std::string &name) const
-{
-    return find(name, 0).count;
 }
 
 std::span<const double>

@@ -69,7 +69,7 @@ std::uint64_t fnv1a(const void *data, std::size_t size);
 /**
  * Read-only view of a whole file, preferring mmap (zero-copy) and
  * falling back to an aligned heap read when mapping fails (e.g. a
- * pipe). Movable, not copyable; unmaps/frees on destruction.
+ * pipe). Neither copyable nor movable; unmaps/frees on destruction.
  */
 class MappedFile
 {
@@ -79,8 +79,6 @@ class MappedFile
     explicit MappedFile(const std::string &path);
     ~MappedFile();
 
-    MappedFile(MappedFile &&other) noexcept;
-    MappedFile &operator=(MappedFile &&other) noexcept;
     MappedFile(const MappedFile &) = delete;
     MappedFile &operator=(const MappedFile &) = delete;
 
@@ -139,10 +137,6 @@ class Writer
     /** Render the complete file image. */
     std::vector<unsigned char> toBytes() const;
 
-    /** Write the file image to @p path. Throws ConfigError when the
-     *  file cannot be created or written. */
-    void writeFile(const std::string &path) const;
-
   private:
     struct Section
     {
@@ -184,12 +178,6 @@ class Reader
     bool checksummed() const { return checksummed_; }
 
     std::size_t sectionCount() const { return sections_.size(); }
-
-    /** True when the file has a section named @p name. */
-    bool hasSection(const std::string &name) const;
-
-    /** Element count of section @p name; throws ConfigError if absent. */
-    std::uint64_t count(const std::string &name) const;
 
     /** Typed zero-copy views. Each checks the section exists and was
      *  written with the matching element size. */

@@ -2,10 +2,10 @@
  * @file
  * Shared work-stealing thread pool and data-parallel loop primitives.
  *
- * Every hot path in YOUTIAO (state-vector gate kernels, noisy-sampler
- * shot batches, random-forest tree fits, the bench harness fan-out over
- * chip sizes) parallelizes through this one pool so thread creation is
- * paid once per process and oversubscription cannot happen.
+ * Every hot path in YOUTIAO (random-forest tree fits and batch
+ * predictions, the hierarchical designer's tiles, the bench harness
+ * fan-out over chip sizes) parallelizes through this one pool so thread
+ * creation is paid once per process and oversubscription cannot happen.
  *
  * Determinism contract: the pool schedules *where* work runs, never
  * *what* it computes. Callers decompose work into logical tasks whose

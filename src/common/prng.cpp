@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "common/error.hpp"
-
 namespace youtiao {
 
 std::uint64_t
@@ -46,15 +44,6 @@ Prng::uniform(double lo, double hi)
     return lo + (hi - lo) * uniform();
 }
 
-int
-Prng::uniformInt(int lo, int hi)
-{
-    requireInternal(lo <= hi, "uniformInt(lo, hi) needs lo <= hi");
-    const auto span = static_cast<std::size_t>(
-        static_cast<long long>(hi) - lo + 1);
-    return lo + static_cast<int>(uniformInt(span));
-}
-
 double
 Prng::gaussian()
 {
@@ -84,22 +73,6 @@ bool
 Prng::bernoulli(double p)
 {
     return uniform() < p;
-}
-
-std::vector<std::size_t>
-Prng::sampleWithoutReplacement(std::size_t n, std::size_t k)
-{
-    requireConfig(k <= n, "cannot sample more items than the population");
-    std::vector<std::size_t> pool(n);
-    for (std::size_t i = 0; i < n; ++i)
-        pool[i] = i;
-    // Partial Fisher-Yates: only the first k draws are needed.
-    for (std::size_t i = 0; i < k; ++i) {
-        std::size_t j = i + uniformInt(n - i);
-        std::swap(pool[i], pool[j]);
-    }
-    pool.resize(k);
-    return pool;
 }
 
 Prng

@@ -89,9 +89,6 @@ class Prng
         return static_cast<std::size_t>(v % bound);
     }
 
-    /** Uniform integer in [lo, hi] inclusive. */
-    int uniformInt(int lo, int hi);
-
     /** Standard normal via Box-Muller. */
     double gaussian();
 
@@ -111,10 +108,6 @@ class Prng
             std::swap(items[i - 1], items[j]);
         }
     }
-
-    /** Sample k distinct indices from [0, n) (k <= n). */
-    std::vector<std::size_t> sampleWithoutReplacement(std::size_t n,
-                                                      std::size_t k);
 
     /**
      * Derive an independent child generator. Used to hand deterministic yet

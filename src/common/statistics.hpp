@@ -2,9 +2,9 @@
  * @file
  * Descriptive statistics and distribution-distance helpers.
  *
- * Used by the crosstalk fitting pipeline (MSE, cross-validation folds), the
- * crosstalk-generality experiment (Jensen-Shannon divergence, Figure 12),
- * and the benchmark harnesses (series summaries).
+ * Used by the crosstalk fitting pipeline (cross-validation folds) and the
+ * crosstalk-generality experiment (ranges, histograms and Jensen-Shannon
+ * divergence, Figure 12).
  */
 
 #ifndef YOUTIAO_COMMON_STATISTICS_HPP
@@ -16,35 +16,11 @@
 
 namespace youtiao {
 
-/** Arithmetic mean; 0 for an empty span. */
-double mean(std::span<const double> xs);
-
-/** Population variance; 0 for spans shorter than 2. */
-double variance(std::span<const double> xs);
-
-/** Population standard deviation. */
-double stddev(std::span<const double> xs);
-
 /** Smallest element; requires a non-empty span. */
 double minimum(std::span<const double> xs);
 
 /** Largest element; requires a non-empty span. */
 double maximum(std::span<const double> xs);
-
-/** Median (average of middle two for even sizes); requires non-empty. */
-double median(std::span<const double> xs);
-
-/** Mean squared error between predictions and targets (equal sizes). */
-double meanSquaredError(std::span<const double> predicted,
-                        std::span<const double> actual);
-
-/** Mean absolute error between predictions and targets (equal sizes). */
-double meanAbsoluteError(std::span<const double> predicted,
-                         std::span<const double> actual);
-
-/** Pearson correlation coefficient; 0 when either side is constant. */
-double pearsonCorrelation(std::span<const double> xs,
-                          std::span<const double> ys);
 
 /**
  * Fixed-width histogram over [lo, hi] with @p bins bins, normalized to sum

@@ -128,11 +128,6 @@ Tracer::Tracer()
     : impl_(new Impl)
 {}
 
-Tracer::~Tracer()
-{
-    delete impl_;
-}
-
 Tracer &
 Tracer::global()
 {
@@ -212,16 +207,6 @@ Tracer::recordCounter(const char *name, const char *category,
     event.tsNs = ts_ns;
     event.value = value;
     impl_->localBuffer().append(event);
-}
-
-std::uint64_t
-Tracer::droppedEvents() const
-{
-    const std::lock_guard<std::mutex> lock(impl_->mutex);
-    std::uint64_t total = 0;
-    for (const auto &buffer : impl_->buffers)
-        total += buffer->dropped.load(std::memory_order_relaxed);
-    return total;
 }
 
 namespace {

@@ -91,9 +91,6 @@ class Tracer
      *  be opened or written. */
     bool writeJson(const std::string &path) const;
 
-    /** Events dropped because a thread hit its buffer cap. */
-    std::uint64_t droppedEvents() const;
-
     // Internal: called by TraceSpan / metrics::ScopedTimer / instant() /
     // counter(). A null span category is derived from the name's
     // subsystem prefix at export ("design.partition" -> "design").
@@ -113,7 +110,8 @@ class Tracer
 
   private:
     Tracer();
-    ~Tracer();
+    /** The global() instance is leaked, never destroyed. */
+    ~Tracer() = delete;
     struct Impl;
     Impl *impl_;
 };

@@ -1,6 +1,5 @@
 #include "core/design_bin.hpp"
 
-#include <fstream>
 #include <limits>
 
 #include "common/binfmt.hpp"
@@ -245,18 +244,6 @@ designToBinary(const YoutiaoDesign &design)
     writer.addF64("cost_usd", cost);
 
     return writer.toBytes();
-}
-
-void
-saveDesignBinary(const std::string &path, const YoutiaoDesign &design)
-{
-    const std::vector<unsigned char> image = designToBinary(design);
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    requireConfig(static_cast<bool>(out), "cannot write '" + path + "'");
-    out.write(reinterpret_cast<const char *>(image.data()),
-              static_cast<std::streamsize>(image.size()));
-    requireConfig(static_cast<bool>(out),
-                  "short write to '" + path + "'");
 }
 
 YoutiaoDesign

@@ -39,11 +39,6 @@ inline constexpr std::uint32_t kDesignBinVersion = 1;
  *  validateDesign first (ConfigError), like the text writer. */
 std::vector<unsigned char> designToBinary(const YoutiaoDesign &design);
 
-/** Write @p design to @p path in the binary format. Throws ConfigError
- *  when the file cannot be written. */
-void saveDesignBinary(const std::string &path,
-                      const YoutiaoDesign &design);
-
 /** Parse a binary design file image. Throws ConfigError on anything
  *  malformed; the result satisfies validateDesign. The crosstalk-model
  *  objects are left untrained, matching the text loader. */

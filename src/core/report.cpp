@@ -188,39 +188,4 @@ hierarchicalReport(const ChipTopology &chip,
 
 namespace youtiao {
 
-std::string
-renderSchedule(const QuantumCircuit &qc, const Schedule &schedule,
-               std::size_t max_layers)
-{
-    std::ostringstream out;
-    const std::size_t layers =
-        std::min(max_layers, schedule.layers.size());
-    // One row per qubit, one column per layer: '.' idle, '1' one-qubit
-    // gate, '=' two-qubit gate, 'M' readout.
-    std::vector<std::string> rows(qc.qubitCount(),
-                                  std::string(layers, '.'));
-    for (std::size_t l = 0; l < layers; ++l) {
-        for (std::size_t gi : schedule.layers[l]) {
-            const Gate &g = qc.gates()[gi];
-            char mark = '1';
-            if (isTwoQubit(g.kind))
-                mark = '=';
-            else if (g.kind == GateKind::Measure)
-                mark = 'M';
-            rows[g.qubit0][l] = mark;
-            if (isTwoQubit(g.kind))
-                rows[g.qubit1][l] = mark;
-        }
-    }
-    for (std::size_t q = 0; q < rows.size(); ++q) {
-        char label[32];
-        std::snprintf(label, sizeof label, "q%-3zu ", q);
-        out << label << rows[q] << '\n';
-    }
-    if (schedule.layers.size() > layers)
-        out << "(+" << schedule.layers.size() - layers
-            << " more layers)\n";
-    return out.str();
-}
-
 } // namespace youtiao

@@ -12,7 +12,6 @@
 
 #include <string>
 
-#include "circuit/scheduler.hpp"
 #include "core/baselines.hpp"
 #include "core/hierarchical.hpp"
 #include "core/youtiao.hpp"
@@ -33,14 +32,6 @@ std::string wiringReport(const ChipTopology &chip,
                          const YoutiaoDesign &design,
                          const YoutiaoConfig &config = {});
 
-/**
- * ASCII gantt of a schedule: one row per qubit, one column per layer
- * ('.' idle, '1' one-qubit gate, '=' two-qubit gate, 'M' readout),
- * truncated at @p max_layers columns.
- */
-std::string renderSchedule(const QuantumCircuit &qc,
-                           const Schedule &schedule,
-                           std::size_t max_layers = 72);
 
 /** One-line cost comparison against a baseline design. */
 std::string costComparison(const YoutiaoDesign &ours,

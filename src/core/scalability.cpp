@@ -65,17 +65,6 @@ estimateSquareSystem(std::size_t qubits, const YoutiaoConfig &config)
     return point;
 }
 
-std::vector<ScalePoint>
-sweepSquareSystems(const std::vector<std::size_t> &sizes,
-                   const YoutiaoConfig &config)
-{
-    std::vector<ScalePoint> points;
-    points.reserve(sizes.size());
-    for (std::size_t n : sizes)
-        points.push_back(estimateSquareSystem(n, config));
-    return points;
-}
-
 ChipletComparison
 compareIbmChiplet(std::size_t copies, const YoutiaoConfig &config)
 {

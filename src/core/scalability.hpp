@@ -54,10 +54,6 @@ ChipTopology makeGridWithQubitCount(std::size_t qubits,
 ScalePoint estimateSquareSystem(std::size_t qubits,
                                 const YoutiaoConfig &config = {});
 
-/** Sweep several sizes (Figure 17 (a)/(d)). */
-std::vector<ScalePoint> sweepSquareSystems(
-    const std::vector<std::size_t> &sizes, const YoutiaoConfig &config = {});
-
 /** IBM-chiplet comparison point (Figure 17 (c)). */
 struct ChipletComparison
 {

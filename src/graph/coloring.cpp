@@ -48,59 +48,6 @@ greedyColoring(const Graph &conflict, const std::vector<std::size_t> &order)
 }
 
 std::vector<std::size_t>
-greedyColoringCapped(const Graph &conflict, std::size_t capacity,
-                     const std::vector<std::size_t> &order)
-{
-    requireConfig(capacity > 0, "color capacity must be positive");
-    const auto seq = resolveOrder(conflict, order);
-    std::vector<std::size_t> colors(conflict.vertexCount(), kUncolored);
-    std::vector<std::size_t> load;
-    std::vector<bool> used;
-    for (std::size_t v : seq) {
-        used.assign(load.size() + 1, false);
-        for (const Incidence &inc : conflict.incidences(v)) {
-            if (colors[inc.vertex] != kUncolored)
-                used[colors[inc.vertex]] = true;
-        }
-        std::size_t c = 0;
-        while (c < load.size() && (used[c] || load[c] >= capacity))
-            ++c;
-        if (c == load.size())
-            load.push_back(0);
-        colors[v] = c;
-        ++load[c];
-    }
-    return colors;
-}
-
-std::size_t
-colorCount(const std::vector<std::size_t> &colors)
-{
-    std::size_t max_color = 0;
-    bool any = false;
-    for (std::size_t c : colors) {
-        if (c == kUncolored)
-            continue;
-        any = true;
-        max_color = std::max(max_color, c);
-    }
-    return any ? max_color + 1 : 0;
-}
-
-bool
-isProperColoring(const Graph &conflict,
-                 const std::vector<std::size_t> &colors)
-{
-    if (colors.size() != conflict.vertexCount())
-        return false;
-    for (const Edge &e : conflict.edges()) {
-        if (colors[e.u] == colors[e.v])
-            return false;
-    }
-    return true;
-}
-
-std::vector<std::size_t>
 degreeDescendingOrder(const Graph &g)
 {
     std::vector<std::size_t> order(g.vertexCount());

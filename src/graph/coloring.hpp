@@ -27,21 +27,6 @@ namespace youtiao {
 std::vector<std::size_t> greedyColoring(
     const Graph &conflict, const std::vector<std::size_t> &order = {});
 
-/**
- * Greedy coloring where each color class holds at most @p capacity
- * vertices. A vertex skips colors that are full or conflict-adjacent.
- */
-std::vector<std::size_t> greedyColoringCapped(
-    const Graph &conflict, std::size_t capacity,
-    const std::vector<std::size_t> &order = {});
-
-/** Number of distinct colors in an assignment. */
-std::size_t colorCount(const std::vector<std::size_t> &colors);
-
-/** True when no edge of @p conflict joins two same-colored vertices. */
-bool isProperColoring(const Graph &conflict,
-                      const std::vector<std::size_t> &colors);
-
 /** Vertex order of decreasing degree (Welsh-Powell order). */
 std::vector<std::size_t> degreeDescendingOrder(const Graph &g);
 

@@ -1,7 +1,6 @@
 #include "graph/graph.hpp"
 
 #include <algorithm>
-#include <queue>
 #include <string>
 
 #include "common/error.hpp"
@@ -52,19 +51,6 @@ Graph::hasEdge(std::size_t u, std::size_t v) const
                        });
 }
 
-double
-Graph::edgeWeight(std::size_t u, std::size_t v) const
-{
-    checkVertex(u);
-    checkVertex(v);
-    for (const Incidence &inc : adjacency_[u]) {
-        if (inc.vertex == v)
-            return edges_[inc.edge].weight;
-    }
-    throw ConfigError("edge (" + std::to_string(u) + ", " +
-                      std::to_string(v) + ") not present");
-}
-
 const std::vector<Incidence> &
 Graph::incidences(std::size_t v) const
 {
@@ -95,43 +81,6 @@ Graph::edge(std::size_t index) const
 {
     requireConfig(index < edges_.size(), "edge index out of range");
     return edges_[index];
-}
-
-bool
-Graph::isConnected() const
-{
-    if (adjacency_.empty())
-        return true;
-    const auto labels = connectedComponents();
-    return std::all_of(labels.begin(), labels.end(),
-                       [](std::size_t l) { return l == 0; });
-}
-
-std::vector<std::size_t>
-Graph::connectedComponents() const
-{
-    constexpr std::size_t unvisited = static_cast<std::size_t>(-1);
-    std::vector<std::size_t> label(adjacency_.size(), unvisited);
-    std::size_t next_label = 0;
-    for (std::size_t start = 0; start < adjacency_.size(); ++start) {
-        if (label[start] != unvisited)
-            continue;
-        std::queue<std::size_t> frontier;
-        frontier.push(start);
-        label[start] = next_label;
-        while (!frontier.empty()) {
-            const std::size_t v = frontier.front();
-            frontier.pop();
-            for (const Incidence &inc : adjacency_[v]) {
-                if (label[inc.vertex] == unvisited) {
-                    label[inc.vertex] = next_label;
-                    frontier.push(inc.vertex);
-                }
-            }
-        }
-        ++next_label;
-    }
-    return label;
 }
 
 void

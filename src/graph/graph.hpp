@@ -60,9 +60,6 @@ class Graph
     /** True when (u, v) is an edge. */
     bool hasEdge(std::size_t u, std::size_t v) const;
 
-    /** Weight of edge (u, v); throws ConfigError when absent. */
-    double edgeWeight(std::size_t u, std::size_t v) const;
-
     /** Incidence list (neighbour + edge index) of @p v. */
     const std::vector<Incidence> &incidences(std::size_t v) const;
 
@@ -77,12 +74,6 @@ class Graph
 
     /** Edge by index. */
     const Edge &edge(std::size_t index) const;
-
-    /** True when every vertex is reachable from vertex 0 (or empty). */
-    bool isConnected() const;
-
-    /** Connected-component label per vertex (labels are 0-based). */
-    std::vector<std::size_t> connectedComponents() const;
 
   private:
     void checkVertex(std::size_t v) const;

@@ -53,60 +53,4 @@ hopDistance(const Graph &g, std::size_t from, std::size_t to)
     return multiPathBfs(g, from).hops[to];
 }
 
-std::size_t
-multiPathDistance(const Graph &g, std::size_t from, std::size_t to)
-{
-    requireConfig(to < g.vertexCount(), "target out of range");
-    const MultiPathResult bfs = multiPathBfs(g, from);
-    if (bfs.hops[to] == kUnreachable)
-        return kUnreachable;
-    return bfs.hops[to] * bfs.pathCount[to];
-}
-
-std::vector<std::vector<std::size_t>>
-allPairsMultiPathDistance(const Graph &g)
-{
-    std::vector<std::vector<std::size_t>> table(g.vertexCount());
-    for (std::size_t src = 0; src < g.vertexCount(); ++src) {
-        const MultiPathResult bfs = multiPathBfs(g, src);
-        table[src].resize(g.vertexCount());
-        for (std::size_t dst = 0; dst < g.vertexCount(); ++dst) {
-            table[src][dst] = bfs.hops[dst] == kUnreachable
-                                  ? kUnreachable
-                                  : bfs.hops[dst] * bfs.pathCount[dst];
-        }
-    }
-    return table;
-}
-
-std::vector<double>
-dijkstra(const Graph &g, std::size_t source)
-{
-    requireConfig(source < g.vertexCount(), "Dijkstra source out of range");
-    constexpr double inf = std::numeric_limits<double>::infinity();
-    std::vector<double> dist(g.vertexCount(), inf);
-    dist[source] = 0.0;
-
-    using Entry = std::pair<double, std::size_t>;
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-    heap.emplace(0.0, source);
-    while (!heap.empty()) {
-        const auto [d, v] = heap.top();
-        heap.pop();
-        if (d > dist[v])
-            continue;
-        for (const Incidence &inc : g.incidences(v)) {
-            const std::size_t n = inc.vertex;
-            const double w = g.edge(inc.edge).weight;
-            requireConfig(w >= 0.0,
-                          "Dijkstra requires non-negative edge weights");
-            if (dist[v] + w < dist[n]) {
-                dist[n] = dist[v] + w;
-                heap.emplace(dist[n], n);
-            }
-        }
-    }
-    return dist;
-}
-
 } // namespace youtiao

@@ -45,24 +45,6 @@ MultiPathResult multiPathBfs(const Graph &g, std::size_t source);
 /** Unweighted hop distance between two vertices (kUnreachable if none). */
 std::size_t hopDistance(const Graph &g, std::size_t from, std::size_t to);
 
-/**
- * The paper's multi-path topological distance d_top = n * l between two
- * vertices: shortest-path length l times shortest-path multiplicity n.
- * Returns kUnreachable when no path exists and 0 for from == to.
- */
-std::size_t multiPathDistance(const Graph &g, std::size_t from,
-                              std::size_t to);
-
-/** All-pairs multi-path distances as a dense table (row = source). */
-std::vector<std::vector<std::size_t>> allPairsMultiPathDistance(
-    const Graph &g);
-
-/**
- * Dijkstra over non-negative edge weights from @p source; returns the
- * weighted distance per vertex (infinity when unreachable).
- */
-std::vector<double> dijkstra(const Graph &g, std::size_t source);
-
 } // namespace youtiao
 
 #endif // YOUTIAO_GRAPH_SHORTEST_PATH_HPP

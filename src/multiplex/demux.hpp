@@ -22,8 +22,6 @@ struct DemuxSpec
 {
     /** Output fan-out N of the 1:N switch (power of two). */
     std::size_t fanout = 4;
-    /** Channel switch time (ns). */
-    double switchNs = 2.6;
 
     /** Digital select lines required: log2(fanout). */
     std::size_t

@@ -24,15 +24,6 @@ GroupHopSchedule::frequencyAtHop(std::size_t member_index,
     return channelsGHz[(rotation + homeChannel[member_index]) % k];
 }
 
-std::size_t
-HopPlan::maxPeriodLength() const
-{
-    std::size_t longest = 0;
-    for (const auto &g : groups)
-        longest = std::max(longest, g.periodLength());
-    return longest;
-}
-
 HopPlan
 buildHopPlan(const FdmPlan &plan, const FrequencyPlan &freq,
              const FhssConfig &config)
@@ -107,39 +98,6 @@ frequenciesAtHop(const HopPlan &hop_plan, const FrequencyPlan &freq,
             out[g.members[m]] = g.frequencyAtHop(m, hop);
     }
     return out;
-}
-
-bool
-hasUniformOccupancy(const GroupHopSchedule &g)
-{
-    const std::size_t k = g.channelCount();
-    if (k < 2)
-        return true;
-    if (g.sequence.size() % k != 0)
-        return false;
-    const std::size_t blocks = g.sequence.size() / k;
-    // Block heads are sync slots (identity rotation).
-    for (std::size_t block = 0; block < blocks; ++block) {
-        if (g.sequence[block * k] != 0)
-            return false;
-    }
-    // Every member visits every channel exactly `blocks` times: since a
-    // rotation is a bijection, it suffices that each rotation value
-    // appears exactly once per block.
-    for (std::size_t block = 0; block < blocks; ++block) {
-        std::vector<std::size_t> seen(k, 0);
-        for (std::size_t i = 0; i < k; ++i) {
-            const std::size_t r = g.sequence[block * k + i];
-            if (r >= k)
-                return false;
-            ++seen[r];
-        }
-        for (std::size_t r = 0; r < k; ++r) {
-            if (seen[r] != 1)
-                return false;
-        }
-    }
-    return true;
 }
 
 std::size_t

@@ -78,9 +78,6 @@ struct HopPlan
 {
     FhssConfig config;
     std::vector<GroupHopSchedule> groups;
-
-    /** Longest group period (single-member groups never hop). */
-    std::size_t maxPeriodLength() const;
 };
 
 /**
@@ -98,13 +95,6 @@ HopPlan buildHopPlan(const FdmPlan &plan, const FrequencyPlan &freq,
 std::vector<double> frequenciesAtHop(const HopPlan &hop_plan,
                                      const FrequencyPlan &freq,
                                      std::size_t hop);
-
-/**
- * True when every member of @p g visits every channel exactly
- * config.blocksPerPeriod times per period and each block head is the
- * identity rotation (the uniform-occupancy / sync-slot contract).
- */
-bool hasUniformOccupancy(const GroupHopSchedule &g);
 
 /**
  * Distinct-qubit pairs sharing one operating frequency in @p

@@ -274,96 +274,6 @@ allocateFrequencies(const FdmPlan &plan,
 }
 
 FrequencyPlan
-allocateFrequenciesConstrained(const FdmPlan &plan,
-                               const SymmetricMatrix &predicted_crosstalk,
-                               const NoiseModel &noise,
-                               const std::vector<double> &base_frequencies,
-                               double max_retune_ghz,
-                               const FrequencyAllocationConfig &config)
-{
-    const std::size_t n = plan.lineOfQubit.size();
-    requireConfig(predicted_crosstalk.size() == n,
-                  "crosstalk matrix does not match the plan");
-    requireConfig(base_frequencies.size() == n,
-                  "base frequency vector does not match the plan");
-    requireConfig(max_retune_ghz >= 0.0, "retune range must be >= 0");
-
-    FrequencyPlan out;
-    out.zoneCount = std::max<std::size_t>(1, plan.maxGroupSize());
-    out.frequencyGHz.assign(n, 0.0);
-    out.zoneOfQubit.assign(n, 0);
-    out.cellOfQubit.assign(n, 0);
-    std::vector<double> allocated(n, 0.0);
-    const double cell_ghz = config.cellMHz * units::MHz;
-
-    const CrosstalkNeighborhood neighborhood(predicted_crosstalk,
-                                             plan.lineOfQubit);
-
-    // Candidate cells per qubit: the +/- window around its fabrication
-    // frequency, on the global cell comb. Zones are whatever the
-    // fabrication bands give; we record the containing zone for
-    // diagnostics.
-    const double zone_width =
-        (config.hiGHz - config.loGHz) / static_cast<double>(out.zoneCount);
-    for (const auto &line : plan.lines) {
-        for (std::size_t q : line) {
-            const double base = base_frequencies[q];
-            const auto lo_cell = static_cast<long>(
-                std::ceil((base - max_retune_ghz - config.loGHz) /
-                          cell_ghz));
-            const auto hi_cell = static_cast<long>(
-                std::floor((base + max_retune_ghz - config.loGHz) /
-                           cell_ghz));
-            double best_cost = std::numeric_limits<double>::infinity();
-            double best_f = base;
-            long best_cell = std::lround((base - config.loGHz) / cell_ghz);
-            for (long cell = lo_cell; cell <= hi_cell; ++cell) {
-                const double f = config.loGHz +
-                                 (static_cast<double>(cell) + 0.5) *
-                                     cell_ghz;
-                if (f < config.loGHz || f > config.hiGHz ||
-                    std::abs(f - base) > max_retune_ghz ||
-                    isMasked(f, config.maskedBandsGHz))
-                    continue;
-                const double cost = qubitCost(q, f, out.frequencyGHz,
-                                              allocated, neighborhood,
-                                              noise);
-                if (cost < best_cost) {
-                    best_cost = cost;
-                    best_f = f;
-                    best_cell = cell;
-                }
-            }
-            out.frequencyGHz[q] = best_f;
-            out.cellOfQubit[q] =
-                static_cast<std::size_t>(std::max(0L, best_cell));
-            const double offset =
-                std::clamp(best_f - config.loGHz, 0.0,
-                           config.hiGHz - config.loGHz - 1e-9);
-            out.zoneOfQubit[q] =
-                static_cast<std::size_t>(offset / zone_width);
-            allocated[q] = 1.0;
-        }
-    }
-    out.crosstalkCost = allocationCrosstalkCost(out.frequencyGHz,
-                                                predicted_crosstalk, noise);
-    return out;
-}
-
-double
-maxRetuneGHz(const FrequencyPlan &plan,
-             const std::vector<double> &base_frequencies)
-{
-    requireConfig(plan.frequencyGHz.size() == base_frequencies.size(),
-                  "plan and base frequency sizes differ");
-    double worst = 0.0;
-    for (std::size_t q = 0; q < base_frequencies.size(); ++q)
-        worst = std::max(worst, std::abs(plan.frequencyGHz[q] -
-                                         base_frequencies[q]));
-    return worst;
-}
-
-FrequencyPlan
 allocateFrequenciesInLineOnly(const FdmPlan &plan,
                               const FrequencyAllocationConfig &config)
 {

@@ -156,27 +156,6 @@ FrequencyPlan allocateFrequencies(const FdmPlan &plan,
                                   = {});
 
 /**
- * Retune-constrained allocation for an already-fabricated chip: transmon
- * frequencies can only be Z-tuned within a narrow window (the paper cites
- * ~50 MHz), so each qubit picks the lowest-crosstalk cell inside
- * base +/- @p max_retune_ghz. Zone separation becomes best-effort -- the
- * fabrication pattern, not the allocator, provides the in-line spacing.
- */
-FrequencyPlan allocateFrequenciesConstrained(
-    const FdmPlan &plan, const SymmetricMatrix &predicted_crosstalk,
-    const NoiseModel &noise, const std::vector<double> &base_frequencies,
-    double max_retune_ghz = 0.05,
-    const FrequencyAllocationConfig &config = {});
-
-/**
- * Largest |allocated - base| over all qubits (GHz): how much retuning a
- * plan assumes. Design-time plans may assume arbitrary values; plans for
- * existing chips must stay within the Z-line tuning range.
- */
-double maxRetuneGHz(const FrequencyPlan &plan,
-                    const std::vector<double> &base_frequencies);
-
-/**
  * George et al. [13] baseline: optimal in-line spacing (members of each
  * line spread evenly across the full band) but no inter-line
  * coordination -- every line reuses the same frequency comb, so nearby

@@ -1,23 +1,8 @@
 #include "multiplex/readout.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "common/error.hpp"
 
 namespace youtiao {
-
-namespace {
-
-/** Lorentzian power bleed of a probe detuned by df from a resonator. */
-double
-bleedFraction(double df_ghz, const ReadoutConfig &config)
-{
-    const double x = 2.0 * df_ghz / config.resonatorLinewidthGHz;
-    return 1.0 / (1.0 + x * x);
-}
-
-} // namespace
 
 ReadoutPlan
 planReadout(const SymmetricMatrix &d_equiv, const ReadoutConfig &config)
@@ -45,52 +30,6 @@ planReadout(const SymmetricMatrix &d_equiv, const ReadoutConfig &config)
         }
     }
     return plan;
-}
-
-double
-worstChannelCrosstalkDb(const ReadoutPlan &plan,
-                        const ReadoutConfig &config)
-{
-    double worst = 0.0; // fraction
-    for (const auto &line : plan.feedlines) {
-        for (std::size_t i = 0; i < line.size(); ++i) {
-            for (std::size_t j = i + 1; j < line.size(); ++j) {
-                const double df =
-                    std::abs(plan.resonatorGHz[line[i]] -
-                             plan.resonatorGHz[line[j]]);
-                worst = std::max(worst, bleedFraction(df, config));
-            }
-        }
-    }
-    if (worst <= 0.0)
-        return -300.0; // effectively perfect isolation
-    return 10.0 * std::log10(worst);
-}
-
-bool
-meetsIsolation(const ReadoutPlan &plan, const ReadoutConfig &config)
-{
-    return worstChannelCrosstalkDb(plan, config) <= -config.isolationDb;
-}
-
-std::vector<double>
-singleShotFidelities(const ReadoutPlan &plan, const ReadoutConfig &config)
-{
-    std::vector<double> fidelities(plan.feedlineOfQubit.size(), 1.0);
-    for (const auto &line : plan.feedlines) {
-        for (std::size_t q : line) {
-            double error = config.intrinsicAssignmentError;
-            for (std::size_t other : line) {
-                if (other == q)
-                    continue;
-                const double df = std::abs(plan.resonatorGHz[q] -
-                                           plan.resonatorGHz[other]);
-                error += bleedFraction(df, config);
-            }
-            fidelities[q] = 1.0 - std::min(error, 1.0);
-        }
-    }
-    return fidelities;
 }
 
 } // namespace youtiao

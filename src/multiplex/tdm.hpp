@@ -41,8 +41,6 @@ struct TdmGroupingConfig
      * Calibrated against the residual-ZZ scale (~0.1 MHz neighbours).
      */
     double noisyZzMHz = 0.05;
-    /** cryo-DEMUX switch time (ns). */
-    double switchNs = 2.6;
     /**
      * Minimum average non-parallel fraction a candidate must score
      * against the group to be admitted. 0 fills every group to capacity

@@ -121,43 +121,4 @@ scheduleWithTdm(const QuantumCircuit &qc, const ChipTopology &chip,
     return scheduleCircuit(qc, &constraint);
 }
 
-double
-tdmDurationNs(const QuantumCircuit &qc, const Schedule &schedule,
-              const ChipTopology &chip, const TdmPlan &plan,
-              const GateDurations &durations, double switch_ns)
-{
-    const TdmLayerConstraint constraint(chip, plan);
-    double total = schedule.durationNs(qc, durations);
-    // A DEMUX retargets between consecutive layers when its group serves
-    // different devices in them.
-    std::vector<std::size_t> prev_device(plan.groups.size(),
-                                         static_cast<std::size_t>(-1));
-    bool have_prev = false;
-    for (const auto &layer : schedule.layers) {
-        std::vector<std::size_t> now_device(plan.groups.size(),
-                                            static_cast<std::size_t>(-1));
-        for (std::size_t gi : layer) {
-            for (std::size_t dev :
-                 constraint.requiredDevices(qc.gates()[gi]))
-                now_device[plan.groupOfDevice[dev]] = dev;
-        }
-        if (have_prev) {
-            for (std::size_t g = 0; g < plan.groups.size(); ++g) {
-                if (now_device[g] != static_cast<std::size_t>(-1) &&
-                    prev_device[g] != static_cast<std::size_t>(-1) &&
-                    now_device[g] != prev_device[g]) {
-                    total += switch_ns;
-                    break; // switches overlap across DEMUXes
-                }
-            }
-        }
-        for (std::size_t g = 0; g < plan.groups.size(); ++g) {
-            if (now_device[g] != static_cast<std::size_t>(-1))
-                prev_device[g] = now_device[g];
-        }
-        have_prev = true;
-    }
-    return total;
-}
-
 } // namespace youtiao

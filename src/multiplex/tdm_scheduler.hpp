@@ -95,16 +95,6 @@ Schedule scheduleWithTdmAndNoise(const QuantumCircuit &qc,
                                  const SymmetricMatrix &zz_qubit,
                                  double threshold_mhz);
 
-/**
- * Wall-clock duration of a TDM schedule including cryo-DEMUX channel
- * switching: every layer boundary where some DEMUX must retarget costs
- * @p switch_ns (Acharya et al.: 2.6 ns) on top of the gate time.
- */
-double tdmDurationNs(const QuantumCircuit &qc, const Schedule &schedule,
-                     const ChipTopology &chip, const TdmPlan &plan,
-                     const GateDurations &durations = {},
-                     double switch_ns = 2.6);
-
 } // namespace youtiao
 
 #endif // YOUTIAO_MULTIPLEX_TDM_SCHEDULER_HPP

@@ -193,14 +193,6 @@ DecisionTree::DecisionTree(DecisionTreeConfig config)
 void
 DecisionTree::fit(std::span<const double> x,
                   std::span<const double> targets,
-                  const std::vector<std::size_t> &sample_indices)
-{
-    fit(x, targets, sample_indices, sortRowsByX(x));
-}
-
-void
-DecisionTree::fit(std::span<const double> x,
-                  std::span<const double> targets,
                   const std::vector<std::size_t> &sample_indices,
                   std::span<const std::size_t> by_x)
 {

@@ -53,13 +53,10 @@ class DecisionTree
     explicit DecisionTree(DecisionTreeConfig config = {});
 
     /** Fit on feature values @p x against @p targets (same size),
-     *  optionally restricted to @p sample_indices (for bagging). */
-    void fit(std::span<const double> x, std::span<const double> targets,
-             const std::vector<std::size_t> &sample_indices = {});
-
-    /** fit() with the rows' x order supplied: @p by_x holds every row
-     *  index in nondecreasing x, as sortRowsByX(x) returns (ConfigError
-     *  otherwise). A forest sorts once and shares it among its trees. */
+     *  restricted to @p sample_indices (for bagging; empty = every row).
+     *  @p by_x holds every row index in nondecreasing x, as
+     *  sortRowsByX(x) returns (ConfigError otherwise); a forest sorts
+     *  once and shares it among its trees. */
     void fit(std::span<const double> x, std::span<const double> targets,
              const std::vector<std::size_t> &sample_indices,
              std::span<const std::size_t> by_x);

@@ -7,29 +7,23 @@
 
 namespace youtiao {
 
-namespace {
-
 SymmetricMatrix
-physicalMatrix(const ChipTopology &chip, bool device_level)
+qubitPhysicalDistanceMatrix(const ChipTopology &chip)
 {
-    const std::size_t n =
-        device_level ? chip.deviceCount() : chip.qubitCount();
+    const std::size_t n = chip.qubitCount();
     SymmetricMatrix m(n);
     for (std::size_t i = 0; i < n; ++i) {
-        const Point pi = device_level ? chip.devicePosition(i)
-                                      : chip.qubit(i).position;
-        for (std::size_t j = i + 1; j < n; ++j) {
-            const Point pj = device_level ? chip.devicePosition(j)
-                                          : chip.qubit(j).position;
-            m(i, j) = distance(pi, pj);
-        }
+        const Point pi = chip.qubit(i).position;
+        for (std::size_t j = i + 1; j < n; ++j)
+            m(i, j) = distance(pi, chip.qubit(j).position);
     }
     return m;
 }
 
 SymmetricMatrix
-topologicalMatrix(const Graph &g)
+qubitTopologicalDistanceMatrix(const ChipTopology &chip)
 {
+    const Graph &g = chip.qubitGraph();
     const std::size_t n = g.vertexCount();
     SymmetricMatrix m(n);
     double max_finite = 0.0;
@@ -53,32 +47,6 @@ topologicalMatrix(const Graph &g)
     for (const auto &[i, j] : unreachable)
         m(i, j) = penalty;
     return m;
-}
-
-} // namespace
-
-SymmetricMatrix
-qubitPhysicalDistanceMatrix(const ChipTopology &chip)
-{
-    return physicalMatrix(chip, false);
-}
-
-SymmetricMatrix
-qubitTopologicalDistanceMatrix(const ChipTopology &chip)
-{
-    return topologicalMatrix(chip.qubitGraph());
-}
-
-SymmetricMatrix
-devicePhysicalDistanceMatrix(const ChipTopology &chip)
-{
-    return physicalMatrix(chip, true);
-}
-
-SymmetricMatrix
-deviceTopologicalDistanceMatrix(const ChipTopology &chip)
-{
-    return topologicalMatrix(chip.deviceGraph());
 }
 
 SymmetricMatrix

@@ -3,14 +3,10 @@
  * Equivalent-distance matrices (paper Section 4.1).
  *
  * YOUTIAO characterizes crosstalk through a joint metric combining the
- * physical (Euclidean) distance between devices and a multi-path
- * topological distance d_top = n * l over the connectivity graph:
+ * physical (Euclidean) distance between qubits and a multi-path
+ * topological distance d_top = n * l over the coupling graph:
  *
  *     d_equiv(i, j) = w_phy * d_phy(i, j) + w_top * d_top(i, j)
- *
- * Both qubit-level matrices (for FDM grouping on XY lines) and
- * device-level matrices including couplers (for TDM grouping on Z lines)
- * are provided.
  */
 
 #ifndef YOUTIAO_NOISE_EQUIVALENT_DISTANCE_HPP
@@ -30,15 +26,6 @@ SymmetricMatrix qubitPhysicalDistanceMatrix(const ChipTopology &chip);
  * (2x the maximum finite distance) so downstream weighting stays usable.
  */
 SymmetricMatrix qubitTopologicalDistanceMatrix(const ChipTopology &chip);
-
-/** Pairwise Euclidean distances between all devices (qubits+couplers). */
-SymmetricMatrix devicePhysicalDistanceMatrix(const ChipTopology &chip);
-
-/**
- * Pairwise multi-path topological distances over the device graph, where
- * couplers are vertices between their endpoint qubits.
- */
-SymmetricMatrix deviceTopologicalDistanceMatrix(const ChipTopology &chip);
 
 /**
  * Combine physical and topological matrices into the equivalent distance

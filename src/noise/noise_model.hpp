@@ -29,12 +29,6 @@ struct NoiseModelConfig
     double twoQubitBaseError = 2.7e-3;
     /** Single-shot readout error (paper baseline: 99.0%). */
     double readoutError = 1e-2;
-    /** 1q gate duration (ns). */
-    double oneQubitGateNs = 25.0;
-    /** 2q (CZ) gate duration (ns); paper: ~2 layers in 120 ns. */
-    double twoQubitGateNs = 60.0;
-    /** cryo-DEMUX channel switch time (ns); Acharya et al. report 2.6. */
-    double demuxSwitchNs = 2.6;
     /** Effective drive linewidth for spectator excitation (GHz). */
     double driveLinewidthGHz = 0.05;
     /** Shared-FDM-line leakage amplitude before filtering. */

@@ -225,26 +225,6 @@ meanIntraRegionDistance(const ChipPartition &partition,
     return pairs == 0 ? 0.0 : total / static_cast<double>(pairs);
 }
 
-bool
-partitionPassesDrc(const ChipTopology &chip, const ChipPartition &partition)
-{
-    std::vector<std::size_t> seen(chip.qubitCount(), 0);
-    for (const auto &region : partition.regions) {
-        if (region.empty())
-            return false;
-        for (std::size_t q : region) {
-            if (q >= chip.qubitCount())
-                return false;
-            ++seen[q];
-        }
-        // Connectivity: remove a non-existent qubit == check as-is.
-        if (!regionConnectedWithout(chip, region, chip.qubitCount()))
-            return false;
-    }
-    return std::all_of(seen.begin(), seen.end(),
-                       [](std::size_t c) { return c == 1; });
-}
-
 FdmPlan
 groupFdmPartitioned(const ChipPartition &partition,
                     const SymmetricMatrix &d_equiv,

@@ -75,13 +75,6 @@ double meanIntraRegionDistance(const ChipPartition &partition,
                                const SymmetricMatrix &d_equiv);
 
 /**
- * DRC of stage 4: every qubit assigned to exactly one region and every
- * region induces a connected subgraph of the coupling map.
- */
-bool partitionPassesDrc(const ChipTopology &chip,
-                        const ChipPartition &partition);
-
-/**
  * Stage 3: run YOUTIAO's greedy FDM grouping independently inside every
  * region (regions are pipelinable; results are concatenated into one
  * chip-wide plan).

@@ -42,13 +42,6 @@ RoutingGrid::cellAt(const Point &p) const
                 clamp_axis((p.y - originY_) / config_.cellMm, height_)};
 }
 
-Point
-RoutingGrid::pointAt(const Cell &c) const
-{
-    return Point{originX_ + static_cast<double>(c.x) * config_.cellMm,
-                 originY_ + static_cast<double>(c.y) * config_.cellMm};
-}
-
 std::int32_t
 RoutingGrid::owner(const Cell &c) const
 {

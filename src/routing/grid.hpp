@@ -65,9 +65,6 @@ class RoutingGrid
     /** Nearest cell to a chip-plane point (clamped to the grid). */
     Cell cellAt(const Point &p) const;
 
-    /** Centre point of a cell. */
-    Point pointAt(const Cell &c) const;
-
     /** Owner of a cell (kFree, kObstacle, or a net id >= 0). */
     std::int32_t owner(const Cell &c) const;
 

@@ -119,7 +119,7 @@ estimateFidelity(const QuantumCircuit &qc, const Schedule &schedule,
                     }
                 }
                 const double err = ctx.noise.zzDephasingError(
-                    worst_zz, cfg.twoQubitGateNs);
+                    worst_zz, ctx.durations.twoQubitNs);
                 out.crosstalkComponent *= 1.0 - err;
             }
         }

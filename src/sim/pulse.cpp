@@ -120,23 +120,6 @@ spectatorExcitation(double detuning_ghz, const PulseConfig &config)
     return std::norm(psi.c1);
 }
 
-std::vector<double>
-excitationProfile(double lo_ghz, double hi_ghz, std::size_t samples,
-                  const PulseConfig &config)
-{
-    requireConfig(samples >= 2, "need at least two samples");
-    requireConfig(hi_ghz > lo_ghz, "empty detuning range");
-    std::vector<double> profile;
-    profile.reserve(samples);
-    for (std::size_t i = 0; i < samples; ++i) {
-        const double f = lo_ghz + (hi_ghz - lo_ghz) *
-                                      static_cast<double>(i) /
-                                      static_cast<double>(samples - 1);
-        profile.push_back(spectatorExcitation(f, config));
-    }
-    return profile;
-}
-
 double
 effectiveLinewidthGHz(const PulseConfig &config)
 {

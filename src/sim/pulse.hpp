@@ -45,14 +45,6 @@ double spectatorExcitation(double detuning_ghz,
                            const PulseConfig &config = {});
 
 /**
- * Excitation profile over @p samples detunings in [lo, hi] GHz
- * (inclusive endpoints).
- */
-std::vector<double> excitationProfile(double lo_ghz, double hi_ghz,
-                                      std::size_t samples,
-                                      const PulseConfig &config = {});
-
-/**
  * Detuning (GHz) at which the excitation falls to half its on-resonance
  * value — the effective drive linewidth the Lorentzian model abstracts.
  * Found by bisection over [0, 1] GHz.

@@ -1,0 +1,136 @@
+/**
+ * @file
+ * Retired library functions, kept only with their own tests.
+ *
+ * No system binary reaches these and no test uses them as a reference:
+ * each is the subject of its own tests (uniformInt(prng, lo, hi) also
+ * draws test data). They left src/ so the library holds what the system
+ * runs; deleting each one together with its tests is an open ROADMAP
+ * item.
+ */
+
+#ifndef YOUTIAO_TESTS_ORACLES_RETIRED_HPP
+#define YOUTIAO_TESTS_ORACLES_RETIRED_HPP
+
+#include <cstddef>
+#include <span>
+#include <string>
+#include <vector>
+
+#include "chip/topology.hpp"
+#include "circuit/circuit.hpp"
+#include "circuit/scheduler.hpp"
+#include "common/matrix.hpp"
+#include "common/prng.hpp"
+#include "graph/graph.hpp"
+#include "multiplex/tdm.hpp"
+#include "sim/pulse.hpp"
+
+namespace youtiao {
+
+// -- statistics ------------------------------------------------------------
+
+/** Arithmetic mean; 0 for an empty span. */
+double mean(std::span<const double> xs);
+
+/** Population variance; 0 for spans shorter than 2. */
+double variance(std::span<const double> xs);
+
+/** Population standard deviation. */
+double stddev(std::span<const double> xs);
+
+/** Median (average of middle two for even sizes); requires non-empty. */
+double median(std::span<const double> xs);
+
+/** Mean squared error between predictions and targets (equal sizes). */
+double meanSquaredError(std::span<const double> predicted,
+                        std::span<const double> actual);
+
+/** Mean absolute error between predictions and targets (equal sizes). */
+double meanAbsoluteError(std::span<const double> predicted,
+                         std::span<const double> actual);
+
+/** Pearson correlation coefficient; 0 when either side is constant. */
+double pearsonCorrelation(std::span<const double> xs,
+                          std::span<const double> ys);
+
+// -- sampling --------------------------------------------------------------
+
+/** Uniform integer in [lo, hi] inclusive, drawn as
+ *  lo + prng.uniformInt(hi - lo + 1). */
+int uniformInt(Prng &prng, int lo, int hi);
+
+/** Sample k distinct indices from [0, n) (k <= n). */
+std::vector<std::size_t> sampleWithoutReplacement(Prng &prng, std::size_t n,
+                                                  std::size_t k);
+
+// -- graphs ----------------------------------------------------------------
+
+/** Weight of edge (u, v); throws ConfigError when absent. */
+double edgeWeight(const Graph &g, std::size_t u, std::size_t v);
+
+/**
+ * Dijkstra over non-negative edge weights from @p source; returns the
+ * weighted distance per vertex (infinity when unreachable).
+ */
+std::vector<double> dijkstra(const Graph &g, std::size_t source);
+
+/**
+ * Greedy coloring where each color class holds at most @p capacity
+ * vertices. A vertex skips colors that are full or conflict-adjacent.
+ * With @p order empty, uses index order.
+ */
+std::vector<std::size_t> greedyColoringCapped(
+    const Graph &conflict, std::size_t capacity,
+    const std::vector<std::size_t> &order = {});
+
+// -- device-level chip views -----------------------------------------------
+
+/**
+ * Device-level graph over qubits and couplers: each coupler is a vertex
+ * adjacent to its two endpoint qubits.
+ */
+Graph deviceGraph(const ChipTopology &chip);
+
+/** Pairwise Euclidean distances between all devices (qubits+couplers). */
+SymmetricMatrix devicePhysicalDistanceMatrix(const ChipTopology &chip);
+
+/**
+ * Pairwise multi-path topological distances over the device graph, where
+ * couplers are vertices between their endpoint qubits. Disconnected pairs
+ * receive 2x the maximum finite distance.
+ */
+SymmetricMatrix deviceTopologicalDistanceMatrix(const ChipTopology &chip);
+
+// -- schedules and pulses --------------------------------------------------
+
+/**
+ * Wall-clock duration of a TDM schedule including cryo-DEMUX channel
+ * switching: every layer boundary where some DEMUX must retarget costs
+ * @p switch_ns (Acharya et al.: 2.6 ns) on top of the gate time.
+ */
+double tdmDurationNs(const QuantumCircuit &qc, const Schedule &schedule,
+                     const ChipTopology &chip, const TdmPlan &plan,
+                     const GateDurations &durations = {},
+                     double switch_ns = 2.6);
+
+/**
+ * ASCII gantt of a schedule: one row per qubit, one column per layer
+ * ('.' idle, '1' one-qubit gate, '=' two-qubit gate, 'M' readout),
+ * truncated at @p max_layers columns.
+ */
+std::string renderSchedule(const QuantumCircuit &qc,
+                           const Schedule &schedule,
+                           std::size_t max_layers = 72);
+
+/**
+ * Excitation profile over @p samples detunings in [lo, hi] GHz
+ * (inclusive endpoints).
+ */
+std::vector<double> excitationProfile(double lo_ghz, double hi_ghz,
+                                      std::size_t samples,
+                                      const PulseConfig &config = {});
+
+} // namespace youtiao
+
+#endif // YOUTIAO_TESTS_ORACLES_RETIRED_HPP

@@ -18,6 +18,7 @@
 #include "chip/chip_bin.hpp"
 #include "chip/chip_io.hpp"
 #include "chip/topology_builder.hpp"
+#include "common/atomic_io.hpp"
 #include "common/binfmt.hpp"
 #include "common/error.hpp"
 #include "core/design_bin.hpp"
@@ -72,8 +73,6 @@ TEST(BinFmt, WriterReaderRoundTrip)
     const binfmt::Reader reader(image, "YTTESTBN", 1, "test");
     EXPECT_EQ(reader.schemaVersion(), 1u);
     EXPECT_EQ(reader.sectionCount(), 2u);
-    EXPECT_TRUE(reader.hasSection("doubles"));
-    EXPECT_FALSE(reader.hasSection("missing"));
     const auto d = reader.f64("doubles");
     ASSERT_EQ(d.size(), 3u);
     EXPECT_EQ(d[1], -2.25);
@@ -317,7 +316,8 @@ TEST(DesignBinary, SaveLoadFile)
     const YoutiaoDesign design = sampleDesign(chip);
     const TestDir scratch;
     const std::string path = scratch.file("design.bin");
-    saveDesignBinary(path, design);
+    const std::vector<unsigned char> image = designToBinary(design);
+    io::atomicWriteFile(path, image.data(), image.size());
     const YoutiaoDesign loaded = loadDesignBinary(path);
     EXPECT_EQ(designToString(loaded), designToString(design));
 }

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "chip/chip_io.hpp"
 #include "chip/topology_builder.hpp"
 #include "common/error.hpp"
@@ -7,6 +9,14 @@
 
 namespace youtiao {
 namespace {
+
+/** Parse a chip from text, the way loadChip reads a file. */
+ChipTopology
+chipFromString(const std::string &text)
+{
+    std::istringstream in(text);
+    return loadChip(in);
+}
 
 TEST(ChipIo, RoundTripTopology)
 {

@@ -2,6 +2,8 @@
 
 #include "common/error.hpp"
 #include "graph/coloring.hpp"
+#include "oracles/checks.hpp"
+#include "oracles/retired.hpp"
 
 namespace youtiao {
 namespace {

@@ -1,9 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <numeric>
 
 #include "chip/topology_builder.hpp"
-#include "common/statistics.hpp"
 #include "noise/crosstalk_data.hpp"
 
 namespace youtiao {
@@ -88,6 +88,10 @@ TEST(CrosstalkData, AdjacentNoisierThanDistantOnAverage)
     }
     ASSERT_FALSE(adjacent.empty());
     ASSERT_FALSE(distant.empty());
+    auto mean = [](const std::vector<double> &xs) {
+        return std::accumulate(xs.begin(), xs.end(), 0.0) /
+               static_cast<double>(xs.size());
+    };
     EXPECT_GT(mean(adjacent), 5.0 * mean(distant));
 }
 

@@ -16,6 +16,7 @@
 #include "common/prng.hpp"
 #include "noise/decision_tree.hpp"
 #include "noise/random_forest.hpp"
+#include "oracles/retired.hpp"
 
 namespace youtiao {
 namespace {
@@ -25,7 +26,7 @@ TEST(DecisionTree, ConstantTargetGivesConstantLeaf)
     DecisionTree tree;
     const std::vector<double> x{1.0, 2.0, 3.0, 4.0, 5.0, 6.0};
     const std::vector<double> y(6, 3.5);
-    tree.fit(x, y);
+    tree.fit(x, y, {}, sortRowsByX(x));
     EXPECT_DOUBLE_EQ(tree.predict(x[0]), 3.5);
     EXPECT_EQ(tree.nodeCount(), 1u);
 }
@@ -38,7 +39,7 @@ TEST(DecisionTree, LearnsStepFunction)
         x.push_back(i);
         y.push_back(i < 10 ? 1.0 : 5.0);
     }
-    tree.fit(x, y);
+    tree.fit(x, y, {}, sortRowsByX(x));
     EXPECT_NEAR(tree.predict(2.0), 1.0, 1e-9);
     EXPECT_NEAR(tree.predict(15.0), 5.0, 1e-9);
 }
@@ -56,7 +57,7 @@ TEST(DecisionTree, ApproximatesSmoothFunction)
         x.push_back(v);
         y.push_back(std::exp(-v));
     }
-    tree.fit(x, y);
+    tree.fit(x, y, {}, sortRowsByX(x));
     double max_err = 0.0;
     for (int i = 0; i < 200; ++i)
         max_err = std::max(max_err, std::abs(tree.predict(x[i]) - y[i]));
@@ -75,7 +76,7 @@ TEST(DecisionTree, RespectsMaxDepth)
         x.push_back(i);
         y.push_back(i);
     }
-    tree.fit(x, y);
+    tree.fit(x, y, {}, sortRowsByX(x));
     EXPECT_LE(tree.depth(), 2u);
 }
 
@@ -87,7 +88,7 @@ TEST(DecisionTree, RespectsMinSamplesLeaf)
     DecisionTree tree(cfg);
     std::vector<double> x{1, 2, 3, 4, 5, 6};
     std::vector<double> y{0, 0, 0, 1, 1, 1};
-    tree.fit(x, y);
+    tree.fit(x, y, {}, sortRowsByX(x));
     // 6 samples cannot split into two leaves of >= 5.
     EXPECT_EQ(tree.nodeCount(), 1u);
 }
@@ -98,7 +99,7 @@ TEST(DecisionTree, BaggingSubsetUsed)
     std::vector<double> x{0, 1, 2, 3, 4, 5, 6, 7};
     std::vector<double> y{0, 0, 0, 0, 9, 9, 9, 9};
     // Restrict to the low half only: prediction everywhere ~0.
-    tree.fit(x, y, {0, 1, 2, 3});
+    tree.fit(x, y, {0, 1, 2, 3}, sortRowsByX(x));
     EXPECT_DOUBLE_EQ(tree.predict(7.0), 0.0);
 }
 
@@ -107,10 +108,11 @@ TEST(DecisionTree, ErrorsOnBadInput)
     DecisionTree tree;
     std::vector<double> x{1, 2};
     std::vector<double> y{1};
-    EXPECT_THROW(tree.fit(x, {}), ConfigError);
-    EXPECT_THROW(tree.fit(x, y), ConfigError);
-    EXPECT_THROW(tree.fit({}, {}), ConfigError);
-    EXPECT_THROW(tree.fit(x, x, {2}), ConfigError);
+    const std::vector<std::size_t> by_x = sortRowsByX(x);
+    EXPECT_THROW(tree.fit(x, {}, {}, by_x), ConfigError);
+    EXPECT_THROW(tree.fit(x, y, {}, by_x), ConfigError);
+    EXPECT_THROW(tree.fit({}, {}, {}, {}), ConfigError);
+    EXPECT_THROW(tree.fit(x, x, {2}, by_x), ConfigError);
     EXPECT_THROW(tree.predict(x[0]), ConfigError);
     DecisionTreeConfig bad;
     bad.minSamplesLeaf = 4;
@@ -123,7 +125,7 @@ TEST(DecisionTree, EqualFeatureValuesNotSplit)
     DecisionTree tree;
     std::vector<double> x(10, 1.0); // all identical
     std::vector<double> y{0, 1, 0, 1, 0, 1, 0, 1, 0, 1};
-    tree.fit(x, y);
+    tree.fit(x, y, {}, sortRowsByX(x));
     EXPECT_EQ(tree.nodeCount(), 1u);
     EXPECT_DOUBLE_EQ(tree.predict(1.0), 0.5);
 }
@@ -136,7 +138,8 @@ TEST(DecisionTree, RejectsNaNFeaturesAndBadRowOrders)
     const std::vector<double> with_nan{
         1.0, std::numeric_limits<double>::quiet_NaN(), 2.0, 3.0, 4.0, 5.0};
     EXPECT_THROW(sortRowsByX(with_nan), ConfigError);
-    EXPECT_THROW(tree.fit(with_nan, y), ConfigError);
+    EXPECT_THROW(tree.fit(with_nan, y, {}, {{0, 1, 2, 3, 4, 5}}),
+                 ConfigError);
 
     const std::vector<std::size_t> by_x = sortRowsByX(x);
     EXPECT_EQ(by_x, (std::vector<std::size_t>{4, 1, 3, 2, 0, 5}));
@@ -336,7 +339,7 @@ tieHeavy(std::uint64_t seed, std::size_t n, std::size_t k, Targets targets)
             d.y.push_back(-10.0 + 0.8 * std::sin(x) + prng.gaussian(0.0, 0.4));
             break;
         case Targets::Integer:
-            d.y.push_back(static_cast<double>(prng.uniformInt(-4, 4)));
+            d.y.push_back(static_cast<double>(uniformInt(prng, -4, 4)));
             break;
         case Targets::Offset:
             d.y.push_back(1e8 + prng.gaussian(0.0, 1.0));
@@ -372,7 +375,7 @@ expectMatchesOracle(const Data &d, const DecisionTreeConfig &config,
                     const std::string &label)
 {
     DecisionTree tree(config);
-    tree.fit(d.x, d.y, bag);
+    tree.fit(d.x, d.y, bag, sortRowsByX(d.x));
     OracleTree oracle(config, false);
     oracle.fit(d.x, d.y, bag);
     const std::vector<double> probes = probesFor(d.x);

@@ -34,7 +34,6 @@ TEST(Demux, DefaultsMatchAcharya)
 {
     const DemuxSpec spec;
     EXPECT_EQ(spec.fanout, 4u);
-    EXPECT_DOUBLE_EQ(spec.switchNs, 2.6); // Acharya et al. 2023
 }
 
 } // namespace

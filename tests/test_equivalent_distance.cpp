@@ -3,6 +3,7 @@
 #include "chip/topology_builder.hpp"
 #include "common/error.hpp"
 #include "noise/equivalent_distance.hpp"
+#include "oracles/retired.hpp"
 
 namespace youtiao {
 namespace {

@@ -4,6 +4,7 @@
 #include "core/baselines.hpp"
 #include "core/fault_tolerant.hpp"
 #include "multiplex/tdm_scheduler.hpp"
+#include "oracles/checks.hpp"
 
 namespace youtiao {
 namespace {

@@ -13,6 +13,7 @@
 #include "common/prng.hpp"
 #include "core/youtiao.hpp"
 #include "multiplex/fhss.hpp"
+#include "oracles/checks.hpp"
 
 namespace youtiao {
 namespace {
@@ -94,7 +95,7 @@ TEST(Fhss, HoppingSpectrumEqualsStaticSpectrumAtEveryHop)
                                                 static_freq.end());
     const std::size_t static_collisions =
         countSpectrumCollisions(static_freq);
-    for (std::size_t hop = 0; hop < 2 * plan.maxPeriodLength(); ++hop) {
+    for (std::size_t hop = 0; hop < 2 * maxPeriodLength(plan); ++hop) {
         const std::vector<double> hopped = frequenciesAtHop(
             plan, wired().design.frequencyPlan, hop);
         EXPECT_EQ(std::multiset<double>(hopped.begin(), hopped.end()),

@@ -108,6 +108,20 @@ TEST(FidelityEstimator, ZzBetweenParallelCzGates)
     EXPECT_LT(estimateFidelity(qc, noisy).crosstalkComponent, 1.0);
 }
 
+TEST(FidelityEstimator, ZzDephasingLastsTheContextsGateTime)
+{
+    // The ZZ term and the decoherence clock read one two-qubit gate
+    // time: the context's, not a second copy in the noise model.
+    QuantumCircuit qc(4);
+    qc.cz(0, 1);
+    qc.cz(2, 3);
+    FidelityContext ctx = cleanContext(4);
+    ctx.zzMHz(1, 2) = 1.0;
+    ctx.durations.twoQubitNs = 120.0;
+    EXPECT_DOUBLE_EQ(estimateFidelity(qc, ctx).crosstalkComponent,
+                     1.0 - ctx.noise.zzDephasingError(1.0, 120.0));
+}
+
 TEST(FidelityEstimator, SerializedGatesAvoidZzPenalty)
 {
     FidelityContext noisy = cleanContext(4);

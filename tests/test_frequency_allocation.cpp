@@ -260,86 +260,3 @@ TEST(CrosstalkNeighborhood, EpsilonZeroKeepsEveryNonzeroPairAndMates)
 
 } // namespace
 } // namespace youtiao
-
-// -- retune-constrained allocation (existing chips) ------------------------
-
-namespace youtiao {
-namespace {
-
-std::vector<double>
-baseFrequencies(const ChipTopology &chip)
-{
-    std::vector<double> f;
-    for (std::size_t q = 0; q < chip.qubitCount(); ++q)
-        f.push_back(chip.qubit(q).baseFrequencyGHz);
-    return f;
-}
-
-TEST(ConstrainedAllocation, StaysWithinRetuneWindow)
-{
-    const auto base = baseFrequencies(setup().chip);
-    const FrequencyPlan fp = allocateFrequenciesConstrained(
-        setup().plan, setup().crosstalk, setup().noise, base, 0.05);
-    EXPECT_LE(maxRetuneGHz(fp, base), 0.05 + 1e-12);
-}
-
-TEST(ConstrainedAllocation, ImprovesOnFabricationPattern)
-{
-    const auto base = baseFrequencies(setup().chip);
-    const FrequencyPlan fab =
-        allocateFrequenciesFabrication(setup().plan, base);
-    const FrequencyPlan tuned = allocateFrequenciesConstrained(
-        setup().plan, setup().crosstalk, setup().noise, base, 0.05);
-    EXPECT_LE(tuned.crosstalkCost,
-              allocationCrosstalkCost(fab.frequencyGHz, setup().crosstalk,
-                                      setup().noise) +
-                  1e-12);
-}
-
-TEST(ConstrainedAllocation, WiderWindowNeverWorse)
-{
-    const auto base = baseFrequencies(setup().chip);
-    const FrequencyPlan narrow = allocateFrequenciesConstrained(
-        setup().plan, setup().crosstalk, setup().noise, base, 0.01);
-    const FrequencyPlan wide = allocateFrequenciesConstrained(
-        setup().plan, setup().crosstalk, setup().noise, base, 0.20);
-    EXPECT_LE(wide.crosstalkCost, narrow.crosstalkCost + 1e-9);
-}
-
-TEST(ConstrainedAllocation, DesignTimeAllocationBeatsRetuning)
-{
-    // Free (design-time) allocation has the whole band; a 50 MHz window
-    // cannot beat it.
-    const auto base = baseFrequencies(setup().chip);
-    const FrequencyPlan free_alloc = allocateFrequencies(
-        setup().plan, setup().crosstalk, setup().noise);
-    const FrequencyPlan tuned = allocateFrequenciesConstrained(
-        setup().plan, setup().crosstalk, setup().noise, base, 0.05);
-    EXPECT_LE(free_alloc.crosstalkCost, tuned.crosstalkCost + 1e-9);
-}
-
-TEST(ConstrainedAllocation, ZeroWindowKeepsBaseFrequencies)
-{
-    const auto base = baseFrequencies(setup().chip);
-    const FrequencyPlan fp = allocateFrequenciesConstrained(
-        setup().plan, setup().crosstalk, setup().noise, base, 0.0);
-    for (std::size_t q = 0; q < base.size(); ++q)
-        EXPECT_NEAR(fp.frequencyGHz[q], base[q], 1e-12);
-}
-
-TEST(ConstrainedAllocation, BadInputsThrow)
-{
-    const auto base = baseFrequencies(setup().chip);
-    EXPECT_THROW(allocateFrequenciesConstrained(setup().plan,
-                                                setup().crosstalk,
-                                                setup().noise, base, -0.1),
-                 ConfigError);
-    EXPECT_THROW(allocateFrequenciesConstrained(
-                     setup().plan, setup().crosstalk, setup().noise,
-                     std::vector<double>(3), 0.05),
-                 ConfigError);
-    EXPECT_THROW(maxRetuneGHz(FrequencyPlan{}, base), ConfigError);
-}
-
-} // namespace
-} // namespace youtiao

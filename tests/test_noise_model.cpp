@@ -105,7 +105,6 @@ TEST(NoiseModel, PaperCalibratedDefaults)
     const NoiseModelConfig cfg;
     EXPECT_DOUBLE_EQ(cfg.oneQubitBaseError, 1e-4);   // 99.99% 1q fidelity
     EXPECT_DOUBLE_EQ(cfg.twoQubitBaseError, 2.7e-3); // 99.73% 2q fidelity
-    EXPECT_DOUBLE_EQ(cfg.demuxSwitchNs, 2.6);        // Acharya et al.
 }
 
 } // namespace

@@ -3,7 +3,7 @@
 #include "chip/topology_builder.hpp"
 #include "common/error.hpp"
 #include "core/youtiao.hpp"
-#include "sim/noisy_sampler.hpp"
+#include "oracles/noisy_sampler.hpp"
 
 namespace youtiao {
 namespace {
@@ -114,6 +114,34 @@ TEST(NoisySampler, DeterministicGivenSeed)
     const auto b = sampleNoisyExecution(qc, s, cleanContext(2), 1000, pb);
     EXPECT_EQ(a.errorFreeShots, b.errorFreeShots);
     EXPECT_EQ(a.totalErrorEvents, b.totalErrorEvents);
+}
+
+TEST(NoisySampler, BatchStreamsArePinned)
+{
+    // 5000 shots over ten 512-shot batches, batch b drawing from
+    // taskSeed(root, b) after one draw from the caller. The counts and
+    // the caller's next draw were recorded when the batches ran on the
+    // thread pool; the serial walk must reproduce them.
+    QuantumCircuit qc(3);
+    for (int i = 0; i < 5; ++i) {
+        qc.rx(0, 1.0);
+        qc.rx(1, 1.0);
+        qc.cz(0, 1);
+        qc.cz(1, 2);
+    }
+    FidelityContext ctx = cleanContext(3);
+    ctx.xyCoupling(0, 1) = 5e-2;
+    ctx.zzMHz(0, 2) = 0.5;
+    NoiseModelConfig cfg;
+    cfg.oneQubitBaseError = 5e-3;
+    cfg.twoQubitBaseError = 2e-2;
+    ctx.noise = NoiseModel(cfg);
+    Prng prng(0xBEEF);
+    const auto r =
+        sampleNoisyExecution(qc, scheduleCircuit(qc), ctx, 5000, prng);
+    EXPECT_EQ(r.errorFreeShots, 3845u);
+    EXPECT_EQ(r.totalErrorEvents, 1316u);
+    EXPECT_EQ(prng.next(), 1665595898297824307ull);
 }
 
 TEST(NoisySampler, ZeroShotsThrow)

@@ -1,16 +1,15 @@
 /**
  * @file
  * Parallel-vs-serial equivalence suite: every parallelized component
- * (state-vector kernels, noisy-sampler shot batches, random-forest
- * fits) must produce bit-identical results at 1, 2 and N threads from
- * the same root seed. This is the enforcement point for the pool's
- * determinism contract (see common/parallel.hpp).
+ * (random-forest fits and predictions, the designer) must produce
+ * bit-identical results at 1, 2 and N threads from the same root seed.
+ * This is the enforcement point for the pool's determinism contract
+ * (see common/parallel.hpp).
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <complex>
 #include <cstdint>
 #include <fstream>
 #include <iterator>
@@ -27,8 +26,6 @@
 #include "core/serialization.hpp"
 #include "core/youtiao.hpp"
 #include "noise/random_forest.hpp"
-#include "sim/noisy_sampler.hpp"
-#include "sim/statevector.hpp"
 #include "test_support.hpp"
 
 namespace youtiao {
@@ -53,38 +50,6 @@ resultsAtThreadCounts(const std::vector<std::size_t> &counts, Fn &&fn)
 
 const std::vector<std::size_t> kCounts{1, 2, 4, 7};
 
-QuantumCircuit
-randomCircuit(std::size_t qubits, std::size_t gates, std::uint64_t seed)
-{
-    QuantumCircuit qc(qubits);
-    Prng prng(seed);
-    for (std::size_t g = 0; g < gates; ++g) {
-        const std::size_t q = prng.uniformInt(qubits);
-        switch (prng.uniformInt(std::size_t{5})) {
-          case 0:
-            qc.rx(q, prng.uniform(-3.0, 3.0));
-            break;
-          case 1:
-            qc.ry(q, prng.uniform(-3.0, 3.0));
-            break;
-          case 2:
-            qc.rz(q, prng.uniform(-3.0, 3.0));
-            break;
-          case 3:
-            qc.h(q);
-            break;
-          default: {
-            std::size_t other = prng.uniformInt(qubits);
-            if (other == q)
-                other = (q + 1) % qubits;
-            qc.cz(q, other);
-            break;
-          }
-        }
-    }
-    return qc;
-}
-
 TEST(TaskSeed, MatchesSplitMixSequenceAndDecorrelates)
 {
     std::uint64_t state = 42;
@@ -92,63 +57,6 @@ TEST(TaskSeed, MatchesSplitMixSequenceAndDecorrelates)
         EXPECT_EQ(splitMix64(state), taskSeed(42, i));
     EXPECT_NE(taskSeed(1, 0), taskSeed(1, 1));
     EXPECT_NE(taskSeed(1, 0), taskSeed(2, 0));
-}
-
-TEST(ParallelDeterminism, StateVectorAmplitudesBitIdentical)
-{
-    // 15 qubits = 32768 amplitudes: several chunks per gate kernel.
-    auto amplitudes = [] {
-        const QuantumCircuit qc = randomCircuit(15, 120, 0xDE7);
-        return simulate(qc).amplitudes();
-    };
-    const auto runs = resultsAtThreadCounts(kCounts, amplitudes);
-    for (std::size_t r = 1; r < runs.size(); ++r) {
-        ASSERT_EQ(runs[r].size(), runs[0].size());
-        for (std::size_t i = 0; i < runs[0].size(); ++i) {
-            ASSERT_EQ(runs[r][i].real(), runs[0][i].real())
-                << "amp " << i << " at " << kCounts[r] << " threads";
-            ASSERT_EQ(runs[r][i].imag(), runs[0][i].imag())
-                << "amp " << i << " at " << kCounts[r] << " threads";
-        }
-    }
-}
-
-TEST(ParallelDeterminism, NoisySamplerHistogramBitIdentical)
-{
-    QuantumCircuit qc(3);
-    for (int i = 0; i < 5; ++i) {
-        qc.rx(0, 1.0);
-        qc.rx(1, 1.0);
-        qc.cz(0, 1);
-        qc.cz(1, 2);
-    }
-    FidelityContext ctx;
-    ctx.xyCoupling = SymmetricMatrix(3, 0.0);
-    ctx.zzMHz = SymmetricMatrix(3, 0.0);
-    ctx.xyCoupling(0, 1) = 5e-2;
-    ctx.zzMHz(0, 2) = 0.5;
-    ctx.frequencyGHz = {4.5, 4.8, 5.1};
-    ctx.fdmLineOfQubit.assign(3, FidelityContext::kDedicated);
-    ctx.t1Ns.assign(3, 90e3);
-    NoiseModelConfig cfg;
-    cfg.oneQubitBaseError = 5e-3;
-    cfg.twoQubitBaseError = 2e-2;
-    ctx.noise = NoiseModel(cfg);
-    const Schedule s = scheduleCircuit(qc);
-
-    // 5000 shots spread over ten 512-shot batches.
-    auto sample = [&] {
-        Prng prng(0xBEEF);
-        return sampleNoisyExecution(qc, s, ctx, 5000, prng);
-    };
-    const auto runs = resultsAtThreadCounts(kCounts, sample);
-    for (std::size_t r = 1; r < runs.size(); ++r) {
-        EXPECT_EQ(runs[r].errorFreeShots, runs[0].errorFreeShots)
-            << kCounts[r] << " threads";
-        EXPECT_EQ(runs[r].totalErrorEvents, runs[0].totalErrorEvents)
-            << kCounts[r] << " threads";
-    }
-    EXPECT_EQ(runs[0].shots, 5000u);
 }
 
 TEST(ParallelDeterminism, RandomForestPredictionsBitIdentical)
@@ -174,29 +82,6 @@ TEST(ParallelDeterminism, RandomForestPredictionsBitIdentical)
             ASSERT_EQ(runs[r][i], runs[0][i])
                 << "row " << i << " at " << kCounts[r] << " threads";
     }
-}
-
-TEST(ParallelDeterminism, CallerPrngAdvancesIdentically)
-{
-    // The sampler consumes exactly one draw from the caller's generator
-    // regardless of thread count, so downstream draws stay aligned.
-    QuantumCircuit qc(2);
-    qc.cz(0, 1);
-    FidelityContext ctx;
-    ctx.xyCoupling = SymmetricMatrix(2, 0.0);
-    ctx.zzMHz = SymmetricMatrix(2, 0.0);
-    ctx.frequencyGHz = {4.5, 4.8};
-    ctx.fdmLineOfQubit.assign(2, FidelityContext::kDedicated);
-    ctx.t1Ns.assign(2, 90e3);
-    const Schedule s = scheduleCircuit(qc);
-    auto nextDraw = [&] {
-        Prng prng(99);
-        sampleNoisyExecution(qc, s, ctx, 1500, prng);
-        return prng.next();
-    };
-    const auto runs = resultsAtThreadCounts(kCounts, nextDraw);
-    for (std::size_t r = 1; r < runs.size(); ++r)
-        EXPECT_EQ(runs[r], runs[0]);
 }
 
 TEST(ParallelDeterminism, TracedAndLoggedDesignBitIdenticalToBare)

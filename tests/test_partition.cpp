@@ -6,6 +6,7 @@
 #include "common/error.hpp"
 #include "noise/crosstalk_data.hpp"
 #include "noise/equivalent_distance.hpp"
+#include "oracles/checks.hpp"
 #include "partition/generative_partition.hpp"
 
 namespace youtiao {

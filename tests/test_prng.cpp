@@ -8,6 +8,7 @@
 #include "common/binfmt.hpp"
 #include "common/error.hpp"
 #include "common/prng.hpp"
+#include "oracles/retired.hpp"
 
 namespace youtiao {
 namespace {
@@ -74,7 +75,7 @@ TEST(Prng, UniformIntInclusiveBounds)
     Prng prng(5);
     std::set<int> seen;
     for (int i = 0; i < 1000; ++i)
-        seen.insert(prng.uniformInt(-2, 2));
+        seen.insert(uniformInt(prng, -2, 2));
     EXPECT_EQ(seen.size(), 5u);
     EXPECT_TRUE(seen.count(-2));
     EXPECT_TRUE(seen.count(2));
@@ -127,7 +128,7 @@ TEST(Prng, ShufflePreservesElements)
 TEST(Prng, SampleWithoutReplacementDistinct)
 {
     Prng prng(29);
-    const auto picks = prng.sampleWithoutReplacement(50, 20);
+    const auto picks = sampleWithoutReplacement(prng, 50, 20);
     EXPECT_EQ(picks.size(), 20u);
     std::set<std::size_t> unique(picks.begin(), picks.end());
     EXPECT_EQ(unique.size(), 20u);
@@ -138,7 +139,7 @@ TEST(Prng, SampleWithoutReplacementDistinct)
 TEST(Prng, SampleAllIsPermutation)
 {
     Prng prng(31);
-    const auto picks = prng.sampleWithoutReplacement(10, 10);
+    const auto picks = sampleWithoutReplacement(prng, 10, 10);
     std::set<std::size_t> unique(picks.begin(), picks.end());
     EXPECT_EQ(unique.size(), 10u);
 }
@@ -146,7 +147,7 @@ TEST(Prng, SampleAllIsPermutation)
 TEST(Prng, SampleTooManyThrows)
 {
     Prng prng(37);
-    EXPECT_THROW(prng.sampleWithoutReplacement(3, 4), ConfigError);
+    EXPECT_THROW(sampleWithoutReplacement(prng, 3, 4), ConfigError);
 }
 
 TEST(Prng, UniformIntStreamIsPinned)

@@ -14,7 +14,7 @@
 #include "core/youtiao.hpp"
 #include "multiplex/tdm_scheduler.hpp"
 #include "noise/equivalent_distance.hpp"
-#include "sim/statevector.hpp"
+#include "oracles/statevector.hpp"
 
 namespace youtiao {
 namespace {

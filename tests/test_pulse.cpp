@@ -2,6 +2,7 @@
 
 #include "common/error.hpp"
 #include "noise/noise_model.hpp"
+#include "oracles/retired.hpp"
 #include "sim/pulse.hpp"
 
 namespace youtiao {
@@ -47,6 +48,8 @@ TEST(Pulse, ProfileMatchesPointEvaluations)
     ASSERT_EQ(profile.size(), 5u);
     EXPECT_NEAR(profile[0], spectatorExcitation(0.0), 1e-12);
     EXPECT_NEAR(profile[4], spectatorExcitation(0.2), 1e-12);
+    EXPECT_THROW(excitationProfile(0.2, 0.1, 5), ConfigError);
+    EXPECT_THROW(excitationProfile(0.0, 1.0, 1), ConfigError);
 }
 
 TEST(Pulse, EffectiveLinewidthNearConfiguredModel)
@@ -85,7 +88,8 @@ TEST(Pulse, LongerPulsesAreMoreSelective)
 TEST(Pulse, UnitarityPreserved)
 {
     // Population never exceeds 1 anywhere on the profile.
-    for (double p : excitationProfile(0.0, 1.0, 21)) {
+    for (int i = 0; i <= 20; ++i) {
+        const double p = spectatorExcitation(i / 20.0);
         EXPECT_GE(p, 0.0);
         EXPECT_LE(p, 1.0 + 1e-9);
     }
@@ -96,8 +100,6 @@ TEST(Pulse, BadConfigThrows)
     PulseConfig cfg;
     cfg.steps = 4;
     EXPECT_THROW(spectatorExcitation(0.0, cfg), ConfigError);
-    EXPECT_THROW(excitationProfile(0.2, 0.1, 5), ConfigError);
-    EXPECT_THROW(excitationProfile(0.0, 1.0, 1), ConfigError);
     PulseConfig bad;
     bad.durationNs = 0.0;
     EXPECT_THROW(spectatorExcitation(0.0, bad), ConfigError);

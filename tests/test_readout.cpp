@@ -1,13 +1,22 @@
 #include <gtest/gtest.h>
 
+#include <numeric>
+
 #include "chip/topology_builder.hpp"
 #include "common/error.hpp"
-#include "common/statistics.hpp"
 #include "multiplex/readout.hpp"
 #include "noise/equivalent_distance.hpp"
+#include "oracles/checks.hpp"
 
 namespace youtiao {
 namespace {
+
+double
+mean(const std::vector<double> &xs)
+{
+    return std::accumulate(xs.begin(), xs.end(), 0.0) /
+           static_cast<double>(xs.size());
+}
 
 SymmetricMatrix
 gridDistance(std::size_t rows, std::size_t cols)
@@ -67,10 +76,10 @@ TEST(Readout, PaperIsolationRequirementMet)
 
 TEST(Readout, IsolationFailsWithFatResonators)
 {
-    ReadoutConfig cfg;
-    cfg.resonatorLinewidthGHz = 0.2; // absurdly broad resonators
-    const ReadoutPlan plan = planReadout(gridDistance(6, 6), cfg);
-    EXPECT_FALSE(meetsIsolation(plan, cfg));
+    ReadoutPhysics fat;
+    fat.resonatorLinewidthGHz = 0.2; // absurdly broad resonators
+    const ReadoutPlan plan = planReadout(gridDistance(6, 6));
+    EXPECT_FALSE(meetsIsolation(plan, fat));
 }
 
 TEST(Readout, SingleShotFidelityNearPaper)
@@ -87,13 +96,14 @@ TEST(Readout, CrowdedFeedlineHurtsFidelity)
 {
     ReadoutConfig tight;
     tight.feedlineCapacity = 36; // everything on one line
-    tight.resonatorLinewidthGHz = 0.02;
     const ReadoutPlan crowded = planReadout(gridDistance(6, 6), tight);
     ReadoutConfig loose = tight;
     loose.feedlineCapacity = 4;
     const ReadoutPlan sparse = planReadout(gridDistance(6, 6), loose);
-    EXPECT_LT(mean(singleShotFidelities(crowded, tight)),
-              mean(singleShotFidelities(sparse, loose)));
+    ReadoutPhysics broad;
+    broad.resonatorLinewidthGHz = 0.02;
+    EXPECT_LT(mean(singleShotFidelities(crowded, broad)),
+              mean(singleShotFidelities(sparse, broad)));
 }
 
 TEST(Readout, SingleQubitLinePerfectIsolation)

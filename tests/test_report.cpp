@@ -85,6 +85,7 @@ TEST(Report, CostComparisonFormatsRatio)
 // -- schedule rendering -----------------------------------------------------
 
 #include "circuit/scheduler.hpp"
+#include "oracles/retired.hpp"
 
 namespace youtiao {
 namespace {

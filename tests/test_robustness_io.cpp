@@ -4,6 +4,7 @@
 // anything unstructured. Run under ASan/UBSan in CI.
 
 #include <algorithm>
+#include <sstream>
 #include <string>
 #include <typeinfo>
 
@@ -19,6 +20,14 @@
 
 namespace youtiao {
 namespace {
+
+/** Parse a chip from text, the way loadChip reads a file. */
+ChipTopology
+chipFromString(const std::string &text)
+{
+    std::istringstream in(text);
+    return loadChip(in);
+}
 
 ChipTopology
 exampleChip()

@@ -18,6 +18,7 @@
 #include "common/prng.hpp"
 #include "core/baselines.hpp"
 #include "core/youtiao.hpp"
+#include "oracles/retired.hpp"
 #include "routing/astar_router.hpp"
 #include "routing/chip_router.hpp"
 #include "routing/corridor_router.hpp"
@@ -28,11 +29,16 @@ namespace {
 
 TEST(RoutingGrid, GeometryRoundTrip)
 {
-    RoutingGrid grid(Point{0, 0}, Point{3, 3});
-    const Cell c = grid.cellAt(Point{1.5, 1.5});
-    const Point p = grid.pointAt(c);
-    EXPECT_NEAR(p.x, 1.5, grid.cellMm());
-    EXPECT_NEAR(p.y, 1.5, grid.cellMm());
+    const RoutingGridConfig config;
+    RoutingGrid grid(Point{0, 0}, Point{3, 3}, config);
+    // Cell (x, y) is centred at min - margin + (x, y) * cellMm.
+    for (const Cell c : {Cell{0, 0}, Cell{50, 120},
+                         Cell{grid.width() - 1, grid.height() - 1}}) {
+        const Point centre{
+            -config.marginMm + static_cast<double>(c.x) * config.cellMm,
+            -config.marginMm + static_cast<double>(c.y) * config.cellMm};
+        EXPECT_EQ(grid.cellAt(centre), c) << c.x << ", " << c.y;
+    }
 }
 
 TEST(RoutingGrid, BlockAndClear)
@@ -288,25 +294,25 @@ randomGrid(Prng &prng)
     RoutingGridConfig config;
     config.cellMm = 1.0;
     config.marginMm = 0.0;
-    const int w = prng.uniformInt(4, 28);
-    const int h = prng.uniformInt(4, 28);
+    const int w = uniformInt(prng, 4, 28);
+    const int h = uniformInt(prng, 4, 28);
     RoutingGrid grid(Point{0, 0}, Point{w - 1.0, h - 1.0}, config);
     auto cell = [&](int x, int y) {
         return Cell{static_cast<std::size_t>(x), static_cast<std::size_t>(y)};
     };
-    for (int k = prng.uniformInt(0, 6); k > 0; --k) {
-        const int side = prng.uniformInt(1, 3);
-        const int x0 = prng.uniformInt(0, w - 1);
-        const int y0 = prng.uniformInt(0, h - 1);
+    for (int k = uniformInt(prng, 0, 6); k > 0; --k) {
+        const int side = uniformInt(prng, 1, 3);
+        const int x0 = uniformInt(prng, 0, w - 1);
+        const int y0 = uniformInt(prng, 0, h - 1);
         for (int y = y0; y < std::min(h, y0 + side); ++y)
             for (int x = x0; x < std::min(w, x0 + side); ++x)
                 grid.setOwner(cell(x, y), RoutingGrid::kObstacle);
     }
     if (prng.bernoulli(0.3)) { // a walled room: targets inside it strand
-        const int x0 = prng.uniformInt(0, w - 1);
-        const int y0 = prng.uniformInt(0, h - 1);
-        const int x1 = prng.uniformInt(x0, w - 1);
-        const int y1 = prng.uniformInt(y0, h - 1);
+        const int x0 = uniformInt(prng, 0, w - 1);
+        const int y0 = uniformInt(prng, 0, h - 1);
+        const int x1 = uniformInt(prng, x0, w - 1);
+        const int y1 = uniformInt(prng, y0, h - 1);
         for (int x = x0; x <= x1; ++x) {
             grid.setOwner(cell(x, y0), RoutingGrid::kObstacle);
             grid.setOwner(cell(x, y1), RoutingGrid::kObstacle);
@@ -316,14 +322,14 @@ randomGrid(Prng &prng)
             grid.setOwner(cell(x1, y), RoutingGrid::kObstacle);
         }
     }
-    for (int k = prng.uniformInt(0, 8); k > 0; --k) {
-        const std::int32_t owner = prng.uniformInt(1, 4);
+    for (int k = uniformInt(prng, 0, 8); k > 0; --k) {
+        const std::int32_t owner = uniformInt(prng, 1, 4);
         const bool across = prng.bernoulli(0.5);
-        const int fixed = across ? prng.uniformInt(0, h - 1)
-                                 : prng.uniformInt(0, w - 1);
+        const int fixed = across ? uniformInt(prng, 0, h - 1)
+                                 : uniformInt(prng, 0, w - 1);
         const int span = across ? w : h;
-        const int a = prng.uniformInt(0, span - 1);
-        const int b = prng.uniformInt(a, span - 1);
+        const int a = uniformInt(prng, 0, span - 1);
+        const int b = uniformInt(prng, a, span - 1);
         for (int i = a; i <= b; ++i) {
             const Cell c = across ? cell(i, fixed) : cell(fixed, i);
             if (grid.owner(c) == RoutingGrid::kFree)
@@ -405,7 +411,7 @@ TEST(AstarRouter, MatchesDijkstraReferenceOnRandomGrids)
         std::vector<Cell> net_cells{anchor};
         // Every third grid takes the overload that scans for the trunk.
         const bool scan = seed % 3 == 0;
-        for (int k = prng.uniformInt(5, 25); k > 0; --k) {
+        for (int k = uniformInt(prng, 5, 25); k > 0; --k) {
             const Cell target = random_cell();
             const RoutingGrid before = grid;
             const std::optional<std::int64_t> want =

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "core/scalability.hpp"
+#include "oracles/checks.hpp"
 
 namespace youtiao {
 namespace {
@@ -11,7 +12,7 @@ TEST(Scalability, GridWithExactQubitCount)
         const ChipTopology chip = makeGridWithQubitCount(n);
         EXPECT_EQ(chip.qubitCount(), n);
         if (n > 1) {
-            EXPECT_TRUE(chip.qubitGraph().isConnected());
+            EXPECT_TRUE(isConnected(chip.qubitGraph()));
         }
     }
 }
@@ -57,8 +58,9 @@ TEST(Scalability, CostSavingsAtHundredK)
 
 TEST(Scalability, SweepMonotoneInQubits)
 {
-    const auto points = sweepSquareSystems({10, 100, 1000});
-    ASSERT_EQ(points.size(), 3u);
+    std::vector<ScalePoint> points;
+    for (std::size_t qubits : {10, 100, 1000})
+        points.push_back(estimateSquareSystem(qubits));
     EXPECT_LT(points[0].googleCoax, points[1].googleCoax);
     EXPECT_LT(points[1].googleCoax, points[2].googleCoax);
     EXPECT_LT(points[0].youtiaoCoax, points[1].youtiaoCoax);

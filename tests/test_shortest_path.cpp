@@ -2,9 +2,12 @@
 
 #include <cmath>
 
+#include "chip/topology_builder.hpp"
 #include "common/error.hpp"
 #include "graph/graph.hpp"
 #include "graph/shortest_path.hpp"
+#include "noise/equivalent_distance.hpp"
+#include "oracles/retired.hpp"
 
 namespace youtiao {
 namespace {
@@ -59,32 +62,28 @@ TEST(ShortestPath, MultiplicityOnCycle)
     EXPECT_EQ(bfs.pathCount[3], 2u);
 }
 
+// The paper's d_top = n * l (Sec 4.1), pinned on the matrix the designer
+// builds from a chip's coupling graph (qubit id = row * cols + col).
+
 TEST(ShortestPath, MultiPathDistanceIsNTimesL)
 {
-    const Graph g = squareCycle();
-    // d_top = n * l = 2 * 2 = 4 between opposite corners (paper Sec 4.1).
-    EXPECT_EQ(multiPathDistance(g, 0, 3), 4u);
-    // Adjacent vertices: l = 1, n = 1.
-    EXPECT_EQ(multiPathDistance(g, 0, 1), 1u);
-    EXPECT_EQ(multiPathDistance(g, 2, 2), 0u);
+    const SymmetricMatrix d =
+        qubitTopologicalDistanceMatrix(makeSquareGrid(2, 3));
+    // Corner to opposite corner of a 2x3 ladder: l = 3, n = 3.
+    EXPECT_DOUBLE_EQ(d(0, 5), 3.0 * 3.0);
+    // Adjacent qubits: l = 1, n = 1.
+    EXPECT_DOUBLE_EQ(d(0, 1), 1.0);
+    EXPECT_DOUBLE_EQ(d(2, 2), 0.0);
 }
 
 TEST(ShortestPath, GridCenterMultiplicity)
 {
-    // 3x3 grid: corner (0) to centre (4) has 2 shortest 2-hop paths.
-    Graph g(9);
-    auto at = [](std::size_t r, std::size_t c) { return r * 3 + c; };
-    for (std::size_t r = 0; r < 3; ++r) {
-        for (std::size_t c = 0; c < 3; ++c) {
-            if (c + 1 < 3)
-                g.addEdge(at(r, c), at(r, c + 1));
-            if (r + 1 < 3)
-                g.addEdge(at(r, c), at(r + 1, c));
-        }
-    }
-    EXPECT_EQ(multiPathDistance(g, at(0, 0), at(1, 1)), 2u * 2u);
+    const SymmetricMatrix d =
+        qubitTopologicalDistanceMatrix(makeSquareGrid(3, 3));
+    // Corner (0) to centre (4): 2 shortest 2-hop paths.
+    EXPECT_DOUBLE_EQ(d(0, 4), 2.0 * 2.0);
     // Corner to opposite corner: l = 4, n = C(4,2) = 6 -> 24.
-    EXPECT_EQ(multiPathDistance(g, at(0, 0), at(2, 2)), 4u * 6u);
+    EXPECT_DOUBLE_EQ(d(0, 8), 4.0 * 6.0);
 }
 
 TEST(ShortestPath, UnreachableReported)
@@ -92,16 +91,19 @@ TEST(ShortestPath, UnreachableReported)
     Graph g(3);
     g.addEdge(0, 1);
     EXPECT_EQ(hopDistance(g, 0, 2), kUnreachable);
-    EXPECT_EQ(multiPathDistance(g, 0, 2), kUnreachable);
+    EXPECT_EQ(multiPathBfs(g, 0).pathCount[2], 0u);
 }
 
 TEST(ShortestPath, AllPairsMatchesSingleSource)
 {
-    const Graph g = squareCycle();
-    const auto table = allPairsMultiPathDistance(g);
-    for (std::size_t i = 0; i < 4; ++i) {
-        for (std::size_t j = 0; j < 4; ++j)
-            EXPECT_EQ(table[i][j], multiPathDistance(g, i, j));
+    const ChipTopology chip = makeSquareGrid(3, 4);
+    const SymmetricMatrix d = qubitTopologicalDistanceMatrix(chip);
+    for (std::size_t i = 0; i < chip.qubitCount(); ++i) {
+        const MultiPathResult bfs = multiPathBfs(chip.qubitGraph(), i);
+        for (std::size_t j = 0; j < chip.qubitCount(); ++j)
+            EXPECT_DOUBLE_EQ(d(i, j),
+                             static_cast<double>(bfs.hops[j] *
+                                                 bfs.pathCount[j]));
     }
 }
 

@@ -4,7 +4,7 @@
 #include <numbers>
 
 #include "common/error.hpp"
-#include "sim/statevector.hpp"
+#include "oracles/statevector.hpp"
 
 namespace youtiao {
 namespace {

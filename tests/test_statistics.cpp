@@ -6,6 +6,7 @@
 
 #include "common/error.hpp"
 #include "common/statistics.hpp"
+#include "oracles/retired.hpp"
 
 namespace youtiao {
 namespace {

@@ -6,6 +6,7 @@
 #include "common/error.hpp"
 #include "multiplex/tdm_scheduler.hpp"
 #include "noise/crosstalk_data.hpp"
+#include "oracles/retired.hpp"
 
 namespace youtiao {
 namespace {

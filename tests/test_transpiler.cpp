@@ -6,7 +6,8 @@
 #include "circuit/benchmarks.hpp"
 #include "circuit/transpiler.hpp"
 #include "common/error.hpp"
-#include "sim/statevector.hpp"
+#include "oracles/checks.hpp"
+#include "oracles/statevector.hpp"
 
 namespace youtiao {
 namespace {
@@ -47,7 +48,7 @@ TEST(Transpiler, LowerProducesBasisOnly)
     Prng prng(1);
     const QuantumCircuit qc = makeQft(5);
     const QuantumCircuit lowered = lowerToBasis(qc);
-    EXPECT_TRUE(lowered.isBasisOnly());
+    EXPECT_TRUE(isBasisOnly(lowered));
 }
 
 TEST(Transpiler, AdjacentGatesNeedNoSwaps)
@@ -102,7 +103,7 @@ TEST(Transpiler, GridRoutingAllCzAdjacent)
     Prng prng(5);
     const QuantumCircuit qft = makeQft(9);
     const TranspileResult result = transpile(qft, chip);
-    EXPECT_TRUE(result.physical.isBasisOnly());
+    EXPECT_TRUE(isBasisOnly(result.physical));
     for (const Gate &g : result.physical.gates()) {
         if (g.kind == GateKind::CZ) {
             EXPECT_TRUE(chip.qubitGraph().hasEdge(g.qubit0, g.qubit1));
