@@ -79,7 +79,7 @@ printFigure()
     std::printf("Drift adaptation: 36-qubit chip, %zu epochs (%.0f h), "
                 "%zu TLS defects in trace\n",
                 s.trace.config.epochs,
-                s.trace.config.epochs * s.trace.config.hoursPerEpoch,
+                s.trace.config.epochs * kDriftHoursPerEpoch,
                 s.trace.defects.size());
     bench::rule();
 

@@ -43,8 +43,8 @@ struct Setup
         config.tdm.noisyZzMHz = 1e9;
         google = dedicatedZPlan(chip);
         ours = bench::designFromMeasurements(chip, data, config).zPlan;
-        acharya = groupTdmLocalCluster(
-            chip, config.tdm.lowParallelismFanout, config.tdm);
+        acharya =
+            groupTdmLocalCluster(chip, kLowParallelismFanout, config.tdm);
     }
 };
 

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "chip/chip_io.hpp"
+#include "common/atomic_io.hpp"
 #include "common/binfmt.hpp"
 #include "common/error.hpp"
 #include "common/metrics.hpp"
@@ -132,12 +133,7 @@ void
 saveChipBinary(const std::string &path, const ChipTopology &chip)
 {
     const std::vector<unsigned char> image = chipToBinary(chip);
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    requireConfig(static_cast<bool>(out), "cannot write '" + path + "'");
-    out.write(reinterpret_cast<const char *>(image.data()),
-              static_cast<std::streamsize>(image.size()));
-    requireConfig(static_cast<bool>(out),
-                  "short write to '" + path + "'");
+    io::atomicWriteFile(path, image.data(), image.size());
 }
 
 ChipTopology

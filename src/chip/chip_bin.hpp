@@ -37,8 +37,9 @@ inline constexpr std::uint32_t kChipBinVersion = 1;
 /** Render @p chip as a complete binary file image. */
 std::vector<unsigned char> chipToBinary(const ChipTopology &chip);
 
-/** Write @p chip to @p path in the binary format. Throws ConfigError
- *  when the file cannot be written. */
+/** Write @p chip to @p path in the binary format, atomically
+ *  (io::atomicWriteFile: a reader that has the old file mapped keeps a
+ *  valid mapping). Throws ConfigError when the file cannot be written. */
 void saveChipBinary(const std::string &path, const ChipTopology &chip);
 
 /** Parse a binary chip file image. Throws ConfigError on anything

@@ -14,11 +14,11 @@ namespace youtiao {
 namespace {
 
 QubitInfo
-placedQubit(double x, double y, const BuilderOptions &opts)
+placedQubit(double x, double y)
 {
     QubitInfo q;
     q.position = Point{x, y};
-    q.t1Ns = opts.t1Ns;
+    q.t1Ns = kQubitT1Ns;
     return q;
 }
 
@@ -45,17 +45,15 @@ topologyFamilyName(TopologyFamily family)
 }
 
 ChipTopology
-makeSquareGrid(std::size_t rows, std::size_t cols,
-               const BuilderOptions &opts)
+makeSquareGrid(std::size_t rows, std::size_t cols)
 {
     requireConfig(rows >= 1 && cols >= 1, "grid needs positive dimensions");
     ChipTopology chip("square grid " + std::to_string(rows) + "x" +
                       std::to_string(cols));
     for (std::size_t r = 0; r < rows; ++r) {
         for (std::size_t c = 0; c < cols; ++c) {
-            chip.addQubit(placedQubit(static_cast<double>(c) * opts.pitchMm,
-                                      static_cast<double>(r) * opts.pitchMm,
-                                      opts));
+            chip.addQubit(placedQubit(static_cast<double>(c) * kQubitPitchMm,
+                                      static_cast<double>(r) * kQubitPitchMm));
         }
     }
     auto at = [cols](std::size_t r, std::size_t c) { return r * cols + c; };
@@ -67,21 +65,20 @@ makeSquareGrid(std::size_t rows, std::size_t cols,
                 chip.addCoupler(at(r, c), at(r + 1, c));
         }
     }
-    Prng prng(opts.seed);
+    Prng prng(kBaseFrequencySeed);
     assignPatternFrequencies(chip, prng);
     return chip;
 }
 
 ChipTopology
-makeSquare(const BuilderOptions &opts)
+makeSquare()
 {
-    ChipTopology chip = makeSquareGrid(3, 3, opts);
+    ChipTopology chip = makeSquareGrid(3, 3);
     return chip;
 }
 
 ChipTopology
-makeHexagon(std::size_t cell_rows, std::size_t cell_cols,
-            const BuilderOptions &opts)
+makeHexagon(std::size_t cell_rows, std::size_t cell_cols)
 {
     requireConfig(cell_rows >= 1 && cell_cols >= 1,
                   "honeycomb needs positive cell dimensions");
@@ -90,7 +87,7 @@ makeHexagon(std::size_t cell_rows, std::size_t cell_cols,
 
     // Build hexagon corners cell by cell and deduplicate shared vertices by
     // quantized coordinates. Pointy-top hexagons with side length = pitch.
-    const double r = opts.pitchMm;
+    const double r = kQubitPitchMm;
     const double sqrt3 = std::sqrt(3.0);
     std::map<std::pair<long, long>, std::size_t> vertex_of;
     auto key = [](double x, double y) {
@@ -101,7 +98,7 @@ makeHexagon(std::size_t cell_rows, std::size_t cell_cols,
         auto it = vertex_of.find(k);
         if (it != vertex_of.end())
             return it->second;
-        const std::size_t q = chip.addQubit(placedQubit(x, y, opts));
+        const std::size_t q = chip.addQubit(placedQubit(x, y));
         vertex_of.emplace(k, q);
         return q;
     };
@@ -128,13 +125,13 @@ makeHexagon(std::size_t cell_rows, std::size_t cell_cols,
             }
         }
     }
-    Prng prng(opts.seed);
+    Prng prng(kBaseFrequencySeed);
     assignPatternFrequencies(chip, prng);
     return chip;
 }
 
 ChipTopology
-makeHeavy(const ChipTopology &base, const BuilderOptions &opts)
+makeHeavy(const ChipTopology &base)
 {
     // Doubling the base coordinates keeps the inserted midpoint qubits at
     // the same physical pitch as the originals (IBM heavy lattices space
@@ -147,30 +144,30 @@ makeHeavy(const ChipTopology &base, const BuilderOptions &opts)
         chip.addQubit(scaled);
     }
     for (const CouplerInfo &c : base.couplers()) {
-        const std::size_t mid = chip.addQubit(placedQubit(
-            2.0 * c.position.x, 2.0 * c.position.y, opts));
+        const std::size_t mid = chip.addQubit(
+            placedQubit(2.0 * c.position.x, 2.0 * c.position.y));
         chip.addCoupler(c.qubitA, mid);
         chip.addCoupler(mid, c.qubitB);
     }
-    Prng prng(opts.seed);
+    Prng prng(kBaseFrequencySeed);
     assignPatternFrequencies(chip, prng);
     return chip;
 }
 
 ChipTopology
-makeHeavySquare(const BuilderOptions &opts)
+makeHeavySquare()
 {
-    return makeHeavy(makeSquareGrid(3, 3, opts), opts);
+    return makeHeavy(makeSquareGrid(3, 3));
 }
 
 ChipTopology
-makeHeavyHexagon(const BuilderOptions &opts)
+makeHeavyHexagon()
 {
-    return makeHeavy(makeHexagon(1, 2, opts), opts);
+    return makeHeavy(makeHexagon(1, 2));
 }
 
 ChipTopology
-makeLowDensity(const BuilderOptions &opts)
+makeLowDensity()
 {
     // Six 3-qubit columns; columns joined along the top row; one extra link
     // along the bottom row closes a single cycle. 18 qubits, 18 couplers.
@@ -178,9 +175,8 @@ makeLowDensity(const BuilderOptions &opts)
     ChipTopology chip("low-density");
     for (std::size_t r = 0; r < rows; ++r) {
         for (std::size_t c = 0; c < cols; ++c) {
-            chip.addQubit(placedQubit(static_cast<double>(c) * opts.pitchMm,
-                                      static_cast<double>(r) * opts.pitchMm,
-                                      opts));
+            chip.addQubit(placedQubit(static_cast<double>(c) * kQubitPitchMm,
+                                      static_cast<double>(r) * kQubitPitchMm));
         }
     }
     auto at = [](std::size_t r, std::size_t c) { return r * cols + c; };
@@ -191,28 +187,27 @@ makeLowDensity(const BuilderOptions &opts)
     for (std::size_t c = 0; c + 1 < cols; ++c)
         chip.addCoupler(at(0, c), at(0, c + 1));
     chip.addCoupler(at(2, 0), at(2, 1));
-    Prng prng(opts.seed);
+    Prng prng(kBaseFrequencySeed);
     assignPatternFrequencies(chip, prng);
     return chip;
 }
 
 ChipTopology
-makeTopology(TopologyFamily family, std::size_t rows, std::size_t cols,
-             const BuilderOptions &opts)
+makeTopology(TopologyFamily family, std::size_t rows, std::size_t cols)
 {
     switch (family) {
       case TopologyFamily::Square:
-        return makeSquare(opts);
+        return makeSquare();
       case TopologyFamily::Hexagon:
-        return makeHexagon(2, 2, opts);
+        return makeHexagon(2, 2);
       case TopologyFamily::HeavySquare:
-        return makeHeavySquare(opts);
+        return makeHeavySquare();
       case TopologyFamily::HeavyHexagon:
-        return makeHeavyHexagon(opts);
+        return makeHeavyHexagon();
       case TopologyFamily::LowDensity:
-        return makeLowDensity(opts);
+        return makeLowDensity();
       case TopologyFamily::SquareGrid:
-        return makeSquareGrid(rows, cols, opts);
+        return makeSquareGrid(rows, cols);
     }
     throw ConfigError("unknown topology family");
 }

@@ -35,62 +35,54 @@ enum class TopologyFamily
 /** Name string used in reports ("square", "heavy hexagon", ...). */
 const char *topologyFamilyName(TopologyFamily family);
 
-/** Shared generator knobs. */
-struct BuilderOptions
-{
-    /** Qubit pitch (mm); Xmon transmons are ~0.65 mm wide. */
-    double pitchMm = 1.6;
-    /** Average relaxation time (ns); the paper's chips reach 90 us. */
-    double t1Ns = 90e3;
-    /** Seed for base-frequency jitter. */
-    std::uint64_t seed = 20250501;
-};
+/** Qubit pitch (mm); Xmon transmons are ~0.65 mm wide. */
+inline constexpr double kQubitPitchMm = 1.6;
+/** Average relaxation time (ns); the paper's chips reach 90 us. */
+inline constexpr double kQubitT1Ns = 90e3;
+/** Seed of every generator's base-frequency jitter. */
+inline constexpr std::uint64_t kBaseFrequencySeed = 20250501;
 
 /** rows x cols square lattice with nearest-neighbour couplers. */
-ChipTopology makeSquareGrid(std::size_t rows, std::size_t cols,
-                            const BuilderOptions &opts = {});
+ChipTopology makeSquareGrid(std::size_t rows, std::size_t cols);
 
 /** The paper's 3x3 square topology (9 qubits, 12 couplers). */
-ChipTopology makeSquare(const BuilderOptions &opts = {});
+ChipTopology makeSquare();
 
 /**
  * Honeycomb lattice of cell_rows x cell_cols hexagonal cells;
  * the default 2x2 yields the paper's 16-qubit / 19-coupler hexagon.
  */
 ChipTopology makeHexagon(std::size_t cell_rows = 2,
-                         std::size_t cell_cols = 2,
-                         const BuilderOptions &opts = {});
+                         std::size_t cell_cols = 2);
 
 /**
  * Heavy-square: the 3x3 square lattice with one extra qubit inserted on
  * every coupling (21 qubits, 24 couplers).
  */
-ChipTopology makeHeavySquare(const BuilderOptions &opts = {});
+ChipTopology makeHeavySquare();
 
 /**
  * Heavy-hexagon: a 1x2 honeycomb with a qubit on every edge
  * (21 qubits, 22 couplers), IBM style.
  */
-ChipTopology makeHeavyHexagon(const BuilderOptions &opts = {});
+ChipTopology makeHeavyHexagon();
 
 /**
  * Low-density arrangement (18 qubits, 18 couplers): six 3-qubit columns
  * joined along the top row, one redundant bottom link. Average degree 2,
  * matching the sparse layout the paper reports multiplexes best.
  */
-ChipTopology makeLowDensity(const BuilderOptions &opts = {});
+ChipTopology makeLowDensity();
 
 /** Dispatch by family; grid dimensions only apply to SquareGrid. */
 ChipTopology makeTopology(TopologyFamily family,
-                          std::size_t rows = 6, std::size_t cols = 6,
-                          const BuilderOptions &opts = {});
+                          std::size_t rows = 6, std::size_t cols = 6);
 
 /**
  * Insert an extra qubit in the middle of every coupling of @p base,
  * producing the "heavy" variant of any topology.
  */
-ChipTopology makeHeavy(const ChipTopology &base,
-                       const BuilderOptions &opts = {});
+ChipTopology makeHeavy(const ChipTopology &base);
 
 /**
  * Assign fabrication base frequencies: greedy-color the coupling graph so

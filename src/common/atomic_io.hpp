@@ -5,10 +5,10 @@
  * a reader sees either the old complete file or the new complete file --
  * never a torn prefix, even when the writer is killed and rerun. Every
  * artifact writer (BENCH_*.json perf records, trace exports,
- * fault-campaign output, saved designs, hop and drift records) goes
- * through this helper; the flight recorder's dump path stays on raw
- * async-signal-safe writes and the run ledger on its single O_APPEND
- * write, which are already safe.
+ * fault-campaign output, saved designs, binary chips, hop and drift
+ * records) goes through this helper; the flight recorder's dump path
+ * stays on raw async-signal-safe writes and the run ledger on its
+ * single O_APPEND write, which are already safe.
  */
 
 #ifndef YOUTIAO_COMMON_ATOMIC_IO_HPP

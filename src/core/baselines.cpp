@@ -29,7 +29,7 @@ finishCounts(const ChipTopology &chip, BaselineDesign &design,
     design.counts = multiplexedWiringCounts(chip.qubitCount(),
                                             design.xyPlan, design.zPlan,
                                             config.cost);
-    design.costUsd = wiringCostUsd(design.counts, config.cost);
+    design.costUsd = wiringCostUsd(design.counts);
 }
 
 } // namespace
@@ -62,8 +62,7 @@ designGeorgeFdm(const ChipTopology &chip, const YoutiaoConfig &config)
 {
     BaselineDesign design;
     design.xyPlan = groupFdmLocalCluster(chip, config.fdm.lineCapacity);
-    design.frequencyPlan = allocateFrequenciesInLineOnly(design.xyPlan,
-                                                         config.frequency);
+    design.frequencyPlan = allocateFrequenciesInLineOnly(design.xyPlan);
     design.zPlan = dedicatedZPlan(chip);
     design.readoutPlan = readoutGroups(chip, config);
     finishCounts(chip, design, config);
@@ -97,9 +96,8 @@ designAcharyaTdm(const ChipTopology &chip, const YoutiaoConfig &config,
         design.frequencyPlan = allocateFrequenciesFabrication(
             design.xyPlan, fabricationFrequencies(chip));
     }
-    design.zPlan = groupTdmLocalCluster(chip,
-                                        config.tdm.lowParallelismFanout,
-                                        config.tdm);
+    design.zPlan =
+        groupTdmLocalCluster(chip, kLowParallelismFanout, config.tdm);
     design.readoutPlan = readoutGroups(chip, config);
     finishCounts(chip, design, config);
     return design;

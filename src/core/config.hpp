@@ -6,35 +6,17 @@
 #ifndef YOUTIAO_CORE_CONFIG_HPP
 #define YOUTIAO_CORE_CONFIG_HPP
 
-#include <cstddef>
 #include <cstdint>
 
 #include "cost/cost_model.hpp"
 #include "multiplex/fdm.hpp"
 #include "multiplex/frequency_allocation.hpp"
-#include "multiplex/readout.hpp"
 #include "multiplex/tdm.hpp"
 #include "noise/crosstalk_model.hpp"
 #include "noise/noise_model.hpp"
 #include "partition/generative_partition.hpp"
 
 namespace youtiao {
-
-/** Graceful-degradation knobs for the robust design path (DESIGN.md
- *  §9): how hard the ladder tries before returning a DesignError. */
-struct RobustnessConfig
-{
-    /**
-     * Grouping + frequency-allocation attempts before giving up
-     * (>= 1). Each retry shrinks the FDM line capacity by one (fewer,
-     * wider frequency zones) and perturbs the grouping with seeded
-     * jitter, so a masked band or injected infeasibility costs lines
-     * instead of the whole design.
-     */
-    std::size_t maxAllocationAttempts = 4;
-    /** Relative equivalent-distance jitter applied on retries. */
-    double retryJitter = 0.05;
-};
 
 /** End-to-end designer configuration (paper defaults). */
 struct YoutiaoConfig
@@ -47,18 +29,12 @@ struct YoutiaoConfig
     FrequencyAllocationConfig frequency;
     /** TDM Z grouping (Section 4.3). */
     TdmGroupingConfig tdm;
-    /** Readout-plane multiplexing (Section 2.2). */
-    ReadoutConfig readout;
     /** Generative chip partition (Section 4.4). */
     PartitionConfig partition;
     /** Error-rate physics. */
     NoiseModelConfig noise;
-    /** Unit prices / readout capacities. */
+    /** Readout feedline capacity. */
     CostModelConfig cost;
-    /** Degradation-ladder budget for the *Robust design entry points. */
-    RobustnessConfig robustness;
-    /** Chips at or below this qubit count skip partitioning. */
-    std::size_t partitionThresholdQubits = 24;
     /** Master seed for all stochastic stages. */
     std::uint64_t seed = 0x59544AF0;
 };

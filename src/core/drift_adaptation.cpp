@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <limits>
 #include <numbers>
@@ -13,52 +14,22 @@
 #include "common/metrics.hpp"
 #include "common/parallel.hpp"
 #include "common/prng.hpp"
-#include "common/units.hpp"
 
 namespace youtiao {
 
 namespace {
 
-/** Geometry of the allocator's zone/cell lattice for a plan. */
-struct CellGrid
-{
-    double loGHz = 0.0;
-    double zoneWidth = 0.0;
-    double cellGHz = 0.0;
-    std::size_t cellsPerZone = 0;
-
-    double
-    frequency(std::size_t zone, std::size_t cell) const
-    {
-        return loGHz + static_cast<double>(zone) * zoneWidth +
-               (static_cast<double>(cell) + 0.5) * cellGHz;
-    }
-};
-
-CellGrid
-makeGrid(const FrequencyAllocationConfig &config, std::size_t zone_count)
-{
-    CellGrid grid;
-    grid.loGHz = config.loGHz;
-    grid.zoneWidth = (config.hiGHz - config.loGHz) /
-                     static_cast<double>(std::max<std::size_t>(1,
-                                                               zone_count));
-    grid.cellGHz = config.cellMHz * units::MHz;
-    grid.cellsPerZone = static_cast<std::size_t>(
-        std::floor(grid.zoneWidth / grid.cellGHz));
-    return grid;
-}
-
-bool
-isMasked(double f_ghz,
-         const std::vector<std::pair<double, double>> &masks)
-{
-    for (const auto &[lo, hi] : masks) {
-        if (f_ghz >= lo && f_ghz < hi)
-            return true;
-    }
-    return false;
-}
+/** Hops averaged per epoch when hopping. */
+constexpr std::size_t kHopsPerEpoch = 8;
+/** A member within this of an active TLS dirties its group (GHz). */
+constexpr double kTlsProximityGHz = 0.1;
+/** A qubit whose crosstalk scale moved by more than this factor since
+ *  its last retune dirties its group. */
+constexpr double kScaleDirtyRatio = 1.25;
+/** Random 1q-gate layers in the per-epoch evaluation circuit. */
+constexpr std::size_t kFidelityLayers = 12;
+/** Seed of the evaluation circuits (shared across policies). */
+constexpr std::uint64_t kCircuitSeed = 0xC17C;
 
 /** Excess drive error qubit @p q would pick up at @p f_ghz from the
  *  epoch's active TLS population. */
@@ -124,7 +95,7 @@ maskViolations(const std::vector<double> &frequency_ghz,
 {
     std::size_t hits = 0;
     for (double f : frequency_ghz)
-        hits += isMasked(f, masks) ? 1 : 0;
+        hits += isMaskedGHz(f, masks) ? 1 : 0;
     return hits;
 }
 
@@ -139,7 +110,6 @@ mergeDegradation(DegradationReport &into, const DegradationReport &from,
     into.demuxFallbackDevices += from.demuxFallbackDevices;
     into.dedicatedNetFallbacks += from.dedicatedNetFallbacks;
     into.costDeltaUsd += from.costDeltaUsd;
-    into.residualCrosstalkCost = from.residualCrosstalkCost;
     for (const std::string &note : from.notes)
         into.notes.push_back("epoch " + std::to_string(epoch) + ": " +
                              note);
@@ -208,14 +178,7 @@ DriftAdaptationResult::fullRedesigns() const
 DriftAdapter::DriftAdapter(YoutiaoConfig config,
                            DriftAdaptationConfig adapt)
     : config_(std::move(config)), adapt_(adapt)
-{
-    requireConfig(adapt_.hopsPerEpoch >= 1,
-                  "drift adaptation: hopsPerEpoch must be >= 1");
-    requireConfig(adapt_.fidelityLayers >= 1,
-                  "drift adaptation: fidelityLayers must be >= 1");
-    requireConfig(adapt_.scaleDirtyRatio > 1.0,
-                  "drift adaptation: scaleDirtyRatio must be > 1");
-}
+{}
 
 DriftAdaptationResult
 DriftAdapter::run(const ChipTopology &chip, const YoutiaoDesign &design,
@@ -239,7 +202,7 @@ DriftAdapter::run(const ChipTopology &chip, const YoutiaoDesign &design,
     FrequencyPlan freq = design.frequencyPlan;
     ChipCharacterization drifted = data;
     // Scale each qubit's crosstalk carried at its last retune; a walk
-    // beyond scaleDirtyRatio from here dirties the group.
+    // beyond kScaleDirtyRatio from here dirties the group.
     std::vector<double> retune_scale(n, 1.0);
 
     HopPlan hop_plan;
@@ -273,8 +236,7 @@ DriftAdapter::run(const ChipTopology &chip, const YoutiaoDesign &design,
             // cell left -- one more against the full-redesign result,
             // which may itself carry reuse collisions to sweep.
             for (int pass = 0; pass < 2; ++pass) {
-                const CellGrid grid =
-                    makeGrid(config_.frequency, freq.zoneCount);
+                const XyLattice lattice(freq.zoneCount);
                 const CrosstalkNeighborhood neighborhood(
                     drifted.xyCrosstalk, plan.lineOfQubit);
                 IncrementalAllocationCost running(neighborhood, noise);
@@ -298,17 +260,17 @@ DriftAdapter::run(const ChipTopology &chip, const YoutiaoDesign &design,
                         for (const TlsDefect &d : active) {
                             if (d.qubit == q &&
                                 std::abs(f - d.frequencyGHz) <=
-                                    adapt_.tlsProximityGHz) {
+                                    kTlsProximityGHz) {
                                 near_tls = true;
                                 break;
                             }
                         }
                         const double ratio =
                             trace.scale(epoch, q) / retune_scale[q];
-                        if (near_tls || isMasked(f, masks) ||
+                        if (near_tls || isMaskedGHz(f, masks) ||
                             occupancy.at(f) > 1 ||
-                            ratio > adapt_.scaleDirtyRatio ||
-                            ratio < 1.0 / adapt_.scaleDirtyRatio) {
+                            ratio > kScaleDirtyRatio ||
+                            ratio < 1.0 / kScaleDirtyRatio) {
                             dirty[line] = true;
                             break;
                         }
@@ -338,9 +300,9 @@ DriftAdapter::run(const ChipTopology &chip, const YoutiaoDesign &design,
                         std::size_t best_cell = 0;
                         bool have_cell = false;
                         for (std::size_t cell = 0;
-                             cell < grid.cellsPerZone; ++cell) {
-                            const double f = grid.frequency(zone, cell);
-                            if (isMasked(f, masks) ||
+                             cell < lattice.cellsPerZone; ++cell) {
+                            const double f = lattice.centreGHz(zone, cell);
+                            if (isMaskedGHz(f, masks) ||
                                 occupancy.count(f) != 0)
                                 continue;
                             running.move(q, f);
@@ -363,7 +325,7 @@ DriftAdapter::run(const ChipTopology &chip, const YoutiaoDesign &design,
                         }
                         freq.cellOfQubit[q] = best_cell;
                         freq.frequencyGHz[q] =
-                            grid.frequency(zone, best_cell);
+                            lattice.centreGHz(zone, best_cell);
                         running.move(q, freq.frequencyGHz[q]);
                         ++occupancy[freq.frequencyGHz[q]];
                         retune_scale[q] = trace.scale(epoch, q);
@@ -425,15 +387,15 @@ DriftAdapter::run(const ChipTopology &chip, const YoutiaoDesign &design,
         for (const TlsDefect &d : active)
             ctx.tlsDefects.push_back(TlsNoiseSource{
                 d.qubit, d.frequencyGHz, d.strength, d.linewidthGHz});
-        const QuantumCircuit qc = epochCircuit(
-            n, adapt_.fidelityLayers, adapt_.circuitSeed, epoch);
+        const QuantumCircuit qc =
+            epochCircuit(n, kFidelityLayers, kCircuitSeed, epoch);
 
         if (adapt_.policy == DriftPolicy::Hopping) {
             // Average the hop schedule's positions across the epoch;
             // each hop is independent, so fan out deterministically.
-            std::vector<std::size_t> hops(adapt_.hopsPerEpoch);
+            std::vector<std::size_t> hops(kHopsPerEpoch);
             for (std::size_t j = 0; j < hops.size(); ++j)
-                hops[j] = epoch * adapt_.hopsPerEpoch + j;
+                hops[j] = epoch * kHopsPerEpoch + j;
             const std::vector<std::pair<double, std::size_t>> samples =
                 parallelMap(hops, [&](std::size_t hop) {
                     FidelityContext hop_ctx = ctx;

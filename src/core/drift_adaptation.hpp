@@ -28,7 +28,6 @@
 #define YOUTIAO_CORE_DRIFT_ADAPTATION_HPP
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -54,17 +53,6 @@ struct DriftAdaptationConfig
     DriftPolicy policy = DriftPolicy::Static;
     /** Hop-schedule generation (Hopping only). */
     FhssConfig hop;
-    /** Hops averaged per epoch when hopping. */
-    std::size_t hopsPerEpoch = 8;
-    /** A member within this of an active TLS dirties its group (GHz). */
-    double tlsProximityGHz = 0.1;
-    /** A qubit whose crosstalk scale moved by more than this factor
-     *  since its last retune dirties its group. */
-    double scaleDirtyRatio = 1.25;
-    /** Random 1q-gate layers in the per-epoch evaluation circuit. */
-    std::size_t fidelityLayers = 12;
-    /** Seed of the evaluation circuits (shared across policies). */
-    std::uint64_t circuitSeed = 0xC17C;
 };
 
 /** One epoch of the replay. */

@@ -131,7 +131,7 @@ designSurfaceCodeWiring(const SurfaceCodeLayout &layout,
 
     out.counts = multiplexedWiringCounts(chip.qubitCount(), out.xyPlan,
                                          out.zPlan, config.cost);
-    out.costUsd = wiringCostUsd(out.counts, config.cost);
+    out.costUsd = wiringCostUsd(out.counts);
     return out;
 }
 

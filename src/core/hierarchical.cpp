@@ -11,7 +11,6 @@
 #include "common/metrics.hpp"
 #include "common/parallel.hpp"
 #include "common/prng.hpp"
-#include "common/units.hpp"
 #include "multiplex/parallelism_index.hpp"
 #include "multiplex/plan_merge.hpp"
 #include "noise/crosstalk_data.hpp"
@@ -61,17 +60,6 @@ medianCouplerSpanMm(const ChipTopology &chip)
                      spans.begin() + static_cast<long>(spans.size() / 2),
                      spans.end());
     return spans[spans.size() / 2];
-}
-
-bool
-isMaskedGHz(double f,
-            const std::vector<std::pair<double, double>> &masked)
-{
-    for (const auto &[lo, hi] : masked) {
-        if (f >= lo && f < hi)
-            return true;
-    }
-    return false;
 }
 
 /**
@@ -473,10 +461,9 @@ HierarchicalDesigner::designTiles(const ChipTopology &chip, TileMap map,
     stitchSeamsImpl(chip, data, out);
     cancel::poll("hier.finish");
 
-    agg.residualCrosstalkCost = out.merged.frequencyPlan.crosstalkCost;
     out.merged.counts = multiplexedWiringCounts(
         q_count, out.merged.xyPlan, out.merged.zPlan, config_.cost);
-    out.merged.costUsd = wiringCostUsd(out.merged.counts, config_.cost);
+    out.merged.costUsd = wiringCostUsd(out.merged.counts);
 
     metrics::count("hier.tiles_designed", out.tiles.size());
     metrics::count("hier.seam_couplers", out.seamCouplers.size());
@@ -589,8 +576,6 @@ HierarchicalDesigner::stitchSeamsImpl(const ChipTopology &chip,
 
     const NoiseModel noise(config_.noise);
     FrequencyPlan &plan = out.merged.frequencyPlan;
-    const FrequencyAllocationConfig &fc = config_.frequency;
-    const double cell_ghz = fc.cellMHz * units::MHz;
 
     const auto pairCost = [&](std::size_t a, std::size_t b, double xt) {
         return xt * noise.spectralOverlap(
@@ -631,23 +616,18 @@ HierarchicalDesigner::stitchSeamsImpl(const ChipTopology &chip,
                     ? a
                     : b;
             const std::size_t tile = out.tileOfQubit[q];
-            const std::size_t zones = std::max<std::size_t>(
-                1, out.tiles[tile].design.frequencyPlan.zoneCount);
-            const double zone_width =
-                (fc.hiGHz - fc.loGHz) / static_cast<double>(zones);
-            const auto cells = static_cast<std::size_t>(
-                std::floor(zone_width / cell_ghz));
+            const XyLattice lattice(
+                out.tiles[tile].design.frequencyPlan.zoneCount);
             const std::size_t zone = plan.zoneOfQubit[q];
 
             double best = objective(q, plan.frequencyGHz[q]);
             double best_f = plan.frequencyGHz[q];
             std::size_t best_cell = plan.cellOfQubit[q];
             bool improved = false;
-            for (std::size_t cell = 0; cell < cells; ++cell) {
-                const double f =
-                    fc.loGHz + static_cast<double>(zone) * zone_width +
-                    (static_cast<double>(cell) + 0.5) * cell_ghz;
-                if (isMaskedGHz(f, fc.maskedBandsGHz))
+            for (std::size_t cell = 0; cell < lattice.cellsPerZone;
+                 ++cell) {
+                const double f = lattice.centreGHz(zone, cell);
+                if (isMaskedGHz(f, config_.frequency.maskedBandsGHz))
                     continue;
                 // Keep cells distinct from same-tile, same-zone seam
                 // neighbours (the tile allocator placed everyone else).
@@ -656,7 +636,7 @@ HierarchicalDesigner::stitchSeamsImpl(const ChipTopology &chip,
                     if (out.tileOfQubit[n.other] == tile &&
                         plan.zoneOfQubit[n.other] == zone &&
                         std::abs(plan.frequencyGHz[n.other] - f) <
-                            0.5 * cell_ghz) {
+                            0.5 * kXyCellGHz) {
                         collides = true;
                         break;
                     }

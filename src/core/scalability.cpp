@@ -9,7 +9,7 @@
 namespace youtiao {
 
 ChipTopology
-makeGridWithQubitCount(std::size_t qubits, const BuilderOptions &opts)
+makeGridWithQubitCount(std::size_t qubits)
 {
     requireConfig(qubits >= 1, "need at least one qubit");
     const auto rows = static_cast<std::size_t>(
@@ -21,9 +21,9 @@ makeGridWithQubitCount(std::size_t qubits, const BuilderOptions &opts)
         const std::size_t r = q / cols;
         const std::size_t c = q % cols;
         QubitInfo info;
-        info.position = Point{static_cast<double>(c) * opts.pitchMm,
-                              static_cast<double>(r) * opts.pitchMm};
-        info.t1Ns = opts.t1Ns;
+        info.position = Point{static_cast<double>(c) * kQubitPitchMm,
+                              static_cast<double>(r) * kQubitPitchMm};
+        info.t1Ns = kQubitT1Ns;
         chip.addQubit(info);
     }
     for (std::size_t q = 0; q < qubits; ++q) {
@@ -34,7 +34,7 @@ makeGridWithQubitCount(std::size_t qubits, const BuilderOptions &opts)
         if (q + cols < qubits)
             chip.addCoupler(q, q + cols);
     }
-    Prng prng(opts.seed);
+    Prng prng(kBaseFrequencySeed);
     assignPatternFrequencies(chip, prng);
     return chip;
 }
@@ -60,8 +60,8 @@ estimateSquareSystem(std::size_t qubits, const YoutiaoConfig &config)
         point.highParallelismDevices, config.cost);
     point.googleCoax = google.coax();
     point.youtiaoCoax = ours.coax();
-    point.googleCostUsd = wiringCostUsd(google, config.cost);
-    point.youtiaoCostUsd = wiringCostUsd(ours, config.cost);
+    point.googleCostUsd = wiringCostUsd(google);
+    point.youtiaoCostUsd = wiringCostUsd(ours);
     return point;
 }
 
@@ -71,8 +71,7 @@ compareIbmChiplet(std::size_t copies, const YoutiaoConfig &config)
     requireConfig(copies >= 1, "need at least one chiplet");
     // A 4x5-cell heavy honeycomb: 135 qubits, the closest heavy-hex
     // tiling to IBM's 133-qubit chips.
-    const ChipTopology chiplet =
-        makeHeavy(makeHexagon(4, 5), BuilderOptions{});
+    const ChipTopology chiplet = makeHeavy(makeHexagon(4, 5));
 
     ChipletComparison cmp;
     cmp.copies = copies;

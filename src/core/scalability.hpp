@@ -47,8 +47,7 @@ struct ScalePoint
  * Near-square grid with exactly @p qubits qubits (rows = floor(sqrt),
  * last row possibly partial), the topology of the paper's scaling study.
  */
-ChipTopology makeGridWithQubitCount(std::size_t qubits,
-                                    const BuilderOptions &opts = {});
+ChipTopology makeGridWithQubitCount(std::size_t qubits);
 
 /** Estimate one square-topology system of @p qubits qubits. */
 ScalePoint estimateSquareSystem(std::size_t qubits,

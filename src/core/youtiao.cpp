@@ -13,6 +13,23 @@
 
 namespace youtiao {
 
+namespace {
+
+/** Chips at or below this qubit count skip partitioning. */
+constexpr std::size_t kPartitionThresholdQubits = 24;
+/**
+ * Grouping + frequency-allocation attempts before the ladder gives up.
+ * Each retry shrinks the FDM line capacity by one (fewer, wider
+ * frequency zones) and perturbs the grouping with seeded jitter, so a
+ * masked band or injected infeasibility costs lines instead of the
+ * whole design.
+ */
+constexpr std::size_t kMaxAllocationAttempts = 4;
+/** Relative equivalent-distance jitter applied on retries. */
+constexpr double kRetryJitter = 0.05;
+
+} // namespace
+
 bool
 DegradationReport::empty() const
 {
@@ -187,8 +204,7 @@ YoutiaoDesigner::finishDesignRobust(const ChipTopology &chip,
     Prng prng(config_.seed);
     {
         const metrics::ScopedTimer timer("design.partition");
-        bool single_region =
-            chip.qubitCount() <= config_.partitionThresholdQubits;
+        bool single_region = chip.qubitCount() <= kPartitionThresholdQubits;
         if (!single_region) {
             if (fault::site("design.partition")) {
                 degraded.notes.push_back(
@@ -225,8 +241,6 @@ YoutiaoDesigner::finishDesignRobust(const ChipTopology &chip,
     // rescues masked bands and crowding) and jitter the distance matrix
     // with a seeded perturbation so the greedy grouping explores a
     // different tiling.
-    const std::size_t budget =
-        std::max<std::size_t>(1, config_.robustness.maxAllocationAttempts);
     const std::size_t configured_capacity =
         std::max<std::size_t>(1, config_.fdm.lineCapacity);
     std::size_t capacity = configured_capacity;
@@ -235,8 +249,8 @@ YoutiaoDesigner::finishDesignRobust(const ChipTopology &chip,
     bool have_ideal_xy = false;
     std::string last_failure;
     bool allocated = false;
-    for (std::size_t attempt = 0; attempt < budget && !allocated;
-         ++attempt) {
+    for (std::size_t attempt = 0;
+         attempt < kMaxAllocationAttempts && !allocated; ++attempt) {
         cancel::poll("design.allocate");
         FdmGroupingConfig fdm_cfg = config_.fdm;
         fdm_cfg.lineCapacity = capacity;
@@ -251,12 +265,11 @@ YoutiaoDesigner::finishDesignRobust(const ChipTopology &chip,
                                                      d_equiv, fdm_cfg);
                 } else {
                     SymmetricMatrix jittered = d_equiv;
-                    const double eps = config_.robustness.retryJitter;
                     for (std::size_t i = 0; i < jittered.size(); ++i)
                         for (std::size_t j = i + 1; j < jittered.size();
                              ++j)
                             jittered(i, j) *=
-                                1.0 + eps * retry_prng.uniform();
+                                1.0 + kRetryJitter * retry_prng.uniform();
                     out.xyPlan = groupFdmPartitioned(out.partition,
                                                      jittered, fdm_cfg);
                 }
@@ -310,7 +323,7 @@ YoutiaoDesigner::finishDesignRobust(const ChipTopology &chip,
     if (!allocated) {
         return DesignError(DesignStage::FrequencyAllocation,
                            "allocation budget exhausted: " + last_failure)
-            .with("attempts", budget)
+            .with("attempts", kMaxAllocationAttempts)
             .with("final_capacity", capacity);
     }
 
@@ -385,8 +398,6 @@ YoutiaoDesigner::finishDesignRobust(const ChipTopology &chip,
     cancel::poll("design.readout");
     {
         const metrics::ScopedTimer timer("design.readout_planning");
-        ReadoutConfig readout_cfg = config_.readout;
-        readout_cfg.feedlineCapacity = config_.cost.readoutFeedCapacity;
         bool dedicated_readout = false;
         if (fault::site("design.readout")) {
             degraded.notes.push_back(
@@ -395,7 +406,8 @@ YoutiaoDesigner::finishDesignRobust(const ChipTopology &chip,
             dedicated_readout = true;
         } else {
             try {
-                out.readout = planReadout(d_equiv, readout_cfg);
+                out.readout = planReadout(d_equiv,
+                                          config_.cost.readoutFeedCapacity);
             } catch (const cancel::Cancelled &) {
                 throw;
             } catch (const std::exception &e) {
@@ -405,24 +417,21 @@ YoutiaoDesigner::finishDesignRobust(const ChipTopology &chip,
                 dedicated_readout = true;
             }
         }
-        if (dedicated_readout) {
-            readout_cfg.feedlineCapacity = 1;
-            out.readout = planReadout(d_equiv, readout_cfg);
-        }
+        if (dedicated_readout)
+            out.readout = planReadout(d_equiv, 1);
         out.readoutPlan.lines = out.readout.feedlines;
         out.readoutPlan.lineOfQubit = out.readout.feedlineOfQubit;
     }
 
     out.counts = multiplexedWiringCounts(chip.qubitCount(), out.xyPlan,
                                          out.zPlan, config_.cost);
-    out.costUsd = wiringCostUsd(out.counts, config_.cost);
-    degraded.residualCrosstalkCost = out.frequencyPlan.crosstalkCost;
+    out.costUsd = wiringCostUsd(out.counts);
     if (!degraded.empty()) {
         const WiringCounts ideal_counts = multiplexedWiringCounts(
             chip.qubitCount(), ideal_xy_for_counts, ideal_z,
             config_.cost);
         degraded.costDeltaUsd =
-            out.costUsd - wiringCostUsd(ideal_counts, config_.cost);
+            out.costUsd - wiringCostUsd(ideal_counts);
         metrics::count("design.degraded_designs");
         log::warn("design degraded",
                   {{"notes", degraded.notes.size()},

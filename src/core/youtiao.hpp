@@ -20,6 +20,7 @@
 #include "common/expected.hpp"
 #include "common/prng.hpp"
 #include "core/config.hpp"
+#include "multiplex/readout.hpp"
 #include "noise/crosstalk_data.hpp"
 #include "sim/fidelity_estimator.hpp"
 
@@ -48,9 +49,6 @@ struct DegradationReport
     /** Cost of the degraded design minus the undegraded estimate (USD);
      *  0 when nothing degraded. */
     double costDeltaUsd = 0.0;
-    /** Allocation objective of the shipped plan (diagnostic; compare
-     *  against an undegraded run to bound the fidelity impact). */
-    double residualCrosstalkCost = 0.0;
     /** Human-readable ladder steps, in the order they happened. */
     std::vector<std::string> notes;
 
@@ -96,7 +94,6 @@ struct YoutiaoDesign
  *  - a stage failure the ladder rescues returns the degraded design
  *    with its DegradationReport instead of throwing;
  *  - armed fault sites (common/fault.hpp) fire as on the robust path;
- *  - degradation.residualCrosstalkCost is filled in;
  *  - a failure no rung rescues throws ConfigError (the DesignError's
  *    toString()), and a cooperative abort throws cancel::Cancelled with
  *    the original reason and poll site (throwDesignError()).
@@ -137,13 +134,13 @@ class YoutiaoDesigner
     /**
      * Structured variants, and the one implementation of the pipeline:
      * an infeasible stage walks the degradation ladder (partition falls
-     * back to a single region, infeasible allocations retry with
-     * shrunken group sizes and seeded perturbation under
-     * RobustnessConfig::maxAllocationAttempts, broken DEMUX channels
-     * strand their device onto a dedicated line) and records every
-     * concession in the design's DegradationReport. A chip no ladder
-     * step can rescue, or a cooperative abort, yields a structured
-     * DesignError -- these functions do not throw on bad inputs.
+     * back to a single region, an infeasible allocation retries with
+     * shrunken group sizes and seeded perturbation, four attempts in
+     * all, broken DEMUX channels strand their device onto a dedicated
+     * line) and records every concession in the design's
+     * DegradationReport. A chip no ladder step can rescue, or a
+     * cooperative abort, yields a structured DesignError -- these
+     * functions do not throw on bad inputs.
      */
     Expected<YoutiaoDesign, DesignError>
     designRobust(const ChipTopology &chip,

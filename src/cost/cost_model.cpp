@@ -6,6 +6,15 @@ namespace youtiao {
 
 namespace {
 
+/** One coaxial line through all cryostat stages (USD). */
+constexpr double kCoaxUsd = 3000.0;
+/** One RF DAC channel (USD). */
+constexpr double kRfDacUsd = 3640.0;
+/** One twisted-pair DEMUX select line incl. digital IO (USD). */
+constexpr double kDemuxSelectUsd = 200.0;
+/** Qubits per readout DAC channel. */
+constexpr std::size_t kReadoutDacCapacity = 4;
+
 std::size_t
 ceilDiv(std::size_t a, std::size_t b)
 {
@@ -15,12 +24,11 @@ ceilDiv(std::size_t a, std::size_t b)
 } // namespace
 
 double
-wiringCostUsd(const WiringCounts &counts, const CostModelConfig &config)
+wiringCostUsd(const WiringCounts &counts)
 {
-    return config.coaxUsd * static_cast<double>(counts.coax()) +
-           config.rfDacUsd * static_cast<double>(counts.rfDacs()) +
-           config.demuxSelectUsd *
-               static_cast<double>(counts.demuxSelectLines);
+    return kCoaxUsd * static_cast<double>(counts.coax()) +
+           kRfDacUsd * static_cast<double>(counts.rfDacs()) +
+           kDemuxSelectUsd * static_cast<double>(counts.demuxSelectLines);
 }
 
 WiringCounts
@@ -32,7 +40,7 @@ dedicatedWiringCounts(std::size_t qubits, std::size_t couplers,
     counts.xyLines = qubits;
     counts.zLines = qubits + couplers;
     counts.readoutFeeds = ceilDiv(qubits, config.readoutFeedCapacity);
-    counts.readoutDacs = ceilDiv(qubits, config.readoutDacCapacity);
+    counts.readoutDacs = ceilDiv(qubits, kReadoutDacCapacity);
     return counts;
 }
 
@@ -46,7 +54,7 @@ multiplexedWiringCounts(std::size_t qubits, const FdmPlan &xy_plan,
     counts.xyLines = xy_plan.lineCount();
     counts.zLines = z_plan.lineCount();
     counts.readoutFeeds = ceilDiv(qubits, config.readoutFeedCapacity);
-    counts.readoutDacs = ceilDiv(qubits, config.readoutDacCapacity);
+    counts.readoutDacs = ceilDiv(qubits, kReadoutDacCapacity);
     counts.demuxSelectLines = z_plan.selectLineCount();
     counts.demux12 = z_plan.groupCountWithFanout(2);
     counts.demux14 = z_plan.groupCountWithFanout(4);
@@ -71,7 +79,7 @@ multiplexedWiringCountsAnalytic(std::size_t qubits, std::size_t couplers,
     counts.zLines = counts.demux12 + counts.demux14;
     counts.demuxSelectLines = counts.demux12 + 2 * counts.demux14;
     counts.readoutFeeds = ceilDiv(qubits, config.readoutFeedCapacity);
-    counts.readoutDacs = ceilDiv(qubits, config.readoutDacCapacity);
+    counts.readoutDacs = ceilDiv(qubits, kReadoutDacCapacity);
     return counts;
 }
 

@@ -30,19 +30,11 @@
 
 namespace youtiao {
 
-/** Unit prices and readout multiplexing capacities. */
+/** Readout multiplexing capacity (the prices above are fixed). */
 struct CostModelConfig
 {
-    /** One coaxial line through all cryostat stages (USD). */
-    double coaxUsd = 3000.0;
-    /** One RF DAC channel (USD). */
-    double rfDacUsd = 3640.0;
-    /** One twisted-pair DEMUX select line incl. digital IO (USD). */
-    double demuxSelectUsd = 200.0;
     /** Qubits per readout feedline (FDM). */
     std::size_t readoutFeedCapacity = 8;
-    /** Qubits per readout DAC channel. */
-    std::size_t readoutDacCapacity = 4;
 };
 
 /** Physical resource tally of one wiring plan. */
@@ -76,8 +68,7 @@ struct WiringCounts
 };
 
 /** Dollar cost of a tally. */
-double wiringCostUsd(const WiringCounts &counts,
-                     const CostModelConfig &config = {});
+double wiringCostUsd(const WiringCounts &counts);
 
 /** Dedicated (Google-style) wiring for Q qubits and C couplers. */
 WiringCounts dedicatedWiringCounts(std::size_t qubits, std::size_t couplers,

@@ -78,7 +78,7 @@ DeviceActivity::overlap(std::size_t d1, std::size_t d2) const
 
 TdmPlan
 groupTdmByActivity(const ChipTopology &chip, const DeviceActivity &activity,
-                   const TdmGroupingConfig &config, double max_overlap)
+                   double max_overlap)
 {
     requireConfig(max_overlap >= 0.0 && max_overlap <= 1.0,
                   "overlap budget must be a fraction");
@@ -104,7 +104,7 @@ groupTdmByActivity(const ChipTopology &chip, const DeviceActivity &activity,
         std::vector<std::size_t> group{seed};
         taken[seed] = true;
         for (std::size_t cand : order) {
-            if (group.size() >= config.lowParallelismFanout)
+            if (group.size() >= kLowParallelismFanout)
                 break;
             if (taken[cand])
                 continue;

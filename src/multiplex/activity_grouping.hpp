@@ -69,7 +69,6 @@ class DeviceActivity
  */
 TdmPlan groupTdmByActivity(const ChipTopology &chip,
                            const DeviceActivity &activity,
-                           const TdmGroupingConfig &config = {},
                            double max_overlap = 0.0);
 
 } // namespace youtiao

@@ -7,6 +7,13 @@
 
 namespace youtiao {
 
+namespace {
+
+/** The qubit seeding the first group. */
+constexpr std::size_t kFirstSeedQubit = 0;
+
+} // namespace
+
 std::size_t
 FdmPlan::maxGroupSize() const
 {
@@ -22,14 +29,13 @@ groupFdm(const SymmetricMatrix &d_equiv, const FdmGroupingConfig &config)
     const std::size_t n = d_equiv.size();
     requireConfig(n > 0, "cannot group an empty chip");
     requireConfig(config.lineCapacity >= 1, "line capacity must be >= 1");
-    requireConfig(config.startQubit < n, "start qubit out of range");
 
     FdmPlan plan;
     plan.lineOfQubit.assign(n, static_cast<std::size_t>(-1));
     std::vector<bool> grouped(n, false);
     std::size_t remaining = n;
 
-    std::size_t seed = config.startQubit;
+    std::size_t seed = kFirstSeedQubit;
     while (remaining > 0) {
         // Start a new line with the seed, then grow Prim-style: always
         // absorb the ungrouped qubit closest (in equivalent distance) to

@@ -25,8 +25,6 @@ struct FdmGroupingConfig
 {
     /** Qubits per FDM line (the paper evaluates capacity 5; readout 8). */
     std::size_t lineCapacity = 5;
-    /** Index of the qubit seeding the first group. */
-    std::size_t startQubit = 0;
 };
 
 /** Assignment of qubits to shared FDM lines. */
@@ -45,7 +43,8 @@ struct FdmPlan
 
 /**
  * YOUTIAO's greedy nearest-equivalent-distance grouping over @p d_equiv
- * (a qubit-level equivalent-distance matrix).
+ * (a qubit-level equivalent-distance matrix); qubit 0 seeds the first
+ * group.
  */
 FdmPlan groupFdm(const SymmetricMatrix &d_equiv,
                  const FdmGroupingConfig &config = {});

@@ -5,12 +5,22 @@
 #include <numeric>
 #include <sstream>
 
-#include "common/error.hpp"
 #include "common/json.hpp"
 #include "common/metrics.hpp"
 #include "common/prng.hpp"
 
 namespace youtiao {
+
+namespace {
+
+/**
+ * Shuffled rotation blocks per period. Each block visits every rotation
+ * (0..k-1) exactly once, so a period covers every member-channel pairing
+ * kBlocksPerPeriod times.
+ */
+constexpr std::size_t kBlocksPerPeriod = 4;
+
+} // namespace
 
 double
 GroupHopSchedule::frequencyAtHop(std::size_t member_index,
@@ -28,8 +38,6 @@ HopPlan
 buildHopPlan(const FdmPlan &plan, const FrequencyPlan &freq,
              const FhssConfig &config)
 {
-    requireConfig(config.blocksPerPeriod >= 1,
-                  "fhss: blocksPerPeriod must be >= 1");
     const metrics::ScopedTimer timer("fhss.build");
     HopPlan out;
     out.config = config;
@@ -70,10 +78,9 @@ buildHopPlan(const FdmPlan &plan, const FrequencyPlan &freq,
             // block head. Seeded per line so groups are decorrelated yet
             // the whole plan replays from one root seed.
             Prng prng(taskSeed(config.seed, line));
-            g.sequence.reserve(config.blocksPerPeriod * k);
+            g.sequence.reserve(kBlocksPerPeriod * k);
             std::vector<std::size_t> rotations(k - 1);
-            for (std::size_t block = 0; block < config.blocksPerPeriod;
-                 ++block) {
+            for (std::size_t block = 0; block < kBlocksPerPeriod; ++block) {
                 g.sequence.push_back(0);
                 std::iota(rotations.begin(), rotations.end(), 1u);
                 prng.shuffle(rotations);
@@ -124,7 +131,7 @@ hopPlanReport(const HopPlan &hop_plan)
     std::ostringstream out;
     out << "-- frequency-hopping schedule (seed 0x" << std::hex
         << hop_plan.config.seed << std::dec << ", "
-        << hop_plan.config.blocksPerPeriod << " blocks/period) --\n";
+        << kBlocksPerPeriod << " blocks/period) --\n";
     for (const auto &g : hop_plan.groups) {
         out << "line " << g.line << " (" << g.channelCount()
             << " channels";
@@ -152,7 +159,7 @@ hopPlanToJson(const HopPlan &hop_plan)
     std::ostringstream out;
     out << "{\n  \"schema\": \"youtiao-hop-1\",\n  \"seed\": "
         << hop_plan.config.seed << ",\n  \"blocks_per_period\": "
-        << hop_plan.config.blocksPerPeriod << ",\n  \"groups\": [";
+        << kBlocksPerPeriod << ",\n  \"groups\": [";
     for (std::size_t i = 0; i < hop_plan.groups.size(); ++i) {
         const auto &g = hop_plan.groups[i];
         out << (i == 0 ? "\n" : ",\n") << "    {\"line\": " << g.line

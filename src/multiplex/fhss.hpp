@@ -38,12 +38,6 @@ struct FhssConfig
 {
     /** Root seed; each group hops on taskSeed(seed, line index). */
     std::uint64_t seed = 0xF4550;
-    /**
-     * Shuffled rotation blocks per period. Each block visits every
-     * rotation (0..k-1) exactly once, so a period covers every
-     * member-channel pairing blocksPerPeriod times.
-     */
-    std::size_t blocksPerPeriod = 4;
 };
 
 /** Hop schedule of one FDM line. */
@@ -59,7 +53,8 @@ struct GroupHopSchedule
     /** Home channel index (rank in channelsGHz) per member. */
     std::vector<std::size_t> homeChannel;
     /**
-     * Rotation offset per hop, length blocksPerPeriod * k. Member m at
+     * Rotation offset per hop: four shuffled blocks of k hops each, so a
+     * period covers every member-channel pairing four times. Member m at
      * hop t drives channelsGHz[(sequence[t % len] + homeChannel[m]) % k].
      * Every block starts with rotation 0 (the sync slot: the static
      * allocation itself) followed by a seeded shuffle of 1..k-1.

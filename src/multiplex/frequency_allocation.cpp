@@ -6,7 +6,6 @@
 
 #include "common/error.hpp"
 #include "common/metrics.hpp"
-#include "common/units.hpp"
 
 namespace youtiao {
 
@@ -88,15 +87,6 @@ IncrementalAllocationCost::move(std::size_t q, double f_ghz)
 
 namespace {
 
-/** Frequency of (zone, cell) under the given config. */
-double
-cellFrequency(std::size_t zone, std::size_t cell, double lo,
-              double zone_width, double cell_ghz)
-{
-    return lo + static_cast<double>(zone) * zone_width +
-           (static_cast<double>(cell) + 0.5) * cell_ghz;
-}
-
 /**
  * Crosstalk cost of qubit q at frequency f against allocated qubits:
  * spatial coupling weighted by spectral overlap, plus in-line pulse
@@ -123,18 +113,6 @@ qubitCost(std::size_t q, double f, const std::vector<double> &freq,
             cost += noise.sharedLineLeakage(df);
     }
     return cost;
-}
-
-/** True when @p f_ghz falls in a masked slice of the band. */
-bool
-isMasked(double f_ghz,
-         const std::vector<std::pair<double, double>> &masks)
-{
-    for (const auto &[lo, hi] : masks) {
-        if (f_ghz >= lo && f_ghz < hi)
-            return true;
-    }
-    return false;
 }
 
 } // namespace
@@ -166,16 +144,11 @@ allocateFrequencies(const FdmPlan &plan,
     const std::size_t n = plan.lineOfQubit.size();
     requireConfig(predicted_crosstalk.size() == n,
                   "crosstalk matrix does not match the plan");
-    requireConfig(config.hiGHz > config.loGHz, "empty frequency band");
 
     FrequencyPlan out;
     out.zoneCount = std::max<std::size_t>(1, plan.maxGroupSize());
-    const double zone_width =
-        (config.hiGHz - config.loGHz) / static_cast<double>(out.zoneCount);
-    const double cell_ghz = config.cellMHz * units::MHz;
-    const auto cells_per_zone = static_cast<std::size_t>(
-        std::floor(zone_width / cell_ghz));
-    requireConfig(cells_per_zone >= 1,
+    const XyLattice lattice(out.zoneCount);
+    requireConfig(lattice.cellsPerZone >= 1,
                   "cell granularity too coarse for the zone width");
 
     out.frequencyGHz.assign(n, 0.0);
@@ -199,10 +172,10 @@ allocateFrequencies(const FdmPlan &plan,
             double best_cost = std::numeric_limits<double>::infinity();
             std::size_t best_cell = 0;
             bool have_cell = false;
-            for (std::size_t cell = 0; cell < cells_per_zone; ++cell) {
-                const double f = cellFrequency(zone, cell, config.loGHz,
-                                               zone_width, cell_ghz);
-                if (isMasked(f, config.maskedBandsGHz))
+            for (std::size_t cell = 0; cell < lattice.cellsPerZone;
+                 ++cell) {
+                const double f = lattice.centreGHz(zone, cell);
+                if (isMaskedGHz(f, config.maskedBandsGHz))
                     continue;
                 const double cost = qubitCost(q, f, out.frequencyGHz,
                                               allocated, neighborhood,
@@ -219,9 +192,7 @@ allocateFrequencies(const FdmPlan &plan,
                               " is masked");
             out.zoneOfQubit[q] = zone;
             out.cellOfQubit[q] = best_cell;
-            out.frequencyGHz[q] = cellFrequency(zone, best_cell,
-                                                config.loGHz, zone_width,
-                                                cell_ghz);
+            out.frequencyGHz[q] = lattice.centreGHz(zone, best_cell);
             allocated[q] = 1.0;
         }
     }
@@ -274,8 +245,7 @@ allocateFrequencies(const FdmPlan &plan,
 }
 
 FrequencyPlan
-allocateFrequenciesInLineOnly(const FdmPlan &plan,
-                              const FrequencyAllocationConfig &config)
+allocateFrequenciesInLineOnly(const FdmPlan &plan)
 {
     const std::size_t n = plan.lineOfQubit.size();
     FrequencyPlan out;
@@ -283,13 +253,13 @@ allocateFrequenciesInLineOnly(const FdmPlan &plan,
     out.frequencyGHz.assign(n, 0.0);
     out.zoneOfQubit.assign(n, 0);
     out.cellOfQubit.assign(n, 0);
-    const double band = config.hiGHz - config.loGHz;
+    const double band = kXyBandHiGHz - kXyBandLoGHz;
     for (const auto &line : plan.lines) {
         const auto m = static_cast<double>(line.size());
         for (std::size_t k = 0; k < line.size(); ++k) {
             // Even in-line spread; every line reuses the same comb.
             const std::size_t q = line[k];
-            out.frequencyGHz[q] = config.loGHz +
+            out.frequencyGHz[q] = kXyBandLoGHz +
                                   (static_cast<double>(k) + 0.5) * band / m;
             out.zoneOfQubit[q] = k;
         }

@@ -13,6 +13,8 @@
 #ifndef YOUTIAO_MULTIPLEX_FREQUENCY_ALLOCATION_HPP
 #define YOUTIAO_MULTIPLEX_FREQUENCY_ALLOCATION_HPP
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -20,19 +22,64 @@
 #include <vector>
 
 #include "common/matrix.hpp"
+#include "common/units.hpp"
 #include "multiplex/fdm.hpp"
 #include "noise/noise_model.hpp"
 
 namespace youtiao {
 
+/**
+ * Usable XY band (GHz), paper Section 4.2. The drift model draws its TLS
+ * frequencies from it; this band and the lattice below are header-only,
+ * so it does so without linking the multiplexing library.
+ */
+inline constexpr double kXyBandLoGHz = 4.0;
+inline constexpr double kXyBandHiGHz = 7.0;
+/** Width of one allocation cell (GHz). */
+inline constexpr double kXyCellGHz = 10.0 * units::MHz;
+
+/**
+ * The (zone, cell) lattice of an allocation with @p zone_count zones:
+ * the XY band cut into equal zones, each cut into whole cells. Every
+ * frequency the allocator, the seam stitch and the drift adapter assign
+ * is a cell centre of this lattice.
+ */
+struct XyLattice
+{
+    explicit XyLattice(std::size_t zone_count)
+        : zoneWidthGHz((kXyBandHiGHz - kXyBandLoGHz) /
+                       static_cast<double>(
+                           std::max<std::size_t>(1, zone_count))),
+          cellsPerZone(static_cast<std::size_t>(
+              std::floor(zoneWidthGHz / kXyCellGHz)))
+    {}
+
+    double zoneWidthGHz;
+    std::size_t cellsPerZone;
+
+    /** Centre frequency (GHz) of cell @p cell of zone @p zone. */
+    double centreGHz(std::size_t zone, std::size_t cell) const
+    {
+        return kXyBandLoGHz + static_cast<double>(zone) * zoneWidthGHz +
+               (static_cast<double>(cell) + 0.5) * kXyCellGHz;
+    }
+};
+
+/** True when @p f_ghz falls in one of the [lo, hi) slices of @p masks. */
+inline bool
+isMaskedGHz(double f_ghz,
+            const std::vector<std::pair<double, double>> &masks)
+{
+    for (const auto &[lo, hi] : masks) {
+        if (f_ghz >= lo && f_ghz < hi)
+            return true;
+    }
+    return false;
+}
+
 /** Allocation knobs. */
 struct FrequencyAllocationConfig
 {
-    /** Usable qubit band (GHz). */
-    double loGHz = 4.0;
-    double hiGHz = 7.0;
-    /** Cell granularity (MHz). */
-    double cellMHz = 10.0;
     /** Local-search passes over intra-group zone swaps. */
     std::size_t swapPasses = 3;
     /**
@@ -161,9 +208,7 @@ FrequencyPlan allocateFrequencies(const FdmPlan &plan,
  * coordination -- every line reuses the same frequency comb, so nearby
  * qubits on different lines may collide spectrally.
  */
-FrequencyPlan allocateFrequenciesInLineOnly(const FdmPlan &plan,
-                                            const FrequencyAllocationConfig
-                                                &config = {});
+FrequencyPlan allocateFrequenciesInLineOnly(const FdmPlan &plan);
 
 /**
  * Unoptimized baseline: qubits keep their fabrication base frequencies

@@ -158,8 +158,7 @@ packSeamCouplerGroups(const ChipTopology &chip,
 {
     requireConfig(parallelism_index.size() == chip.deviceCount(),
                   "parallelism index does not match the chip");
-    requireConfig(config.lowParallelismFanout >= 1 &&
-                      config.highParallelismFanout >= 1,
+    static_assert(kLowParallelismFanout >= 1 && kHighParallelismFanout >= 1,
                   "DEMUX fan-out must be at least 1");
     std::vector<std::size_t> low, high;
     for (std::size_t c : seam_couplers) {
@@ -184,8 +183,8 @@ packSeamCouplerGroups(const ChipTopology &chip,
             groups.push_back(std::move(group));
         }
     };
-    pack(low, config.lowParallelismFanout);
-    pack(high, config.highParallelismFanout);
+    pack(low, kLowParallelismFanout);
+    pack(high, kHighParallelismFanout);
     return groups;
 }
 

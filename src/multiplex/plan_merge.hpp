@@ -74,8 +74,8 @@ ReadoutPlan mergeReadoutPlans(std::size_t qubit_count,
 /**
  * Pack seam-crossing couplers onto their own TDM groups, split by
  * parallelism index at @p config's threshold exactly like the in-tile
- * grouping: low-parallelism couplers fill 1:lowParallelismFanout
- * DEMUXes, high-parallelism ones 1:highParallelismFanout, both in
+ * grouping: low-parallelism couplers fill 1:kLowParallelismFanout
+ * DEMUXes, high-parallelism ones 1:kHighParallelismFanout, both in
  * ascending coupler order (deterministic). @p seam_couplers holds global
  * coupler indices; @p parallelism_index is indexed by global device id.
  */

@@ -4,28 +4,35 @@
 
 namespace youtiao {
 
+namespace {
+
+/** Resonator band (GHz), above the qubit band. */
+constexpr double kReadoutBandLoGHz = 7.0;
+constexpr double kReadoutBandHiGHz = 8.5;
+
+} // namespace
+
 ReadoutPlan
-planReadout(const SymmetricMatrix &d_equiv, const ReadoutConfig &config)
+planReadout(const SymmetricMatrix &d_equiv, std::size_t feedline_capacity)
 {
-    requireConfig(config.feedlineCapacity >= 1,
+    requireConfig(feedline_capacity >= 1,
                   "feedline capacity must be positive");
-    requireConfig(config.hiGHz > config.loGHz, "empty readout band");
 
     FdmGroupingConfig grouping;
-    grouping.lineCapacity = config.feedlineCapacity;
+    grouping.lineCapacity = feedline_capacity;
     const FdmPlan groups = groupFdm(d_equiv, grouping);
 
     ReadoutPlan plan;
     plan.feedlines = groups.lines;
     plan.feedlineOfQubit = groups.lineOfQubit;
     plan.resonatorGHz.assign(d_equiv.size(), 0.0);
-    const double band = config.hiGHz - config.loGHz;
+    const double band = kReadoutBandHiGHz - kReadoutBandLoGHz;
     for (const auto &line : plan.feedlines) {
         const auto m = static_cast<double>(line.size());
         for (std::size_t k = 0; k < line.size(); ++k) {
             // Even spread with half-slot guard bands at the edges.
             plan.resonatorGHz[line[k]] =
-                config.loGHz +
+                kReadoutBandLoGHz +
                 (static_cast<double>(k) + 0.5) * band / m;
         }
     }

@@ -24,16 +24,6 @@
 
 namespace youtiao {
 
-/** Readout-plane knobs. */
-struct ReadoutConfig
-{
-    /** Qubits per feedline (the paper cites up to 8 [13]). */
-    std::size_t feedlineCapacity = 8;
-    /** Resonator band (GHz), above the qubit band. */
-    double loGHz = 7.0;
-    double hiGHz = 8.5;
-};
-
 /** A readout feedline: member qubits and their resonator frequencies. */
 struct ReadoutPlan
 {
@@ -48,12 +38,14 @@ struct ReadoutPlan
 };
 
 /**
- * Group qubits onto feedlines (reusing the FDM grouping plan structure
- * over the equivalent-distance matrix @p d_equiv) and spread resonator
- * frequencies evenly within each feedline across the readout band.
+ * Group qubits onto feedlines of at most @p feedline_capacity qubits
+ * (the paper cites up to 8 [13]; reusing the FDM grouping plan
+ * structure over the equivalent-distance matrix @p d_equiv) and spread
+ * resonator frequencies evenly within each feedline across the
+ * 7.0-8.5 GHz readout band, above the qubit band.
  */
 ReadoutPlan planReadout(const SymmetricMatrix &d_equiv,
-                        const ReadoutConfig &config = {});
+                        std::size_t feedline_capacity);
 
 } // namespace youtiao
 

@@ -130,8 +130,7 @@ groupTdmPools(const ChipTopology &chip, const SymmetricMatrix &zz_qubit,
 {
     requireConfig(zz_qubit.size() == chip.qubitCount(),
                   "ZZ matrix must cover every qubit");
-    requireConfig(config.lowParallelismFanout >= 2 &&
-                      config.highParallelismFanout >= 2,
+    static_assert(kLowParallelismFanout >= 2 && kHighParallelismFanout >= 2,
                   "DEMUX fan-outs must be at least 2");
     {
         std::vector<std::size_t> seen(chip.deviceCount(), 0);
@@ -155,8 +154,8 @@ groupTdmPools(const ChipTopology &chip, const SymmetricMatrix &zz_qubit,
     for (const auto &region_pool : pools)
     for (int level = 0; level < 2; ++level) {
         const bool low = level == 0;
-        const std::size_t fanout = low ? config.lowParallelismFanout
-                                       : config.highParallelismFanout;
+        const std::size_t fanout =
+            low ? kLowParallelismFanout : kHighParallelismFanout;
         std::vector<std::size_t> pool;
         for (std::size_t d : region_pool) {
             const bool is_low = index[d] < config.parallelismThreshold;

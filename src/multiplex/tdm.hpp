@@ -26,15 +26,16 @@
 
 namespace youtiao {
 
+/** DEMUX fan-out for low-parallelism devices (1:4 cryo-DEMUX). */
+inline constexpr std::size_t kLowParallelismFanout = 4;
+/** DEMUX fan-out for high-parallelism devices (1:2 cryo-DEMUX). */
+inline constexpr std::size_t kHighParallelismFanout = 2;
+
 /** TDM grouping knobs. */
 struct TdmGroupingConfig
 {
     /** Parallelism threshold theta separating DEMUX levels. */
     double parallelismThreshold = 4.0;
-    /** DEMUX fan-out for low-parallelism devices. */
-    std::size_t lowParallelismFanout = 4;
-    /** DEMUX fan-out for high-parallelism devices. */
-    std::size_t highParallelismFanout = 2;
     /**
      * ZZ crosstalk (MHz) above which two gates count as noisy
      * non-parallel (they would not be scheduled together anyway).

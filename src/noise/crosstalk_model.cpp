@@ -1,6 +1,8 @@
 #include "noise/crosstalk_model.hpp"
 
+#include <array>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "common/error.hpp"
@@ -10,6 +12,14 @@
 namespace youtiao {
 
 namespace {
+
+/** Candidate w_phy values (w_top = 1 - w_phy). */
+constexpr std::array<double, 11> kWeightGrid = {
+    0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0};
+/** Cross-validation folds (the paper uses 5). */
+constexpr std::size_t kFolds = 5;
+/** Seed of the fold shuffle and the forests' bootstrap streams. */
+constexpr std::uint64_t kFitSeed = 0xC0FFEE;
 
 /** One-feature design matrix: d_equiv per sample under given weights. */
 std::vector<double>
@@ -43,12 +53,11 @@ CrosstalkModel
 CrosstalkModel::fit(const std::vector<CrosstalkSample> &samples,
                     const CrosstalkFitConfig &config)
 {
-    requireConfig(samples.size() >= 2 * config.folds,
+    requireConfig(samples.size() >= 2 * kFolds,
                   "too few crosstalk samples for cross-validation");
-    requireConfig(!config.weightGrid.empty(), "empty weight grid");
 
     const std::vector<double> targets = logTargets(samples);
-    Prng prng(config.seed);
+    Prng prng(kFitSeed);
 
     // Shuffle once; the same fold split scores every weight candidate so
     // the comparison is apples to apples.
@@ -56,13 +65,11 @@ CrosstalkModel::fit(const std::vector<CrosstalkSample> &samples,
     for (std::size_t i = 0; i < perm.size(); ++i)
         perm[i] = i;
     prng.shuffle(perm);
-    const auto folds = kFoldIndices(samples.size(), config.folds);
+    const auto folds = kFoldIndices(samples.size(), kFolds);
 
     double best_error = std::numeric_limits<double>::infinity();
-    double best_w_phy = config.weightGrid.front();
-    for (double w_phy : config.weightGrid) {
-        requireConfig(w_phy >= 0.0 && w_phy <= 1.0,
-                      "weight grid entries must lie in [0, 1]");
+    double best_w_phy = kWeightGrid.front();
+    for (double w_phy : kWeightGrid) {
         const double w_top = 1.0 - w_phy;
         const std::vector<double> features =
             equivalentFeatures(samples, w_phy, w_top);

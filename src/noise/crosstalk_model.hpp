@@ -24,16 +24,13 @@
 
 namespace youtiao {
 
-/** Fitting configuration. */
+/**
+ * Fitting configuration. The weight grid (w_phy in 0, 0.1, ..., 1), the
+ * 5 folds and the fit seed are fixed.
+ */
 struct CrosstalkFitConfig
 {
-    /** Candidate w_phy values (w_top = 1 - w_phy). */
-    std::vector<double> weightGrid =
-        {0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0};
-    /** Cross-validation folds (the paper uses 5). */
-    std::size_t folds = 5;
     RandomForestConfig forest;
-    std::uint64_t seed = 0xC0FFEE;
 };
 
 /** Fitted crosstalk predictor. */

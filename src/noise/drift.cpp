@@ -9,8 +9,30 @@
 #include "common/json.hpp"
 #include "common/metrics.hpp"
 #include "common/prng.hpp"
+#include "multiplex/frequency_allocation.hpp"
 
 namespace youtiao {
+
+namespace {
+
+/** Expected TLS appearances per qubit per day. */
+constexpr double kTlsBirthsPerQubitPerDay = 0.5;
+/** Mean TLS lifetime (hours, exponential). */
+constexpr double kTlsMeanLifetimeHours = 18.0;
+/** Excess drive error at zero detuning for a mean-strength TLS. */
+constexpr double kTlsStrength = 2e-2;
+/** TLS Lorentzian linewidth (GHz). */
+constexpr double kTlsLinewidthGHz = 0.03;
+/** Probability a TLS is strong enough to mask a band slice. */
+constexpr double kMaskProbability = 0.25;
+/** Half-width of the masked slice around the TLS frequency (GHz). */
+constexpr double kMaskHalfWidthGHz = 0.04;
+/** Per-epoch sigma of each qubit's lognormal crosstalk random walk. */
+constexpr double kCrosstalkDriftSigma = 0.03;
+/** Walk clamp: per-qubit scale stays within [1/clamp, clamp]. */
+constexpr double kCrosstalkScaleClamp = 4.0;
+
+} // namespace
 
 std::vector<TlsDefect>
 DriftTrace::activeDefects(std::size_t epoch) const
@@ -27,12 +49,11 @@ std::vector<std::pair<double, double>>
 DriftTrace::maskedBands(std::size_t epoch) const
 {
     std::vector<std::pair<double, double>> out;
-    const double w = config.maskHalfWidthGHz;
+    const double w = kMaskHalfWidthGHz;
     for (const TlsDefect &d : defects) {
         if (d.activeAt(epoch) && d.masksBand) {
-            out.emplace_back(std::max(config.bandLoGHz, d.frequencyGHz - w),
-                             std::min(config.bandHiGHz,
-                                      d.frequencyGHz + w));
+            out.emplace_back(std::max(kXyBandLoGHz, d.frequencyGHz - w),
+                             std::min(kXyBandHiGHz, d.frequencyGHz + w));
         }
     }
     return out;
@@ -42,12 +63,6 @@ DriftTrace
 simulateDrift(std::size_t qubit_count, const DriftConfig &config)
 {
     requireConfig(config.epochs >= 1, "drift: epochs must be >= 1");
-    requireConfig(config.hoursPerEpoch > 0.0,
-                  "drift: hoursPerEpoch must be positive");
-    requireConfig(config.bandHiGHz > config.bandLoGHz,
-                  "drift: empty frequency band");
-    requireConfig(config.crosstalkScaleClamp >= 1.0,
-                  "drift: crosstalkScaleClamp must be >= 1");
     const metrics::ScopedTimer timer("drift.simulate");
 
     DriftTrace trace;
@@ -56,9 +71,9 @@ simulateDrift(std::size_t qubit_count, const DriftConfig &config)
     trace.qubitScale.assign(config.epochs * qubit_count, 1.0);
 
     const double births_per_epoch =
-        config.tlsBirthsPerQubitPerDay * config.hoursPerEpoch / 24.0;
+        kTlsBirthsPerQubitPerDay * kDriftHoursPerEpoch / 24.0;
     const double mean_lifetime_epochs =
-        std::max(1.0, config.tlsMeanLifetimeHours / config.hoursPerEpoch);
+        std::max(1.0, kTlsMeanLifetimeHours / kDriftHoursPerEpoch);
 
     // One independent stream per qubit: the trace is a pure function of
     // (seed, qubit index, epoch), never of iteration order.
@@ -67,10 +82,9 @@ simulateDrift(std::size_t qubit_count, const DriftConfig &config)
         double scale = 1.0;
         for (std::size_t e = 0; e < config.epochs; ++e) {
             // Lognormal random walk of this qubit's crosstalk amplitude.
-            scale *= std::exp(prng.gaussian() *
-                              config.crosstalkDriftSigma);
-            scale = std::clamp(scale, 1.0 / config.crosstalkScaleClamp,
-                               config.crosstalkScaleClamp);
+            scale *= std::exp(prng.gaussian() * kCrosstalkDriftSigma);
+            scale = std::clamp(scale, 1.0 / kCrosstalkScaleClamp,
+                               kCrosstalkScaleClamp);
             trace.qubitScale[e * qubit_count + q] = scale;
 
             // TLS births: Bernoulli per epoch at the configured rate.
@@ -78,17 +92,16 @@ simulateDrift(std::size_t qubit_count, const DriftConfig &config)
                 continue;
             TlsDefect d;
             d.qubit = q;
-            d.frequencyGHz =
-                prng.uniform(config.bandLoGHz, config.bandHiGHz);
-            d.strength = config.tlsStrength * (0.5 + prng.uniform());
-            d.linewidthGHz = config.tlsLinewidthGHz;
+            d.frequencyGHz = prng.uniform(kXyBandLoGHz, kXyBandHiGHz);
+            d.strength = kTlsStrength * (0.5 + prng.uniform());
+            d.linewidthGHz = kTlsLinewidthGHz;
             d.bornEpoch = e;
             const double life = -std::log(1.0 - prng.uniform()) *
                                 mean_lifetime_epochs;
             d.diesEpoch =
                 e + std::max<std::size_t>(
                         1, static_cast<std::size_t>(std::lround(life)));
-            d.masksBand = prng.bernoulli(config.maskProbability);
+            d.masksBand = prng.bernoulli(kMaskProbability);
             trace.defects.push_back(d);
         }
     }
@@ -120,7 +133,7 @@ driftTraceToJson(const DriftTrace &trace)
     out << "{\n  \"schema\": \"youtiao-drift-1\",\n  \"seed\": "
         << trace.config.seed << ",\n  \"epochs\": " << trace.config.epochs
         << ",\n  \"hours_per_epoch\": "
-        << json::formatDouble(trace.config.hoursPerEpoch)
+        << json::formatDouble(kDriftHoursPerEpoch)
         << ",\n  \"qubit_count\": " << trace.qubitCount
         << ",\n  \"defects\": [";
     for (std::size_t i = 0; i < trace.defects.size(); ++i) {

@@ -28,32 +28,17 @@
 
 namespace youtiao {
 
-/** Drift-trace knobs; defaults give a busy but plausible two days. */
+/** Wall-clock per epoch (hours); 48 x 1h = two days. */
+inline constexpr double kDriftHoursPerEpoch = 1.0;
+
+/**
+ * Drift-trace knobs; defaults give a busy but plausible two days. TLS
+ * frequencies are drawn from the allocator's XY band.
+ */
 struct DriftConfig
 {
     /** Trace length. */
     std::size_t epochs = 48;
-    /** Wall-clock per epoch (hours); 48 x 1h = two days. */
-    double hoursPerEpoch = 1.0;
-    /** Band TLS frequencies are drawn from (GHz); match the allocator. */
-    double bandLoGHz = 4.0;
-    double bandHiGHz = 7.0;
-    /** Expected TLS appearances per qubit per day. */
-    double tlsBirthsPerQubitPerDay = 0.5;
-    /** Mean TLS lifetime (hours, exponential). */
-    double tlsMeanLifetimeHours = 18.0;
-    /** Excess drive error at zero detuning for a mean-strength TLS. */
-    double tlsStrength = 2e-2;
-    /** TLS Lorentzian linewidth (GHz). */
-    double tlsLinewidthGHz = 0.03;
-    /** Probability a TLS is strong enough to mask a band slice. */
-    double maskProbability = 0.25;
-    /** Half-width of the masked slice around the TLS frequency (GHz). */
-    double maskHalfWidthGHz = 0.04;
-    /** Per-epoch sigma of each qubit's lognormal crosstalk random walk. */
-    double crosstalkDriftSigma = 0.03;
-    /** Walk clamp: per-qubit scale stays within [1/clamp, clamp]. */
-    double crosstalkScaleClamp = 4.0;
     /** Root seed for the whole trace. */
     std::uint64_t seed = 0xD21F7;
 };

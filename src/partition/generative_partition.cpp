@@ -13,6 +13,8 @@ namespace youtiao {
 namespace {
 
 constexpr std::size_t kUnassigned = static_cast<std::size_t>(-1);
+/** Maximum border-swap rounds before declaring convergence. */
+constexpr std::size_t kMaxSwapRounds = 16;
 
 /** Is the region still connected (in the coupling map) without @p drop? */
 bool
@@ -140,7 +142,7 @@ generativePartition(const ChipTopology &chip, const SymmetricMatrix &d_equiv,
     // Stage 2: border swaps. A border qubit closer (in equivalent
     // distance) to a neighbouring region's seed migrates there, as long as
     // its old region stays connected and non-empty.
-    for (std::size_t round = 0; round < config.maxSwapRounds; ++round) {
+    for (std::size_t round = 0; round < kMaxSwapRounds; ++round) {
         bool swapped = false;
         for (std::size_t q = 0; q < n; ++q) {
             const std::size_t own = part.regionOfQubit[q];
@@ -239,9 +241,7 @@ groupFdmPartitioned(const ChipPartition &partition,
             for (std::size_t j = i + 1; j < region.size(); ++j)
                 local(i, j) = d_equiv(region[i], region[j]);
         }
-        FdmGroupingConfig local_cfg = config;
-        local_cfg.startQubit = 0;
-        const FdmPlan local_plan = groupFdm(local, local_cfg);
+        const FdmPlan local_plan = groupFdm(local, config);
         for (const auto &line : local_plan.lines) {
             std::vector<std::size_t> mapped;
             mapped.reserve(line.size());

@@ -34,8 +34,6 @@ struct PartitionConfig
 {
     /** Number of regions (seeds). 0 picks ~sqrt(Q/8)+1 automatically. */
     std::size_t regionCount = 0;
-    /** Maximum border-swap rounds before declaring convergence. */
-    std::size_t maxSwapRounds = 16;
 };
 
 /** A region decomposition of the chip's qubits. */

@@ -19,6 +19,10 @@ namespace youtiao {
 
 namespace {
 
+/** Obstacle pad halfwidth around each qubit (mm); Xmon ~0.65 wide.
+ *  Couplers keep half of it. */
+constexpr double kDevicePadMm = 0.30;
+
 /** Centroid of a net's terminals. */
 Point
 centroid(const NetSpec &net)
@@ -99,7 +103,7 @@ pickPin(const ChipTopology &chip, std::size_t device,
                 continue;
             const double pad =
                 (chip.deviceKind(d) == DeviceKind::Qubit ? 1.0 : 0.5) *
-                config.grid.devicePadMm;
+                kDevicePadMm;
             const Point o = chip.devicePosition(d);
             if (std::abs(pin.x - o.x) <= pad + 2.0 * cell &&
                 std::abs(pin.y - o.y) <= pad + 2.0 * cell)
@@ -145,10 +149,8 @@ buildWiringNets(const ChipTopology &chip, const FdmPlan &xy_plan,
     // the keep-out pad (XY prefers west, Z east, readout north), falling
     // back to other ports on crowded lattices, so no wire ever needs to
     // cross a pad and pins never collide.
-    const double qubit_pin =
-        config.grid.devicePadMm + 2.0 * config.grid.cellMm;
-    const double coupler_pin =
-        0.5 * config.grid.devicePadMm + 2.0 * config.grid.cellMm;
+    const double qubit_pin = kDevicePadMm + 2.0 * config.grid.cellMm;
+    const double coupler_pin = 0.5 * kDevicePadMm + 2.0 * config.grid.cellMm;
     std::vector<Point> placed;
     std::vector<NetSpec> nets;
     for (const auto &line : xy_plan.lines) {
@@ -210,9 +212,9 @@ routeOnce(const ChipTopology &chip, const std::vector<NetSpec> &nets,
 
     // Devices are keep-out pads until their own net opens pin windows.
     for (const QubitInfo &q : chip.qubits())
-        grid.blockSquare(q.position, config.grid.devicePadMm);
+        grid.blockSquare(q.position, kDevicePadMm);
     for (const CouplerInfo &c : chip.couplers())
-        grid.blockSquare(c.position, config.grid.devicePadMm * 0.5);
+        grid.blockSquare(c.position, kDevicePadMm * 0.5);
     // Defect keep-outs (packaging flaws) are permanent obstacles.
     constexpr double kBlockedHalfWidthMm = 0.1;
     for (const Point &p : config.blockedCells)
@@ -367,8 +369,7 @@ routeNets(const ChipTopology &chip, const std::vector<NetSpec> &nets,
     // net still fails, rip everything up and retry with the failed nets
     // promoted to the front of the order (a deterministic stable
     // reorder), for up to kMaxRetryPasses passes in all. Retries consumed
-    // are reported in ChipRoutingResult::retryPasses and counted by the
-    // `routing.retry_passes` metric.
+    // are counted by the `routing.retry_passes` metric.
     constexpr std::size_t kMaxRetryPasses = 4;
     std::vector<std::size_t> order(nets.size());
     for (std::size_t i = 0; i < order.size(); ++i)
@@ -383,7 +384,6 @@ routeNets(const ChipTopology &chip, const std::vector<NetSpec> &nets,
     std::vector<bool> best_failed;
     ChipRoutingResult best;
     bool have_best = false;
-    std::size_t passes_used = 0;
     // One arena serves every A* call across all nets and retry attempts.
     SearchArena arena;
     GoalDirectedArena goal_directed_arena;
@@ -396,7 +396,6 @@ routeNets(const ChipTopology &chip, const std::vector<NetSpec> &nets,
         ChipRoutingResult result =
             routeOnce(chip, nets, config, order, net_failed, search,
                       arena, goal_directed_arena);
-        passes_used = attempt + 1;
         if (!have_best ||
             result.failedConnections < best.failedConnections) {
             best = std::move(result);
@@ -410,7 +409,6 @@ routeNets(const ChipTopology &chip, const std::vector<NetSpec> &nets,
                              return net_failed[a] && !net_failed[b];
                          });
     }
-    best.retryPasses = passes_used;
     for (std::size_t i = 0; i < best_failed.size(); ++i)
         if (best_failed[i])
             best.failedNets.push_back(i);

@@ -50,8 +50,6 @@ struct ChipRoutingResult
     std::size_t failedConnections = 0;
     /** Indices of nets with at least one failed connection (ascending). */
     std::vector<std::size_t> failedNets;
-    /** Routing passes consumed (1 = first pass routed everything). */
-    std::size_t retryPasses = 0;
     /** Total new metal length (mm). */
     double totalLengthMm = 0.0;
     /** Routing area: length x line pitch (mm^2). */

@@ -28,8 +28,6 @@ struct RoutingGridConfig
     /** Margin between the device array and the bond-pad perimeter (mm);
      *  real chips keep several mm of standoff for wirebond fan-in. */
     double marginMm = 3.0;
-    /** Obstacle pad halfwidth around each device (mm); Xmon ~0.65 wide. */
-    double devicePadMm = 0.30;
 };
 
 /** Cell coordinate. */

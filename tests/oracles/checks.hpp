@@ -72,9 +72,9 @@ bool partitionPassesDrc(const ChipTopology &chip,
 // -- frequency hopping -----------------------------------------------------
 
 /**
- * True when every member of @p g visits every channel exactly
- * config.blocksPerPeriod times per period and each block head is the
- * identity rotation (the uniform-occupancy / sync-slot contract).
+ * True when every member of @p g visits every channel exactly once per
+ * block of its period and each block head is the identity rotation
+ * (the uniform-occupancy / sync-slot contract).
  */
 bool hasUniformOccupancy(const GroupHopSchedule &g);
 

@@ -1,7 +1,6 @@
 #include "oracles/retired.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <limits>
 #include <numeric>
@@ -14,93 +13,6 @@
 #include "multiplex/tdm_scheduler.hpp"
 
 namespace youtiao {
-
-double
-mean(std::span<const double> xs)
-{
-    if (xs.empty())
-        return 0.0;
-    double sum = 0.0;
-    for (double x : xs)
-        sum += x;
-    return sum / static_cast<double>(xs.size());
-}
-
-double
-variance(std::span<const double> xs)
-{
-    if (xs.size() < 2)
-        return 0.0;
-    const double m = mean(xs);
-    double sum = 0.0;
-    for (double x : xs)
-        sum += (x - m) * (x - m);
-    return sum / static_cast<double>(xs.size());
-}
-
-double
-stddev(std::span<const double> xs)
-{
-    return std::sqrt(variance(xs));
-}
-
-double
-median(std::span<const double> xs)
-{
-    requireConfig(!xs.empty(), "median of empty span");
-    std::vector<double> sorted(xs.begin(), xs.end());
-    std::sort(sorted.begin(), sorted.end());
-    const std::size_t n = sorted.size();
-    if (n % 2 == 1)
-        return sorted[n / 2];
-    return 0.5 * (sorted[n / 2 - 1] + sorted[n / 2]);
-}
-
-double
-meanSquaredError(std::span<const double> predicted,
-                 std::span<const double> actual)
-{
-    requireConfig(predicted.size() == actual.size() && !predicted.empty(),
-                  "MSE needs equal-sized non-empty spans");
-    double sum = 0.0;
-    for (std::size_t i = 0; i < predicted.size(); ++i) {
-        const double d = predicted[i] - actual[i];
-        sum += d * d;
-    }
-    return sum / static_cast<double>(predicted.size());
-}
-
-double
-meanAbsoluteError(std::span<const double> predicted,
-                  std::span<const double> actual)
-{
-    requireConfig(predicted.size() == actual.size() && !predicted.empty(),
-                  "MAE needs equal-sized non-empty spans");
-    double sum = 0.0;
-    for (std::size_t i = 0; i < predicted.size(); ++i)
-        sum += std::abs(predicted[i] - actual[i]);
-    return sum / static_cast<double>(predicted.size());
-}
-
-double
-pearsonCorrelation(std::span<const double> xs, std::span<const double> ys)
-{
-    requireConfig(xs.size() == ys.size() && xs.size() >= 2,
-                  "correlation needs two equal-sized spans of length >= 2");
-    const double mx = mean(xs);
-    const double my = mean(ys);
-    double sxy = 0.0, sxx = 0.0, syy = 0.0;
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-        const double dx = xs[i] - mx;
-        const double dy = ys[i] - my;
-        sxy += dx * dy;
-        sxx += dx * dx;
-        syy += dy * dy;
-    }
-    if (sxx == 0.0 || syy == 0.0)
-        return 0.0;
-    return sxy / std::sqrt(sxx * syy);
-}
 
 int
 uniformInt(Prng &prng, int lo, int hi)

@@ -13,7 +13,6 @@
 #define YOUTIAO_TESTS_ORACLES_RETIRED_HPP
 
 #include <cstddef>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -27,32 +26,6 @@
 #include "sim/pulse.hpp"
 
 namespace youtiao {
-
-// -- statistics ------------------------------------------------------------
-
-/** Arithmetic mean; 0 for an empty span. */
-double mean(std::span<const double> xs);
-
-/** Population variance; 0 for spans shorter than 2. */
-double variance(std::span<const double> xs);
-
-/** Population standard deviation. */
-double stddev(std::span<const double> xs);
-
-/** Median (average of middle two for even sizes); requires non-empty. */
-double median(std::span<const double> xs);
-
-/** Mean squared error between predictions and targets (equal sizes). */
-double meanSquaredError(std::span<const double> predicted,
-                        std::span<const double> actual);
-
-/** Mean absolute error between predictions and targets (equal sizes). */
-double meanAbsoluteError(std::span<const double> predicted,
-                         std::span<const double> actual);
-
-/** Pearson correlation coefficient; 0 when either side is constant. */
-double pearsonCorrelation(std::span<const double> xs,
-                          std::span<const double> ys);
 
 // -- sampling --------------------------------------------------------------
 

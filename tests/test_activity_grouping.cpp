@@ -129,8 +129,8 @@ TEST(ActivityGrouping, OverlapBudgetTradesLinesForDepth)
     DeviceActivity activity(chip);
     activity.observe(physical, scheduleCircuit(physical));
 
-    const TdmPlan strict = groupTdmByActivity(chip, activity, {}, 0.0);
-    const TdmPlan loose = groupTdmByActivity(chip, activity, {}, 0.5);
+    const TdmPlan strict = groupTdmByActivity(chip, activity, 0.0);
+    const TdmPlan loose = groupTdmByActivity(chip, activity, 0.5);
     EXPECT_LE(loose.lineCount(), strict.lineCount());
 
     const std::size_t strict_depth =
@@ -170,7 +170,7 @@ TEST(ActivityGrouping, BadBudgetThrows)
 {
     const ChipTopology chip = makeSquareGrid(1, 2);
     const DeviceActivity activity(chip);
-    EXPECT_THROW(groupTdmByActivity(chip, activity, {}, 1.5), ConfigError);
+    EXPECT_THROW(groupTdmByActivity(chip, activity, 1.5), ConfigError);
 }
 
 } // namespace

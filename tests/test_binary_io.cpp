@@ -9,7 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <string>
@@ -295,6 +298,34 @@ TEST(ChipBinary, RejectsNonFiniteValues)
             }
         }
     }
+}
+
+TEST(ChipBinary, SaveReplacesTheFileAtomically)
+{
+    // A reader holding the old file mapped keeps a valid mapping: the
+    // save renames a new file over the path instead of truncating and
+    // rewriting the mapped one in place.
+    const TestDir dir;
+    const std::string path = dir.file("chip.bin");
+    const ChipTopology chip_a = sampleChip();
+    const ChipTopology chip_b = makeHexagon();
+    saveChipBinary(path, chip_a);
+    const binfmt::MappedFile old_file(path);
+    struct stat before{};
+    ASSERT_EQ(::stat(path.c_str(), &before), 0);
+
+    saveChipBinary(path, chip_b);
+    struct stat after{};
+    ASSERT_EQ(::stat(path.c_str(), &after), 0);
+    ASSERT_NE(before.st_ino, after.st_ino);
+    for (const auto &entry : std::filesystem::directory_iterator(dir.path()))
+        EXPECT_EQ(entry.path().filename().string().find(".tmp."),
+                  std::string::npos)
+            << entry.path();
+    EXPECT_EQ(chipToString(chipFromBinary(old_file.data(),
+                                          old_file.size())),
+              chipToString(chip_a));
+    EXPECT_EQ(chipToString(loadChipBinary(path)), chipToString(chip_b));
 }
 
 TEST(DesignBinary, RoundTripsAndMatchesText)

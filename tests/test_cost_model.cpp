@@ -106,10 +106,14 @@ TEST(CostModel, AnalyticYoutiaoHexagonMatchesPaperTable2)
 
 TEST(CostModel, CostScalesWithPrices)
 {
-    CostModelConfig expensive;
-    expensive.coaxUsd = 6000.0;
-    const WiringCounts c = dedicatedWiringCounts(9, 12);
-    EXPECT_GT(wiringCostUsd(c, expensive), wiringCostUsd(c));
+    // The prices back-solved from Tables 1-2: $3,000 per coax, $3,640
+    // per RF DAC channel, $200 per DEMUX select line.
+    const WiringCounts c = multiplexedWiringCountsAnalytic(9, 12, 5, 5);
+    ASSERT_GT(c.demuxSelectLines, 0u);
+    EXPECT_DOUBLE_EQ(wiringCostUsd(c),
+                     3000.0 * static_cast<double>(c.coax()) +
+                         3640.0 * static_cast<double>(c.rfDacs()) +
+                         200.0 * static_cast<double>(c.demuxSelectLines));
 }
 
 TEST(CostModel, MultiplexedCountsFromPlans)

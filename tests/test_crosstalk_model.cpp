@@ -117,16 +117,6 @@ TEST(CrosstalkModel, NonPositiveSampleThrows)
     EXPECT_THROW(CrosstalkModel::fit(samples), ConfigError);
 }
 
-TEST(CrosstalkModel, EmptyWeightGridThrows)
-{
-    std::vector<CrosstalkSample> samples(20);
-    for (auto &s : samples)
-        s.value = 1e-3;
-    CrosstalkFitConfig cfg;
-    cfg.weightGrid.clear();
-    EXPECT_THROW(CrosstalkModel::fit(samples, cfg), ConfigError);
-}
-
 TEST(CrosstalkModel, DeterministicGivenSeed)
 {
     CrosstalkFitConfig cfg;

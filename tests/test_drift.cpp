@@ -53,7 +53,6 @@ struct Rig
                      .designFromMeasurements(chip, data);
         DriftConfig drift;
         drift.epochs = 12;
-        drift.tlsBirthsPerQubitPerDay = 2.0;
         drift.seed = 0xABCDE;
         trace = simulateDrift(chip.qubitCount(), drift);
     }
@@ -63,8 +62,6 @@ struct Rig
     {
         DriftAdaptationConfig adapt;
         adapt.policy = policy;
-        adapt.fidelityLayers = 4;
-        adapt.hopsPerEpoch = 4;
         return DriftAdapter(config, adapt).run(chip, design, data,
                                                trace);
     }
@@ -100,14 +97,12 @@ TEST(Drift, TraceIsDeterministicInTheSeed)
 TEST(Drift, DefectsRespectLifetimesAndBand)
 {
     DriftConfig config;
-    config.epochs = 24;
-    config.tlsBirthsPerQubitPerDay = 3.0;
-    const DriftTrace trace = simulateDrift(9, config);
+    const DriftTrace trace = simulateDrift(36, config);
     ASSERT_FALSE(trace.defects.empty());
     for (const TlsDefect &d : trace.defects) {
-        EXPECT_LT(d.qubit, 9u);
-        EXPECT_GE(d.frequencyGHz, config.bandLoGHz);
-        EXPECT_LT(d.frequencyGHz, config.bandHiGHz);
+        EXPECT_LT(d.qubit, 36u);
+        EXPECT_GE(d.frequencyGHz, kXyBandLoGHz);
+        EXPECT_LT(d.frequencyGHz, kXyBandHiGHz);
         EXPECT_LT(d.bornEpoch, d.diesEpoch);
         EXPECT_GT(d.strength, 0.0);
         EXPECT_FALSE(d.activeAt(config.epochs + d.diesEpoch));
@@ -215,23 +210,22 @@ TEST(Drift, ReallocationNeverLosesToStaticAndStaysDrcClean)
 
 TEST(Drift, FullyMaskedZoneFallsBackToTheRobustLadder)
 {
-    // Wide, certain masks on a small chip: sooner or later a whole zone
-    // is unusable and incremental repair must hand over to designRobust.
+    // Mask the whole of zone 0 after the design shipped: incremental
+    // repair finds no usable cell there and must hand over to
+    // designRobust, whose ladder shrinks the line capacity until the
+    // wider zones reach past the mask.
     const Rig &r = rig();
-    DriftConfig drift;
-    drift.epochs = 10;
-    drift.tlsBirthsPerQubitPerDay = 6.0;
-    drift.maskProbability = 1.0;
-    drift.maskHalfWidthGHz = 0.35;
-    drift.seed = 0xFA11;
-    const DriftTrace harsh = simulateDrift(r.chip.qubitCount(), drift);
+    const XyLattice lattice(r.design.frequencyPlan.zoneCount);
+    ASSERT_GE(r.design.frequencyPlan.zoneCount, 2u);
+    YoutiaoConfig masked = r.config;
+    masked.frequency.maskedBandsGHz.emplace_back(
+        kXyBandLoGHz, kXyBandLoGHz + lattice.zoneWidthGHz);
 
     DriftAdaptationConfig adapt;
     adapt.policy = DriftPolicy::Reallocate;
-    adapt.fidelityLayers = 2;
     const DriftAdaptationResult result =
-        DriftAdapter(r.config, adapt).run(r.chip, r.design, r.data,
-                                          harsh);
+        DriftAdapter(masked, adapt).run(r.chip, r.design, r.data, r.trace);
+    EXPECT_TRUE(result.epochs.front().fullRedesign);
     EXPECT_GT(result.fullRedesigns(), 0u);
     EXPECT_FALSE(result.degradation.empty());
     EXPECT_FALSE(result.degradation.notes.empty());

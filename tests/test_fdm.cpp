@@ -61,18 +61,9 @@ TEST(Fdm, GroupsAreSpatiallyTight)
 
 TEST(Fdm, CapacityOneIsDedicated)
 {
-    const FdmPlan plan = groupFdm(gridDistance(2, 2), {1, 0});
+    const FdmPlan plan = groupFdm(gridDistance(2, 2), {1});
     EXPECT_EQ(plan.lineCount(), 4u);
     EXPECT_EQ(plan.maxGroupSize(), 1u);
-}
-
-TEST(Fdm, StartQubitSeedsFirstGroup)
-{
-    FdmGroupingConfig cfg;
-    cfg.lineCapacity = 3;
-    cfg.startQubit = 5;
-    const FdmPlan plan = groupFdm(gridDistance(3, 3), cfg);
-    EXPECT_EQ(plan.lines[0][0], 5u);
 }
 
 TEST(Fdm, ExactCapacityFill)
@@ -97,7 +88,6 @@ TEST(Fdm, PaperExampleGreedyGrowth)
     d(2, 3) = 1.0;
     FdmGroupingConfig cfg;
     cfg.lineCapacity = 3;
-    cfg.startQubit = 0;
     const FdmPlan plan = groupFdm(d, cfg);
     // group 1 = {0, 1, 4}: d(0,4)=2 beats d(1,2)=3.
     const std::set<std::size_t> group1(plan.lines[0].begin(),
@@ -120,9 +110,8 @@ TEST(Fdm, LocalClusterBaselinePacksByIndex)
 TEST(Fdm, InvalidConfigThrows)
 {
     const SymmetricMatrix d = gridDistance(2, 2);
-    EXPECT_THROW(groupFdm(d, {0, 0}), ConfigError);
-    EXPECT_THROW(groupFdm(d, {2, 99}), ConfigError);
-    EXPECT_THROW(groupFdm(SymmetricMatrix{}, {2, 0}), ConfigError);
+    EXPECT_THROW(groupFdm(d, {0}), ConfigError);
+    EXPECT_THROW(groupFdm(SymmetricMatrix{}, {2}), ConfigError);
 }
 
 TEST(Fdm, MaxGroupSizeReported)

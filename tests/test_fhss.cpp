@@ -65,15 +65,14 @@ TEST(Fhss, ChannelTableIsTheGroupsAllocatedSpectrum)
 
 TEST(Fhss, EveryGroupHasUniformOccupancyWithSyncSlots)
 {
-    const FhssConfig config{0xBEEF, 5};
     const HopPlan plan = buildHopPlan(wired().design.xyPlan,
                                       wired().design.frequencyPlan,
-                                      config);
+                                      FhssConfig{0xBEEF});
     for (const GroupHopSchedule &g : plan.groups) {
         EXPECT_TRUE(hasUniformOccupancy(g)) << "line " << g.line;
         if (g.channelCount() >= 2) {
-            EXPECT_EQ(g.periodLength(),
-                      config.blocksPerPeriod * g.channelCount());
+            // Four shuffled blocks per period.
+            EXPECT_EQ(g.periodLength(), 4 * g.channelCount());
             // Each member really does visit each channel once per block.
             for (std::size_t m = 0; m < g.members.size(); ++m) {
                 std::set<double> visited;
@@ -109,10 +108,10 @@ TEST(Fhss, ScheduleIsDeterministicInTheSeed)
 {
     const HopPlan a = buildHopPlan(wired().design.xyPlan,
                                    wired().design.frequencyPlan,
-                                   FhssConfig{7, 4});
+                                   FhssConfig{7});
     const HopPlan b = buildHopPlan(wired().design.xyPlan,
                                    wired().design.frequencyPlan,
-                                   FhssConfig{7, 4});
+                                   FhssConfig{7});
     ASSERT_EQ(a.groups.size(), b.groups.size());
     bool any_multi = false;
     for (std::size_t i = 0; i < a.groups.size(); ++i) {
@@ -124,7 +123,7 @@ TEST(Fhss, ScheduleIsDeterministicInTheSeed)
     // A different seed reshuffles at least one multi-channel group.
     const HopPlan c = buildHopPlan(wired().design.xyPlan,
                                    wired().design.frequencyPlan,
-                                   FhssConfig{8, 4});
+                                   FhssConfig{8});
     bool any_differs = false;
     for (std::size_t i = 0; i < a.groups.size(); ++i)
         any_differs |= a.groups[i].sequence != c.groups[i].sequence;

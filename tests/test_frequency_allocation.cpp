@@ -5,6 +5,8 @@
 
 #include "chip/topology_builder.hpp"
 #include "common/error.hpp"
+#include "core/hierarchical.hpp"
+#include "core/youtiao.hpp"
 #include "multiplex/frequency_allocation.hpp"
 #include "noise/crosstalk_model.hpp"
 #include "noise/equivalent_distance.hpp"
@@ -179,14 +181,49 @@ TEST(FrequencyAllocation, CostFunctionSymmetricInput)
                  ConfigError);
 }
 
-TEST(FrequencyAllocation, BadBandThrows)
+// -- the shared (zone, cell) lattice ---------------------------------------
+
+/** Every qubit of @p plan sits bit for bit on its (zone, cell) centre of
+ *  the lattice with @p zones_of_qubit(q) zones. */
+template <class ZonesOf>
+void
+expectOnLattice(const FrequencyPlan &plan, ZonesOf zones_of_qubit)
 {
-    FrequencyAllocationConfig cfg;
-    cfg.loGHz = 7.0;
-    cfg.hiGHz = 4.0;
-    EXPECT_THROW(allocateFrequencies(setup().plan, setup().crosstalk,
-                                     setup().noise, cfg),
-                 ConfigError);
+    for (std::size_t q = 0; q < plan.frequencyGHz.size(); ++q) {
+        const XyLattice lattice(zones_of_qubit(q));
+        ASSERT_LT(plan.cellOfQubit[q], lattice.cellsPerZone) << q;
+        EXPECT_EQ(plan.frequencyGHz[q],
+                  lattice.centreGHz(plan.zoneOfQubit[q],
+                                    plan.cellOfQubit[q]))
+            << "qubit " << q;
+    }
+}
+
+TEST(FrequencyLattice, AllocatorAndSeamStitchShareOneLattice)
+{
+    const ChipTopology flat_chip = makeSquareGrid(8, 8);
+    Prng flat_prng(3);
+    const YoutiaoDesign flat = YoutiaoDesigner().designFromMeasurements(
+        flat_chip, characterizeChip(flat_chip, flat_prng));
+    expectOnLattice(flat.frequencyPlan, [&](std::size_t) {
+        return flat.frequencyPlan.zoneCount;
+    });
+
+    // Tiles carve their own zone counts; the stitch retunes near-seam
+    // qubits within their tile's zone.
+    const ChipTopology chip = makeSquareGrid(16, 16);
+    Prng prng(11);
+    HierarchicalConfig hier;
+    hier.tileSizeQubits = 64;
+    const HierarchicalDesign design =
+        HierarchicalDesigner({}, hier).designFromMeasurements(
+            chip, characterizeChip(chip, prng));
+    ASSERT_EQ(design.tiles.size(), 4u);
+    ASSERT_GT(design.seamRetunes, 0u);
+    expectOnLattice(design.merged.frequencyPlan, [&](std::size_t q) {
+        return design.tiles[design.tileOfQubit[q]]
+            .design.frequencyPlan.zoneCount;
+    });
 }
 
 // -- incremental cost tracking (sparse neighbourhood delta updates) --------

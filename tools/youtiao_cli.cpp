@@ -467,7 +467,7 @@ runCli(int argc, char **argv, runledger::Recorder &recorder)
         if (hop || !hop_save_path.empty()) {
             const HopPlan hop_plan =
                 buildHopPlan(design.xyPlan, design.frequencyPlan,
-                             FhssConfig{seed, 4});
+                             FhssConfig{seed});
             if (hop)
                 std::printf("\n%s", hopPlanReport(hop_plan).c_str());
             if (!hop_save_path.empty()) {
