@@ -43,8 +43,7 @@ struct Setup
         config.tdm.noisyZzMHz = 1e9;
         google = dedicatedZPlan(chip);
         ours = bench::designFromMeasurements(chip, data, config).zPlan;
-        acharya =
-            groupTdmLocalCluster(chip, kLowParallelismFanout, config.tdm);
+        acharya = groupTdmLocalCluster(chip, kLowParallelismFanout);
     }
 };
 

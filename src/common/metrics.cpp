@@ -1,27 +1,14 @@
 #include "common/metrics.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
-#include <unordered_map>
-#include <utility>
 
 #include "common/flight.hpp"
 #include "common/trace.hpp"
 
 namespace youtiao::metrics {
-
-/** One thread's private accumulation slot. The shard mutex is only ever
- *  contended by snapshot/reset; the owning thread takes it uncontended. */
-struct Registry::Shard
-{
-    std::mutex mutex;
-    std::unordered_map<std::string, PhaseStats> phases;
-    std::unordered_map<std::string, std::uint64_t> counters;
-    std::unordered_map<std::string, HistogramStats> histograms;
-};
 
 std::size_t
 HistogramStats::bucketIndex(double value)
@@ -65,23 +52,6 @@ HistogramStats::observe(double value)
     ++buckets[bucketIndex(value)];
 }
 
-void
-HistogramStats::merge(const HistogramStats &other)
-{
-    if (other.count == 0)
-        return;
-    if (count == 0) {
-        min = other.min;
-        max = other.max;
-    } else {
-        min = std::min(min, other.min);
-        max = std::max(max, other.max);
-    }
-    count += other.count;
-    for (std::size_t i = 0; i < kHistogramBuckets; ++i)
-        buckets[i] += other.buckets[i];
-}
-
 double
 HistogramStats::quantile(double q) const
 {
@@ -113,23 +83,6 @@ HistogramStats::quantile(double q) const
     return max;
 }
 
-namespace {
-
-std::uint64_t
-nextRegistryId()
-{
-    static std::atomic<std::uint64_t> next{1};
-    return next.fetch_add(1, std::memory_order_relaxed);
-}
-
-} // namespace
-
-Registry::Registry()
-    : id_(nextRegistryId())
-{}
-
-Registry::~Registry() = default;
-
 Registry &
 Registry::global()
 {
@@ -139,32 +92,11 @@ Registry::global()
     return *instance;
 }
 
-Registry::Shard &
-Registry::localShard()
-{
-    // Cache keyed by registry id (not address) so a registry destroyed
-    // and reallocated at the same address cannot resurrect stale shards.
-    thread_local std::vector<std::pair<std::uint64_t, Shard *>> cache;
-    for (const auto &[id, shard] : cache) {
-        if (id == id_)
-            return *shard;
-    }
-    auto owned = std::make_unique<Shard>();
-    Shard *shard = owned.get();
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        shards_.push_back(std::move(owned));
-    }
-    cache.emplace_back(id_, shard);
-    return *shard;
-}
-
 void
 Registry::addPhase(std::string_view name, double seconds)
 {
-    Shard &shard = localShard();
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    PhaseStats &stats = shard.phases[std::string(name)];
+    const std::lock_guard<std::mutex> lock(mutex_);
+    PhaseStats &stats = phases_[std::string(name)];
     stats.seconds += seconds;
     stats.calls += 1;
 }
@@ -172,71 +104,45 @@ Registry::addPhase(std::string_view name, double seconds)
 void
 Registry::addCounter(std::string_view name, std::uint64_t delta)
 {
-    Shard &shard = localShard();
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.counters[std::string(name)] += delta;
+    const std::lock_guard<std::mutex> lock(mutex_);
+    counters_[std::string(name)] += delta;
 }
 
 void
 Registry::addHistogram(std::string_view name, double value)
 {
-    Shard &shard = localShard();
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.histograms[std::string(name)].observe(value);
+    const std::lock_guard<std::mutex> lock(mutex_);
+    histograms_[std::string(name)].observe(value);
 }
 
 std::map<std::string, PhaseStats>
 Registry::phases() const
 {
-    std::map<std::string, PhaseStats> merged;
     const std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto &shard : shards_) {
-        const std::lock_guard<std::mutex> shard_lock(shard->mutex);
-        for (const auto &[name, stats] : shard->phases) {
-            PhaseStats &into = merged[name];
-            into.seconds += stats.seconds;
-            into.calls += stats.calls;
-        }
-    }
-    return merged;
+    return phases_;
 }
 
 std::map<std::string, std::uint64_t>
 Registry::counters() const
 {
-    std::map<std::string, std::uint64_t> merged;
     const std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto &shard : shards_) {
-        const std::lock_guard<std::mutex> shard_lock(shard->mutex);
-        for (const auto &[name, value] : shard->counters)
-            merged[name] += value;
-    }
-    return merged;
+    return counters_;
 }
 
 std::map<std::string, HistogramStats>
 Registry::histograms() const
 {
-    std::map<std::string, HistogramStats> merged;
     const std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto &shard : shards_) {
-        const std::lock_guard<std::mutex> shard_lock(shard->mutex);
-        for (const auto &[name, stats] : shard->histograms)
-            merged[name].merge(stats);
-    }
-    return merged;
+    return histograms_;
 }
 
 void
 Registry::reset()
 {
     const std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto &shard : shards_) {
-        const std::lock_guard<std::mutex> shard_lock(shard->mutex);
-        shard->phases.clear();
-        shard->counters.clear();
-        shard->histograms.clear();
-    }
+    phases_.clear();
+    counters_.clear();
+    histograms_.clear();
 }
 
 ScopedTimer::ScopedTimer(const char *name, Registry *registry)

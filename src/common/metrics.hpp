@@ -3,13 +3,12 @@
  * Lightweight pipeline instrumentation: scoped wall-clock phase timers,
  * monotonic counters, and a process-wide registry.
  *
- * The registry is sharded per thread: each thread accumulates into its
- * own shard (one uncontended mutex per shard, taken only against the
- * occasional snapshot/reset), and readers merge the shards serially into
- * a sorted view. Instrumentation therefore composes with the shared
- * thread pool (common/parallel.hpp) without perturbing it: metrics
- * observe the computation and never feed back into it, so instrumented
- * runs stay bit-identical to uninstrumented ones at any thread count.
+ * The registry keeps its sorted maps under one mutex, the same scheme
+ * as the logger (common/log.hpp): a run makes some thousands of writes
+ * from the few coarse tasks of the shared thread pool
+ * (common/parallel.hpp), too few to contend. Metrics observe the
+ * computation and never feed back into it, so instrumented runs stay
+ * bit-identical to uninstrumented ones at any thread count.
  *
  * Conventions: phase and counter names are dot-separated, subsystem
  * first ("design.partition", "astar.cells_expanded"). Phases measure
@@ -25,11 +24,9 @@
 #include <chrono>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace youtiao::metrics {
 
@@ -48,11 +45,11 @@ inline constexpr std::size_t kHistogramBuckets = 64;
 /**
  * Log-bucketed distribution of a non-negative value (per-net route
  * seconds, cells expanded per A* search, ...). Holds only integer
- * bucket counts plus exact min/max, so merging shards is commutative
- * and associative -- the merged view is bit-identical no matter the
- * shard order, preserving the registry's determinism contract.
- * Quantiles are derived on demand by linear interpolation within the
- * containing bucket and clamped to [min, max].
+ * bucket counts plus exact min/max, so the histogram is bit-identical
+ * whatever order pool threads observe its samples in, preserving the
+ * registry's determinism contract. Quantiles are derived on demand by
+ * linear interpolation within the containing bucket and clamped to
+ * [min, max].
  */
 struct HistogramStats
 {
@@ -69,27 +66,19 @@ struct HistogramStats
     static double bucketUpperBound(std::size_t index);
 
     void observe(double value);
-    void merge(const HistogramStats &other);
 
     /** Interpolated quantile, @p q in [0, 1]; 0 when empty. */
     double quantile(double q) const;
 };
 
 /**
- * Thread-safe metrics store. Writers touch only their own per-thread
- * shard; phases()/counters()/reset() merge or clear every shard under
- * the registry lock. Use the process-wide global() instance unless a
- * test needs isolation.
+ * Thread-safe metrics store: every write and snapshot takes the one
+ * registry lock. Use the process-wide global() instance unless a test
+ * needs isolation.
  */
 class Registry
 {
   public:
-    Registry();
-    ~Registry();
-
-    Registry(const Registry &) = delete;
-    Registry &operator=(const Registry &) = delete;
-
     /** Process-wide registry (leaked: safe during static teardown). */
     static Registry &global();
 
@@ -102,29 +91,23 @@ class Registry
     /** Record one sample of @p value into histogram @p name. */
     void addHistogram(std::string_view name, double value);
 
-    /** Serially merged per-phase totals, sorted by name. */
+    /** Per-phase totals, sorted by name. */
     std::map<std::string, PhaseStats> phases() const;
 
-    /** Serially merged counter totals, sorted by name. */
+    /** Counter totals, sorted by name. */
     std::map<std::string, std::uint64_t> counters() const;
 
-    /** Serially merged histograms, sorted by name. Merge order cannot
-     *  affect the result (integer buckets, commutative min/max). */
+    /** Histograms, sorted by name. */
     std::map<std::string, HistogramStats> histograms() const;
 
-    /** Clear every shard. Concurrent writers land in the new epoch. */
+    /** Clear every phase, counter and histogram. */
     void reset();
 
   private:
-    struct Shard;
-
-    Shard &localShard();
-
-    /** Registry identity for the thread-local shard cache; never reused,
-     *  so a destroyed registry's cached shards can never be revived. */
-    const std::uint64_t id_;
     mutable std::mutex mutex_;
-    std::vector<std::unique_ptr<Shard>> shards_;
+    std::map<std::string, PhaseStats> phases_;
+    std::map<std::string, std::uint64_t> counters_;
+    std::map<std::string, HistogramStats> histograms_;
 };
 
 /**

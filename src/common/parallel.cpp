@@ -52,37 +52,28 @@ struct ThreadPool::Impl
         std::exception_ptr error;
     };
 
-    /** Per-worker deque; the owner pushes/pops the back, thieves take
-     *  the front. Guarded by a mutex - task granularity is coarse enough
-     *  (whole helper jobs) that a lock-free deque buys nothing. */
-    struct WorkerQueue
-    {
-        std::mutex mutex;
-        std::deque<std::function<void()>> tasks;
-    };
-
-    std::vector<std::unique_ptr<WorkerQueue>> queues;
+    /** Helper slots, oldest first: each asks one worker to drain its
+     *  loop. A worker takes `mutex` once per slot, never per chunk, and
+     *  every loop's tasks are coarse (a tree, a tile, a bench row), so
+     *  one lock serves all workers. A slot whose loop already finished
+     *  drains to nothing. */
+    std::deque<std::shared_ptr<Job>> slots;
     std::vector<std::thread> threads;
-    std::mutex wakeMutex;
+    std::mutex mutex;
     std::condition_variable wake;
-    std::atomic<std::size_t> pending{0};
-    std::atomic<std::size_t> nextQueue{0};
     bool stopping = false;
 
     explicit Impl(std::size_t workers)
     {
-        queues.reserve(workers);
-        for (std::size_t i = 0; i < workers; ++i)
-            queues.push_back(std::make_unique<WorkerQueue>());
         threads.reserve(workers);
         for (std::size_t i = 0; i < workers; ++i)
-            threads.emplace_back([this, i] { workerLoop(i); });
+            threads.emplace_back([this] { workerLoop(); });
     }
 
     ~Impl()
     {
         {
-            std::lock_guard<std::mutex> lock(wakeMutex);
+            std::lock_guard<std::mutex> lock(mutex);
             stopping = true;
         }
         wake.notify_all();
@@ -91,67 +82,29 @@ struct ThreadPool::Impl
     }
 
     void
-    submit(std::function<void()> task)
+    submit(const std::shared_ptr<Job> &job, std::size_t helpers)
     {
-        const std::size_t home =
-            nextQueue.fetch_add(1, std::memory_order_relaxed) %
-            queues.size();
         {
-            std::lock_guard<std::mutex> lock(queues[home]->mutex);
-            queues[home]->tasks.push_back(std::move(task));
+            std::lock_guard<std::mutex> lock(mutex);
+            slots.insert(slots.end(), helpers, job);
         }
-        {
-            // Serialize with the workers' wait predicate so the notify
-            // cannot slip between a predicate check and the block.
-            std::lock_guard<std::mutex> lock(wakeMutex);
-            pending.fetch_add(1, std::memory_order_release);
-        }
-        wake.notify_one();
-    }
-
-    bool
-    tryTake(std::size_t self, std::function<void()> &out)
-    {
-        // Own queue from the back (most recently submitted), then sweep
-        // the siblings from the front - classic work stealing.
-        {
-            WorkerQueue &own = *queues[self];
-            std::lock_guard<std::mutex> lock(own.mutex);
-            if (!own.tasks.empty()) {
-                out = std::move(own.tasks.back());
-                own.tasks.pop_back();
-                return true;
-            }
-        }
-        for (std::size_t k = 1; k < queues.size(); ++k) {
-            WorkerQueue &victim = *queues[(self + k) % queues.size()];
-            std::lock_guard<std::mutex> lock(victim.mutex);
-            if (!victim.tasks.empty()) {
-                out = std::move(victim.tasks.front());
-                victim.tasks.pop_front();
-                return true;
-            }
-        }
-        return false;
+        for (std::size_t h = 0; h < helpers; ++h)
+            wake.notify_one();
     }
 
     void
-    workerLoop(std::size_t self)
+    workerLoop()
     {
+        std::unique_lock<std::mutex> lock(mutex);
         for (;;) {
-            std::function<void()> task;
-            if (tryTake(self, task)) {
-                pending.fetch_sub(1, std::memory_order_acquire);
-                task();
-                continue;
-            }
-            std::unique_lock<std::mutex> lock(wakeMutex);
-            wake.wait(lock, [this] {
-                return stopping ||
-                       pending.load(std::memory_order_acquire) > 0;
-            });
+            wake.wait(lock, [this] { return stopping || !slots.empty(); });
             if (stopping)
                 return;
+            const std::shared_ptr<Job> job = std::move(slots.front());
+            slots.pop_front();
+            lock.unlock();
+            drain(job);
+            lock.lock();
         }
     }
 
@@ -226,9 +179,7 @@ ThreadPool::forRange(std::size_t begin, std::size_t end, std::size_t grain,
     job->next.store(begin, std::memory_order_relaxed);
 
     const std::size_t chunks = (end - begin + grain - 1) / grain;
-    const std::size_t helpers = std::min(workerCount_, chunks - 1);
-    for (std::size_t h = 0; h < helpers; ++h)
-        impl_->submit([job] { Impl::drain(job); });
+    impl_->submit(job, std::min(workerCount_, chunks - 1));
 
     // The caller is a full participant: it claims chunks until none are
     // left, then waits only for chunks other threads are still running.

@@ -1,6 +1,6 @@
 /**
  * @file
- * Shared work-stealing thread pool and data-parallel loop primitives.
+ * Shared thread pool and data-parallel loop primitives.
  *
  * Every hot path in YOUTIAO (random-forest tree fits and batch
  * predictions, the hierarchical designer's tiles, the bench harness
@@ -37,15 +37,15 @@ namespace youtiao {
 std::size_t configuredThreadCount();
 
 /**
- * Work-stealing thread pool.
+ * Thread pool.
  *
- * The pool owns threadCount()-1 worker threads, each with its own task
- * deque; idle workers steal from their siblings. Parallel loops run
- * through forRange(), which carves [begin, end) into grain-sized chunks
- * that the calling thread and the workers claim dynamically - the
- * calling thread always participates, so a loop submitted from inside a
- * task (nested parallelism) makes progress even when every worker is
- * busy and cannot deadlock.
+ * The pool owns threadCount()-1 worker threads fed from one FIFO of
+ * helper slots under one mutex. Parallel loops run through forRange(),
+ * which carves [begin, end) into grain-sized chunks that the calling
+ * thread and the helping workers claim dynamically - the calling thread
+ * always participates, so a loop submitted from inside a task (nested
+ * parallelism) makes progress even when every worker is busy and cannot
+ * deadlock.
  */
 class ThreadPool
 {

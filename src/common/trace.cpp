@@ -2,12 +2,9 @@
 
 #include "common/atomic_io.hpp"
 
-#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <memory>
 #include <mutex>
 #include <sstream>
 #include <vector>
@@ -39,88 +36,38 @@ struct Event
     const char *name = nullptr;
     const char *category = nullptr;
     char phase = 'X';
+    std::uint32_t tid = 0;
     std::uint64_t tsNs = 0;
     std::uint64_t durNs = 0;
     double value = 0.0;
 };
 
-/**
- * One thread's chunked event buffer. The owning thread appends without
- * a lock except on chunk boundaries; `committed` is published with a
- * release store so the snapshot (taken under `chunkMutex`, which also
- * fences chunk allocation) never observes a half-written event.
- */
-struct EventBuffer
-{
-    static constexpr std::size_t kChunkEvents = 4096;
-    /** Per-thread cap: ~2M events (~100 MB across a wide pool would be
-     *  a runaway trace; overflow is counted, not fatal). */
-    static constexpr std::size_t kMaxEvents = std::size_t{1} << 21;
-
-    using Chunk = std::array<Event, kChunkEvents>;
-
-    explicit EventBuffer(std::uint32_t thread_tag)
-        : tid(thread_tag)
-    {}
-
-    void append(const Event &event)
-    {
-        const std::size_t n = committed.load(std::memory_order_relaxed);
-        if (n >= kMaxEvents) {
-            dropped.fetch_add(1, std::memory_order_relaxed);
-            return;
-        }
-        const std::size_t chunk = n / kChunkEvents;
-        const std::size_t slot = n % kChunkEvents;
-        if (slot == 0) {
-            const std::lock_guard<std::mutex> lock(chunkMutex);
-            chunks.push_back(std::make_unique<Chunk>());
-        }
-        (*chunks[chunk])[slot] = event;
-        committed.store(n + 1, std::memory_order_release);
-    }
-
-    const std::uint32_t tid;
-    mutable std::mutex chunkMutex;
-    std::vector<std::unique_ptr<Chunk>> chunks;
-    std::atomic<std::size_t> committed{0};
-    std::atomic<std::uint64_t> dropped{0};
-};
+/** Event cap: ~2M events (~100 MB) would be a runaway trace; overflow
+ *  is counted, not fatal. */
+constexpr std::size_t kMaxEvents = std::size_t{1} << 21;
 
 } // namespace
 
+/** Every thread appends under one mutex: a traced run records a few
+ *  thousand events from the pool's few coarse tasks, too few to
+ *  contend. */
 struct Tracer::Impl
 {
     mutable std::mutex mutex;
-    std::vector<std::unique_ptr<EventBuffer>> buffers;
-    /** Buffers from previous enable() epochs. Kept (not destroyed) so a
-     *  thread that raced past the epoch check can never touch freed
-     *  memory; bounded by the number of enable() calls. */
-    std::vector<std::unique_ptr<EventBuffer>> retired;
-    std::atomic<std::uint64_t> epoch{1};
+    std::vector<Event> events;
+    std::uint64_t dropped = 0;
     std::chrono::steady_clock::time_point t0 =
         std::chrono::steady_clock::now();
 
-    EventBuffer &localBuffer()
+    void append(Event event)
     {
-        thread_local struct
-        {
-            std::uint64_t epoch = 0;
-            EventBuffer *buffer = nullptr;
-        } cache;
-        const std::uint64_t now =
-            epoch.load(std::memory_order_acquire);
-        if (cache.buffer != nullptr && cache.epoch == now)
-            return *cache.buffer;
-        auto owned = std::make_unique<EventBuffer>(currentThreadTag());
-        EventBuffer *buffer = owned.get();
-        {
-            const std::lock_guard<std::mutex> lock(mutex);
-            buffers.push_back(std::move(owned));
+        event.tid = currentThreadTag();
+        const std::lock_guard<std::mutex> lock(mutex);
+        if (events.size() >= kMaxEvents) {
+            ++dropped;
+            return;
         }
-        cache.epoch = now;
-        cache.buffer = buffer;
-        return *buffer;
+        events.push_back(event);
     }
 };
 
@@ -141,11 +88,9 @@ void
 Tracer::enable()
 {
     const std::lock_guard<std::mutex> lock(impl_->mutex);
-    for (auto &buffer : impl_->buffers)
-        impl_->retired.push_back(std::move(buffer));
-    impl_->buffers.clear();
+    impl_->events.clear();
+    impl_->dropped = 0;
     impl_->t0 = std::chrono::steady_clock::now();
-    impl_->epoch.fetch_add(1, std::memory_order_release);
     detail::g_enabled.store(true, std::memory_order_release);
 }
 
@@ -181,7 +126,7 @@ Tracer::recordComplete(const char *name, const char *category,
     event.phase = 'X';
     event.tsNs = start_ns;
     event.durNs = dur_ns;
-    impl_->localBuffer().append(event);
+    impl_->append(event);
 }
 
 void
@@ -193,7 +138,7 @@ Tracer::recordInstant(const char *name, const char *category,
     event.category = category;
     event.phase = 'i';
     event.tsNs = ts_ns;
-    impl_->localBuffer().append(event);
+    impl_->append(event);
 }
 
 void
@@ -206,7 +151,7 @@ Tracer::recordCounter(const char *name, const char *category,
     event.phase = 'C';
     event.tsNs = ts_ns;
     event.value = value;
-    impl_->localBuffer().append(event);
+    impl_->append(event);
 }
 
 namespace {
@@ -241,48 +186,37 @@ Tracer::toJson() const
 {
     std::ostringstream out;
     const std::lock_guard<std::mutex> lock(impl_->mutex);
-    std::uint64_t dropped = 0;
     out << "{\n";
     out << "  \"schema\": \"youtiao-trace-1\",\n";
     out << "  \"displayTimeUnit\": \"ms\",\n";
     out << "  \"traceEvents\": [";
     bool first = true;
-    for (const auto &buffer : impl_->buffers) {
-        const std::lock_guard<std::mutex> chunk_lock(
-            buffer->chunkMutex);
-        dropped += buffer->dropped.load(std::memory_order_relaxed);
-        const std::size_t n =
-            buffer->committed.load(std::memory_order_acquire);
-        for (std::size_t i = 0; i < n; ++i) {
-            const Event &e =
-                (*buffer->chunks[i / EventBuffer::kChunkEvents])
-                    [i % EventBuffer::kChunkEvents];
-            out << (first ? "\n" : ",\n");
-            first = false;
-            out << "    {\"name\": \"" << json::escape(e.name)
-                << "\", \"cat\": \"" << json::escape(categoryOf(e))
-                << "\", \"ph\": \"" << e.phase
-                << "\", \"pid\": 1, \"tid\": " << buffer->tid
-                << ", \"ts\": " << micros(e.tsNs);
-            switch (e.phase) {
-              case 'X':
-                out << ", \"dur\": " << micros(e.durNs);
-                break;
-              case 'i':
-                out << ", \"s\": \"t\"";
-                break;
-              case 'C':
-                out << ", \"args\": {\"value\": "
-                    << json::formatDouble(e.value) << "}";
-                break;
-              default:
-                break;
-            }
-            out << "}";
+    for (const Event &e : impl_->events) {
+        out << (first ? "\n" : ",\n");
+        first = false;
+        out << "    {\"name\": \"" << json::escape(e.name)
+            << "\", \"cat\": \"" << json::escape(categoryOf(e))
+            << "\", \"ph\": \"" << e.phase
+            << "\", \"pid\": 1, \"tid\": " << e.tid
+            << ", \"ts\": " << micros(e.tsNs);
+        switch (e.phase) {
+          case 'X':
+            out << ", \"dur\": " << micros(e.durNs);
+            break;
+          case 'i':
+            out << ", \"s\": \"t\"";
+            break;
+          case 'C':
+            out << ", \"args\": {\"value\": "
+                << json::formatDouble(e.value) << "}";
+            break;
+          default:
+            break;
         }
+        out << "}";
     }
     out << (first ? "],\n" : "\n  ],\n");
-    out << "  \"droppedEvents\": " << dropped << "\n";
+    out << "  \"droppedEvents\": " << impl_->dropped << "\n";
     out << "}\n";
     return out.str();
 }

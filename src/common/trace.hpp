@@ -4,14 +4,14 @@
  * (common/metrics.hpp) answers "how much time did phase X take in
  * total", the tracer answers "where did time go *within* this run" --
  * which net stalled the A* router, which tree dominated a forest fit,
- * how sim shot batches interleaved across the work-stealing pool.
+ * how tiles interleaved across the thread pool.
  *
  * Design:
- *  - Each thread appends events to its own chunked buffer. The hot
- *    append path takes no lock (a mutex guards only the rare chunk
- *    allocation and the end-of-run snapshot); the event count is
- *    published with a release store so the snapshot never reads a
- *    half-written event.
+ *  - Every thread appends to one capped event vector under one mutex,
+ *    the same scheme as the metrics registry; each event carries the
+ *    appending thread's tag (its trace track). A traced run records a
+ *    few thousand events from the pool's few coarse tasks, too few to
+ *    contend.
  *  - When tracing is disabled -- the default -- every instrumentation
  *    site costs a single relaxed atomic load and branch, so traced
  *    binaries ship the spans everywhere without measurable overhead.
@@ -64,8 +64,8 @@ std::uint32_t currentThreadTag();
 
 /**
  * Process-wide trace collector. Use through the free functions and
- * TraceSpan below; the class itself only manages the buffers and the
- * export.
+ * TraceSpan below; the class itself only manages the event buffer and
+ * the export.
  */
 class Tracer
 {
@@ -81,9 +81,9 @@ class Tracer
     void disable();
 
     /**
-     * Chrome trace-event JSON of every buffered event (schema
-     * "youtiao-trace-1"). Call after disable() or with no pipeline
-     * work in flight.
+     * Chrome trace-event JSON of every buffered event, in append order
+     * (schema "youtiao-trace-1"). Call after disable() or with no
+     * pipeline work in flight.
      */
     std::string toJson() const;
 

@@ -96,8 +96,7 @@ designAcharyaTdm(const ChipTopology &chip, const YoutiaoConfig &config,
         design.frequencyPlan = allocateFrequenciesFabrication(
             design.xyPlan, fabricationFrequencies(chip));
     }
-    design.zPlan =
-        groupTdmLocalCluster(chip, kLowParallelismFanout, config.tdm);
+    design.zPlan = groupTdmLocalCluster(chip, kLowParallelismFanout);
     design.readoutPlan = readoutGroups(chip, config);
     finishCounts(chip, design, config);
     return design;

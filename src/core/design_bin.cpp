@@ -149,14 +149,12 @@ designFromReader(const binfmt::Reader &reader)
     }
     design.zPlan.groupOfDevice = toSize(reader.u64("z_group_of"));
 
-    design.readout.feedlines = unflattenGroups(
+    design.readoutPlan.lines = unflattenGroups(
         reader.u64("ro_off"), reader.u64("ro_mem"),
         "design binary readout");
-    design.readout.feedlineOfQubit = toSize(reader.u64("ro_line_of"));
+    design.readoutPlan.lineOfQubit = toSize(reader.u64("ro_line_of"));
     const std::span<const double> res = reader.f64("ro_res_ghz");
     design.readout.resonatorGHz.assign(res.begin(), res.end());
-    design.readoutPlan.lines = design.readout.feedlines;
-    design.readoutPlan.lineOfQubit = design.readout.feedlineOfQubit;
 
     const std::size_t qubits =
         design.frequencyPlan.frequencyGHz.size();
@@ -221,10 +219,10 @@ designToBinary(const YoutiaoDesign &design)
     writer.addU64("z_mem", z.members);
     writer.addU64("z_group_of", toU64(design.zPlan.groupOfDevice));
 
-    const FlatGroups ro = flattenGroups(design.readout.feedlines);
+    const FlatGroups ro = flattenGroups(design.readoutPlan.lines);
     writer.addU64("ro_off", ro.offsets);
     writer.addU64("ro_mem", ro.members);
-    writer.addU64("ro_line_of", toU64(design.readout.feedlineOfQubit));
+    writer.addU64("ro_line_of", toU64(design.readoutPlan.lineOfQubit));
     writer.addF64("ro_res_ghz", design.readout.resonatorGHz);
 
     writer.addF64("pred_xy", packTriangle(design.predictedXy));

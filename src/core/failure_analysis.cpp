@@ -36,9 +36,9 @@ qubitsLostIfLineFails(const ChipTopology &chip, const YoutiaoDesign &design,
         break;
       }
       case WiringPlane::Readout: {
-        requireConfig(line_id < design.readout.feedlines.size(),
+        requireConfig(line_id < design.readoutPlan.lines.size(),
                       "readout feedline id out of range");
-        for (std::size_t q : design.readout.feedlines[line_id])
+        for (std::size_t q : design.readoutPlan.lines[line_id])
             lost.insert(q);
         break;
       }
@@ -63,7 +63,7 @@ analyzeFailureImpact(const ChipTopology &chip, const YoutiaoDesign &design)
     };
     account(WiringPlane::Xy, design.xyPlan.lines.size());
     account(WiringPlane::Z, design.zPlan.groups.size());
-    account(WiringPlane::Readout, design.readout.feedlines.size());
+    account(WiringPlane::Readout, design.readoutPlan.lines.size());
     impact.meanQubitsLost =
         impact.totalLines == 0
             ? 0.0

@@ -392,16 +392,16 @@ HierarchicalDesigner::designTiles(const ChipTopology &chip, TileMap map,
         ref.frequency = &tile.design.frequencyPlan;
         ref.z = &tile.design.zPlan;
         ref.readoutLines = &tile.design.readoutPlan;
-        ref.readout = &tile.design.readout;
         refs.push_back(ref);
     }
     const std::size_t q_count = chip.qubitCount();
-    out.merged.xyPlan = mergeFdmPlans(q_count, refs);
+    out.merged.xyPlan = mergeFdmPlans(q_count, refs, &TilePlanRefs::xy);
     out.merged.frequencyPlan = mergeFrequencyPlans(q_count, refs);
     out.merged.zPlan =
         mergeTdmPlans(q_count, chip.couplerCount(), refs);
-    out.merged.readoutPlan = mergeReadoutLines(q_count, refs);
-    out.merged.readout = mergeReadoutPlans(q_count, refs);
+    out.merged.readoutPlan =
+        mergeFdmPlans(q_count, refs, &TilePlanRefs::readoutLines);
+    out.merged.readout = planReadout(out.merged.readoutPlan);
 
     // Seam couplers get their own always-realizable groups.
     appendTdmGroups(out.merged.zPlan,

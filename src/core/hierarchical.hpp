@@ -5,7 +5,7 @@
  * The flat designer and router are superlinear in chip size, so systems
  * beyond a few hundred qubits are designed tile by tile: the chip is cut
  * into a rectangular tile lattice, each tile runs the full existing
- * pipeline independently (parallel across the work-stealing pool,
+ * pipeline independently (parallel across the shared thread pool,
  * deterministic per-tile seeds), and the results are stitched back
  * together --
  *

@@ -195,9 +195,9 @@ saveDesign(std::ostream &out, const YoutiaoDesign &design)
     out << '\n';
     writeSizeVector(out, "z.group_of_device", design.zPlan.groupOfDevice);
 
-    writeGroups(out, "readout.feedlines", design.readout.feedlines);
+    writeGroups(out, "readout.feedlines", design.readoutPlan.lines);
     writeSizeVector(out, "readout.feedline_of_qubit",
-                    design.readout.feedlineOfQubit);
+                    design.readoutPlan.lineOfQubit);
     writeDoubleVector(out, "readout.resonator_ghz",
                       design.readout.resonatorGHz);
 
@@ -276,14 +276,12 @@ loadDesign(std::istream &in)
     design.zPlan.groupOfDevice =
         readSizeVector(reader.expect("z.group_of_device"));
 
-    design.readout.feedlines =
+    design.readoutPlan.lines =
         readGroups(reader.expect("readout.feedlines"));
-    design.readout.feedlineOfQubit =
+    design.readoutPlan.lineOfQubit =
         readSizeVector(reader.expect("readout.feedline_of_qubit"));
     design.readout.resonatorGHz =
         readDoubleVector(reader.expect("readout.resonator_ghz"));
-    design.readoutPlan.lines = design.readout.feedlines;
-    design.readoutPlan.lineOfQubit = design.readout.feedlineOfQubit;
 
     design.predictedXy = readSymmetric(reader.expect("predicted.xy"));
     design.predictedZzMHz =
@@ -316,7 +314,7 @@ validateDesign(const YoutiaoDesign &design)
     requireConfig(design.frequencyPlan.frequencyGHz.size() == qubits &&
                       design.frequencyPlan.zoneOfQubit.size() == qubits &&
                       design.frequencyPlan.cellOfQubit.size() == qubits &&
-                      design.readout.feedlineOfQubit.size() == qubits &&
+                      design.readoutPlan.lineOfQubit.size() == qubits &&
                       design.readout.resonatorGHz.size() == qubits &&
                       design.predictedXy.size() == qubits &&
                       design.predictedZzMHz.size() == qubits,
@@ -335,10 +333,10 @@ validateDesign(const YoutiaoDesign &design)
                           "z plan map/group mismatch");
         }
     }
-    for (std::size_t f = 0; f < design.readout.feedlines.size(); ++f) {
-        for (std::size_t q : design.readout.feedlines[f]) {
+    for (std::size_t f = 0; f < design.readoutPlan.lines.size(); ++f) {
+        for (std::size_t q : design.readoutPlan.lines[f]) {
             requireConfig(q < qubits &&
-                              design.readout.feedlineOfQubit[q] == f,
+                              design.readoutPlan.lineOfQubit[q] == f,
                           "readout plan map/group mismatch");
         }
     }

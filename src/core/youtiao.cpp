@@ -406,8 +406,9 @@ YoutiaoDesigner::finishDesignRobust(const ChipTopology &chip,
             dedicated_readout = true;
         } else {
             try {
-                out.readout = planReadout(d_equiv,
-                                          config_.cost.readoutFeedCapacity);
+                out.readoutPlan = groupFdm(
+                    d_equiv,
+                    FdmGroupingConfig{config_.cost.readoutFeedCapacity});
             } catch (const cancel::Cancelled &) {
                 throw;
             } catch (const std::exception &e) {
@@ -418,9 +419,8 @@ YoutiaoDesigner::finishDesignRobust(const ChipTopology &chip,
             }
         }
         if (dedicated_readout)
-            out.readout = planReadout(d_equiv, 1);
-        out.readoutPlan.lines = out.readout.feedlines;
-        out.readoutPlan.lineOfQubit = out.readout.feedlineOfQubit;
+            out.readoutPlan = groupFdm(d_equiv, FdmGroupingConfig{1});
+        out.readout = planReadout(out.readoutPlan);
     }
 
     out.counts = multiplexedWiringCounts(chip.qubitCount(), out.xyPlan,

@@ -74,9 +74,9 @@ struct YoutiaoDesign
     FrequencyPlan frequencyPlan;
     /** Z multiplexing. */
     TdmPlan zPlan;
-    /** Readout multiplexing (capacity = readoutFeedCapacity). */
+    /** Readout feedlines (capacity = readoutFeedCapacity). */
     FdmPlan readoutPlan;
-    /** Readout feedlines with resonator frequencies and isolation data. */
+    /** Resonator tones of the readout feedlines. */
     ReadoutPlan readout;
     /** Resource tally + cost. */
     WiringCounts counts;

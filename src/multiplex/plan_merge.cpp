@@ -17,15 +17,17 @@ requireTile(const TilePlanRefs &tile)
 
 FdmPlan
 mergeFdmPlans(std::size_t qubit_count,
-              const std::vector<TilePlanRefs> &tiles)
+              const std::vector<TilePlanRefs> &tiles,
+              const FdmPlan *TilePlanRefs::*plan)
 {
     FdmPlan merged;
     merged.lineOfQubit.assign(qubit_count, 0);
     for (const TilePlanRefs &tile : tiles) {
         requireTile(tile);
-        requireConfig(tile.xy != nullptr, "tile plan refs missing XY plan");
+        const FdmPlan *local = tile.*plan;
+        requireConfig(local != nullptr, "tile plan refs missing FDM plan");
         const std::size_t base = merged.lines.size();
-        for (const auto &line : tile.xy->lines) {
+        for (const auto &line : local->lines) {
             std::vector<std::size_t> global_line;
             global_line.reserve(line.size());
             for (std::size_t q : line)
@@ -34,7 +36,7 @@ mergeFdmPlans(std::size_t qubit_count,
         }
         for (std::size_t q = 0; q < tile.qubitMap->size(); ++q)
             merged.lineOfQubit[(*tile.qubitMap)[q]] =
-                base + tile.xy->lineOfQubit[q];
+                base + local->lineOfQubit[q];
     }
     return merged;
 }
@@ -92,60 +94,6 @@ mergeTdmPlans(std::size_t qubit_count, std::size_t coupler_count,
         for (std::size_t d = 0; d < tile.z->groupOfDevice.size(); ++d)
             merged.groupOfDevice[to_global(d)] =
                 base + tile.z->groupOfDevice[d];
-    }
-    return merged;
-}
-
-FdmPlan
-mergeReadoutLines(std::size_t qubit_count,
-                  const std::vector<TilePlanRefs> &tiles)
-{
-    FdmPlan merged;
-    merged.lineOfQubit.assign(qubit_count, 0);
-    for (const TilePlanRefs &tile : tiles) {
-        requireTile(tile);
-        requireConfig(tile.readoutLines != nullptr,
-                      "tile plan refs missing readout lines");
-        const std::size_t base = merged.lines.size();
-        for (const auto &line : tile.readoutLines->lines) {
-            std::vector<std::size_t> global_line;
-            global_line.reserve(line.size());
-            for (std::size_t q : line)
-                global_line.push_back((*tile.qubitMap)[q]);
-            merged.lines.push_back(std::move(global_line));
-        }
-        for (std::size_t q = 0; q < tile.qubitMap->size(); ++q)
-            merged.lineOfQubit[(*tile.qubitMap)[q]] =
-                base + tile.readoutLines->lineOfQubit[q];
-    }
-    return merged;
-}
-
-ReadoutPlan
-mergeReadoutPlans(std::size_t qubit_count,
-                  const std::vector<TilePlanRefs> &tiles)
-{
-    ReadoutPlan merged;
-    merged.feedlineOfQubit.assign(qubit_count, 0);
-    merged.resonatorGHz.assign(qubit_count, 0.0);
-    for (const TilePlanRefs &tile : tiles) {
-        requireTile(tile);
-        requireConfig(tile.readout != nullptr,
-                      "tile plan refs missing readout plan");
-        const ReadoutPlan &plan = *tile.readout;
-        const std::size_t base = merged.feedlines.size();
-        for (const auto &line : plan.feedlines) {
-            std::vector<std::size_t> global_line;
-            global_line.reserve(line.size());
-            for (std::size_t q : line)
-                global_line.push_back((*tile.qubitMap)[q]);
-            merged.feedlines.push_back(std::move(global_line));
-        }
-        for (std::size_t q = 0; q < tile.qubitMap->size(); ++q) {
-            const std::size_t g = (*tile.qubitMap)[q];
-            merged.feedlineOfQubit[g] = base + plan.feedlineOfQubit[q];
-            merged.resonatorGHz[g] = plan.resonatorGHz[q];
-        }
     }
     return merged;
 }

@@ -22,7 +22,6 @@
 #include "chip/topology.hpp"
 #include "multiplex/fdm.hpp"
 #include "multiplex/frequency_allocation.hpp"
-#include "multiplex/readout.hpp"
 #include "multiplex/tdm.hpp"
 
 namespace youtiao {
@@ -38,12 +37,17 @@ struct TilePlanRefs
     const FrequencyPlan *frequency = nullptr;
     const TdmPlan *z = nullptr;
     const FdmPlan *readoutLines = nullptr;
-    const ReadoutPlan *readout = nullptr;
 };
 
-/** Concatenate per-tile FDM plans (XY lines) over @p qubit_count qubits. */
+/**
+ * Concatenate the per-tile FDM groupings @p plan selects (&TilePlanRefs::xy
+ * for XY lines, &TilePlanRefs::readoutLines for readout feedlines) over
+ * @p qubit_count qubits. Each line keeps its member order, so
+ * planReadout() gives the merged feedlines the tiles' resonator tones.
+ */
 FdmPlan mergeFdmPlans(std::size_t qubit_count,
-                      const std::vector<TilePlanRefs> &tiles);
+                      const std::vector<TilePlanRefs> &tiles,
+                      const FdmPlan *TilePlanRefs::*plan);
 
 /**
  * Concatenate per-tile frequency allocations. zoneCount is the maximum
@@ -62,14 +66,6 @@ FrequencyPlan mergeFrequencyPlans(std::size_t qubit_count,
  */
 TdmPlan mergeTdmPlans(std::size_t qubit_count, std::size_t coupler_count,
                       const std::vector<TilePlanRefs> &tiles);
-
-/** Concatenate per-tile readout feedline groupings (FdmPlan view). */
-FdmPlan mergeReadoutLines(std::size_t qubit_count,
-                          const std::vector<TilePlanRefs> &tiles);
-
-/** Concatenate per-tile readout plans (feedlines + resonator tones). */
-ReadoutPlan mergeReadoutPlans(std::size_t qubit_count,
-                              const std::vector<TilePlanRefs> &tiles);
 
 /**
  * Pack seam-crossing couplers onto their own TDM groups, split by

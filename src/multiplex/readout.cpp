@@ -1,7 +1,5 @@
 #include "multiplex/readout.hpp"
 
-#include "common/error.hpp"
-
 namespace youtiao {
 
 namespace {
@@ -13,21 +11,12 @@ constexpr double kReadoutBandHiGHz = 8.5;
 } // namespace
 
 ReadoutPlan
-planReadout(const SymmetricMatrix &d_equiv, std::size_t feedline_capacity)
+planReadout(const FdmPlan &feedlines)
 {
-    requireConfig(feedline_capacity >= 1,
-                  "feedline capacity must be positive");
-
-    FdmGroupingConfig grouping;
-    grouping.lineCapacity = feedline_capacity;
-    const FdmPlan groups = groupFdm(d_equiv, grouping);
-
     ReadoutPlan plan;
-    plan.feedlines = groups.lines;
-    plan.feedlineOfQubit = groups.lineOfQubit;
-    plan.resonatorGHz.assign(d_equiv.size(), 0.0);
+    plan.resonatorGHz.assign(feedlines.lineOfQubit.size(), 0.0);
     const double band = kReadoutBandHiGHz - kReadoutBandLoGHz;
-    for (const auto &line : plan.feedlines) {
+    for (const auto &line : feedlines.lines) {
         const auto m = static_cast<double>(line.size());
         for (std::size_t k = 0; k < line.size(); ++k) {
             // Even spread with half-slot guard bands at the edges.

@@ -229,8 +229,7 @@ groupTdmPools(const ChipTopology &chip, const SymmetricMatrix &zz_qubit,
 }
 
 TdmPlan
-groupTdmLocalCluster(const ChipTopology &chip, std::size_t fanout,
-                     const TdmGroupingConfig &config)
+groupTdmLocalCluster(const ChipTopology &chip, std::size_t fanout)
 {
     requireConfig(fanout >= 2, "DEMUX fan-out must be at least 2");
     TdmPlan plan;
@@ -274,7 +273,6 @@ groupTdmLocalCluster(const ChipTopology &chip, std::size_t fanout,
         finalizeGroup(plan, std::move(group), fanout);
     requireInternal(allGatesRealizable(chip, plan),
                     "local clustering produced an unrealizable gate");
-    (void)config;
     return plan;
 }
 

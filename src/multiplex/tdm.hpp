@@ -106,8 +106,7 @@ bool devicesShareGate(const ChipTopology &chip, std::size_t d1,
  * packed into 1:@p fanout DEMUXes by spatial proximity, honouring only the
  * gate-realizability constraint (no non-parallelism awareness).
  */
-TdmPlan groupTdmLocalCluster(const ChipTopology &chip, std::size_t fanout,
-                             const TdmGroupingConfig &config = {});
+TdmPlan groupTdmLocalCluster(const ChipTopology &chip, std::size_t fanout);
 
 /** Google-style dedicated wiring: every device gets its own Z line. */
 TdmPlan dedicatedZPlan(const ChipTopology &chip);

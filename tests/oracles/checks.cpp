@@ -185,16 +185,16 @@ maxPeriodLength(const HopPlan &plan)
 }
 
 double
-worstChannelCrosstalkDb(const ReadoutPlan &plan,
+worstChannelCrosstalkDb(const FdmPlan &feedlines, const ReadoutPlan &tones,
                         const ReadoutPhysics &physics)
 {
     double worst = 0.0; // fraction
-    for (const auto &line : plan.feedlines) {
+    for (const auto &line : feedlines.lines) {
         for (std::size_t i = 0; i < line.size(); ++i) {
             for (std::size_t j = i + 1; j < line.size(); ++j) {
                 const double df =
-                    std::abs(plan.resonatorGHz[line[i]] -
-                             plan.resonatorGHz[line[j]]);
+                    std::abs(tones.resonatorGHz[line[i]] -
+                             tones.resonatorGHz[line[j]]);
                 worst = std::max(worst, bleedFraction(df, physics));
             }
         }
@@ -205,23 +205,26 @@ worstChannelCrosstalkDb(const ReadoutPlan &plan,
 }
 
 bool
-meetsIsolation(const ReadoutPlan &plan, const ReadoutPhysics &physics)
+meetsIsolation(const FdmPlan &feedlines, const ReadoutPlan &tones,
+               const ReadoutPhysics &physics)
 {
-    return worstChannelCrosstalkDb(plan, physics) <= -physics.isolationDb;
+    return worstChannelCrosstalkDb(feedlines, tones, physics) <=
+           -physics.isolationDb;
 }
 
 std::vector<double>
-singleShotFidelities(const ReadoutPlan &plan, const ReadoutPhysics &physics)
+singleShotFidelities(const FdmPlan &feedlines, const ReadoutPlan &tones,
+                     const ReadoutPhysics &physics)
 {
-    std::vector<double> fidelities(plan.feedlineOfQubit.size(), 1.0);
-    for (const auto &line : plan.feedlines) {
+    std::vector<double> fidelities(feedlines.lineOfQubit.size(), 1.0);
+    for (const auto &line : feedlines.lines) {
         for (std::size_t q : line) {
             double error = physics.intrinsicAssignmentError;
             for (std::size_t other : line) {
                 if (other == q)
                     continue;
-                const double df = std::abs(plan.resonatorGHz[q] -
-                                           plan.resonatorGHz[other]);
+                const double df = std::abs(tones.resonatorGHz[q] -
+                                           tones.resonatorGHz[other]);
                 error += bleedFraction(df, physics);
             }
             fidelities[q] = 1.0 - std::min(error, 1.0);

@@ -95,21 +95,24 @@ struct ReadoutPhysics
 };
 
 /**
- * Worst inter-channel crosstalk on any feedline, in dB (more negative is
- * better): the Lorentzian bleed-through of the closest same-line pair.
+ * Worst inter-channel crosstalk on any of @p feedlines with resonator
+ * tones @p tones, in dB (more negative is better): the Lorentzian
+ * bleed-through of the closest same-line pair.
  */
-double worstChannelCrosstalkDb(const ReadoutPlan &plan,
+double worstChannelCrosstalkDb(const FdmPlan &feedlines,
+                               const ReadoutPlan &tones,
                                const ReadoutPhysics &physics = {});
 
 /** True when every same-feedline pair meets the isolation requirement. */
-bool meetsIsolation(const ReadoutPlan &plan,
+bool meetsIsolation(const FdmPlan &feedlines, const ReadoutPlan &tones,
                     const ReadoutPhysics &physics = {});
 
 /**
  * Estimated single-shot readout fidelity per qubit: the intrinsic
  * assignment error plus bleed-through from every same-line channel.
  */
-std::vector<double> singleShotFidelities(const ReadoutPlan &plan,
+std::vector<double> singleShotFidelities(const FdmPlan &feedlines,
+                                         const ReadoutPlan &tones,
                                          const ReadoutPhysics &physics = {});
 
 // -- surface code ----------------------------------------------------------

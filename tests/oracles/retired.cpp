@@ -2,14 +2,11 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <limits>
 #include <numeric>
-#include <queue>
 #include <sstream>
 #include <utility>
 
 #include "common/error.hpp"
-#include "graph/shortest_path.hpp"
 #include "multiplex/tdm_scheduler.hpp"
 
 namespace youtiao {
@@ -34,129 +31,6 @@ sampleWithoutReplacement(Prng &prng, std::size_t n, std::size_t k)
         std::swap(pool[i], pool[i + prng.uniformInt(n - i)]);
     pool.resize(k);
     return pool;
-}
-
-double
-edgeWeight(const Graph &g, std::size_t u, std::size_t v)
-{
-    for (const Incidence &inc : g.incidences(u)) {
-        if (inc.vertex == v)
-            return g.edge(inc.edge).weight;
-    }
-    throw ConfigError("edge (" + std::to_string(u) + ", " +
-                      std::to_string(v) + ") not present");
-}
-
-std::vector<double>
-dijkstra(const Graph &g, std::size_t source)
-{
-    requireConfig(source < g.vertexCount(), "Dijkstra source out of range");
-    constexpr double inf = std::numeric_limits<double>::infinity();
-    std::vector<double> dist(g.vertexCount(), inf);
-    dist[source] = 0.0;
-
-    using Entry = std::pair<double, std::size_t>;
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-    heap.emplace(0.0, source);
-    while (!heap.empty()) {
-        const auto [d, v] = heap.top();
-        heap.pop();
-        if (d > dist[v])
-            continue;
-        for (const Incidence &inc : g.incidences(v)) {
-            const std::size_t n = inc.vertex;
-            const double w = g.edge(inc.edge).weight;
-            requireConfig(w >= 0.0,
-                          "Dijkstra requires non-negative edge weights");
-            if (dist[v] + w < dist[n]) {
-                dist[n] = dist[v] + w;
-                heap.emplace(dist[n], n);
-            }
-        }
-    }
-    return dist;
-}
-
-std::vector<std::size_t>
-greedyColoringCapped(const Graph &conflict, std::size_t capacity,
-                     const std::vector<std::size_t> &order)
-{
-    requireConfig(capacity > 0, "color capacity must be positive");
-    std::vector<std::size_t> seq = order;
-    if (seq.empty()) {
-        seq.resize(conflict.vertexCount());
-        std::iota(seq.begin(), seq.end(), 0);
-    }
-    requireConfig(seq.size() == conflict.vertexCount(),
-                  "coloring order must cover every vertex exactly once");
-    constexpr std::size_t uncolored = static_cast<std::size_t>(-1);
-    std::vector<std::size_t> colors(conflict.vertexCount(), uncolored);
-    std::vector<std::size_t> load;
-    std::vector<bool> used;
-    for (std::size_t v : seq) {
-        used.assign(load.size() + 1, false);
-        for (const Incidence &inc : conflict.incidences(v)) {
-            if (colors[inc.vertex] != uncolored)
-                used[colors[inc.vertex]] = true;
-        }
-        std::size_t c = 0;
-        while (c < load.size() && (used[c] || load[c] >= capacity))
-            ++c;
-        if (c == load.size())
-            load.push_back(0);
-        colors[v] = c;
-        ++load[c];
-    }
-    return colors;
-}
-
-Graph
-deviceGraph(const ChipTopology &chip)
-{
-    Graph g(chip.deviceCount());
-    for (std::size_t c = 0; c < chip.couplerCount(); ++c) {
-        const std::size_t device = chip.couplerDeviceId(c);
-        g.addEdge(chip.coupler(c).qubitA, device);
-        g.addEdge(device, chip.coupler(c).qubitB);
-    }
-    return g;
-}
-
-SymmetricMatrix
-devicePhysicalDistanceMatrix(const ChipTopology &chip)
-{
-    SymmetricMatrix m(chip.deviceCount());
-    for (std::size_t i = 0; i < m.size(); ++i) {
-        for (std::size_t j = i + 1; j < m.size(); ++j)
-            m(i, j) = distance(chip.devicePosition(i),
-                               chip.devicePosition(j));
-    }
-    return m;
-}
-
-SymmetricMatrix
-deviceTopologicalDistanceMatrix(const ChipTopology &chip)
-{
-    const Graph g = deviceGraph(chip);
-    SymmetricMatrix m(g.vertexCount());
-    double max_finite = 0.0;
-    std::vector<std::pair<std::size_t, std::size_t>> unreachable;
-    for (std::size_t i = 0; i < m.size(); ++i) {
-        const MultiPathResult bfs = multiPathBfs(g, i);
-        for (std::size_t j = i + 1; j < m.size(); ++j) {
-            if (bfs.hops[j] == kUnreachable) {
-                unreachable.emplace_back(i, j);
-                continue;
-            }
-            m(i, j) = static_cast<double>(bfs.hops[j]) *
-                      static_cast<double>(bfs.pathCount[j]);
-            max_finite = std::max(max_finite, m(i, j));
-        }
-    }
-    const double penalty = max_finite > 0.0 ? 2.0 * max_finite : 1.0;
-    for (const auto &[i, j] : unreachable)
-        m(i, j) = penalty;
-    return m;
 }
 
 double

@@ -19,9 +19,7 @@
 #include "chip/topology.hpp"
 #include "circuit/circuit.hpp"
 #include "circuit/scheduler.hpp"
-#include "common/matrix.hpp"
 #include "common/prng.hpp"
-#include "graph/graph.hpp"
 #include "multiplex/tdm.hpp"
 #include "sim/pulse.hpp"
 
@@ -36,44 +34,6 @@ int uniformInt(Prng &prng, int lo, int hi);
 /** Sample k distinct indices from [0, n) (k <= n). */
 std::vector<std::size_t> sampleWithoutReplacement(Prng &prng, std::size_t n,
                                                   std::size_t k);
-
-// -- graphs ----------------------------------------------------------------
-
-/** Weight of edge (u, v); throws ConfigError when absent. */
-double edgeWeight(const Graph &g, std::size_t u, std::size_t v);
-
-/**
- * Dijkstra over non-negative edge weights from @p source; returns the
- * weighted distance per vertex (infinity when unreachable).
- */
-std::vector<double> dijkstra(const Graph &g, std::size_t source);
-
-/**
- * Greedy coloring where each color class holds at most @p capacity
- * vertices. A vertex skips colors that are full or conflict-adjacent.
- * With @p order empty, uses index order.
- */
-std::vector<std::size_t> greedyColoringCapped(
-    const Graph &conflict, std::size_t capacity,
-    const std::vector<std::size_t> &order = {});
-
-// -- device-level chip views -----------------------------------------------
-
-/**
- * Device-level graph over qubits and couplers: each coupler is a vertex
- * adjacent to its two endpoint qubits.
- */
-Graph deviceGraph(const ChipTopology &chip);
-
-/** Pairwise Euclidean distances between all devices (qubits+couplers). */
-SymmetricMatrix devicePhysicalDistanceMatrix(const ChipTopology &chip);
-
-/**
- * Pairwise multi-path topological distances over the device graph, where
- * couplers are vertices between their endpoint qubits. Disconnected pairs
- * receive 2x the maximum finite distance.
- */
-SymmetricMatrix deviceTopologicalDistanceMatrix(const ChipTopology &chip);
 
 // -- schedules and pulses --------------------------------------------------
 

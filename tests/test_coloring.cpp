@@ -3,7 +3,6 @@
 #include "common/error.hpp"
 #include "graph/coloring.hpp"
 #include "oracles/checks.hpp"
-#include "oracles/retired.hpp"
 
 namespace youtiao {
 namespace {
@@ -56,31 +55,6 @@ TEST(Coloring, BadOrderThrows)
 {
     Graph g(3);
     EXPECT_THROW(greedyColoring(g, {0, 1}), ConfigError);
-}
-
-TEST(Coloring, CappedColoringRespectsCapacity)
-{
-    Graph g(9); // independent set: only capacity binds
-    const auto colors = greedyColoringCapped(g, 3);
-    EXPECT_EQ(colorCount(colors), 3u);
-    std::vector<std::size_t> load(3, 0);
-    for (std::size_t c : colors)
-        ++load[c];
-    for (std::size_t l : load)
-        EXPECT_LE(l, 3u);
-}
-
-TEST(Coloring, CappedColoringStillProper)
-{
-    const Graph g = triangle();
-    const auto colors = greedyColoringCapped(g, 2);
-    EXPECT_TRUE(isProperColoring(g, colors));
-}
-
-TEST(Coloring, CappedZeroCapacityThrows)
-{
-    Graph g(2);
-    EXPECT_THROW(greedyColoringCapped(g, 0), ConfigError);
 }
 
 TEST(Coloring, IsProperDetectsViolation)

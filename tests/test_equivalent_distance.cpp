@@ -3,7 +3,6 @@
 #include "chip/topology_builder.hpp"
 #include "common/error.hpp"
 #include "noise/equivalent_distance.hpp"
-#include "oracles/retired.hpp"
 
 namespace youtiao {
 namespace {
@@ -26,19 +25,6 @@ TEST(EquivalentDistance, TopologicalMatrixUsesMultiPath)
     // Adjacent: l=1, n=1. Diagonal on a 4-cycle: l=2, n=2 -> 4.
     EXPECT_DOUBLE_EQ(m(0, 1), 1.0);
     EXPECT_DOUBLE_EQ(m(0, 3), 4.0);
-}
-
-TEST(EquivalentDistance, DeviceMatricesIncludeCouplers)
-{
-    const ChipTopology chip = makeSquareGrid(1, 2); // 2 qubits, 1 coupler
-    const SymmetricMatrix top = deviceTopologicalDistanceMatrix(chip);
-    ASSERT_EQ(top.size(), 3u);
-    // Qubit -> its coupler: 1 hop; qubit -> qubit: 2 hops via coupler.
-    EXPECT_DOUBLE_EQ(top(0, 2), 1.0);
-    EXPECT_DOUBLE_EQ(top(0, 1), 2.0);
-
-    const SymmetricMatrix phy = devicePhysicalDistanceMatrix(chip);
-    EXPECT_DOUBLE_EQ(phy(0, 2), 0.5 * chip.physicalDistance(0, 1));
 }
 
 TEST(EquivalentDistance, WeightedCombination)

@@ -66,7 +66,7 @@ TEST(FailureAnalysis, ReadoutFailureLosesFeedline)
                                             designed().design,
                                             WiringPlane::Readout, 0);
     EXPECT_EQ(lost.size(),
-              designed().design.readout.feedlines[0].size());
+              designed().design.readoutPlan.lines[0].size());
 }
 
 TEST(FailureAnalysis, AggregateImpactConsistent)
@@ -76,7 +76,7 @@ TEST(FailureAnalysis, AggregateImpactConsistent)
     EXPECT_EQ(impact.totalLines,
               designed().design.xyPlan.lines.size() +
                   designed().design.zPlan.groups.size() +
-                  designed().design.readout.feedlines.size());
+                  designed().design.readoutPlan.lines.size());
     EXPECT_GT(impact.meanQubitsLost, 0.0);
     EXPECT_GE(static_cast<double>(impact.worstQubitsLost),
               impact.meanQubitsLost);

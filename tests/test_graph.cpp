@@ -5,7 +5,6 @@
 #include "common/error.hpp"
 #include "graph/graph.hpp"
 #include "oracles/checks.hpp"
-#include "oracles/retired.hpp"
 
 namespace youtiao {
 namespace {
@@ -58,13 +57,6 @@ TEST(Graph, RejectsBadVertex)
     Graph g(2);
     EXPECT_THROW(g.addEdge(0, 5), ConfigError);
     EXPECT_THROW(g.degree(9), ConfigError);
-}
-
-TEST(Graph, MissingEdgeWeightThrows)
-{
-    Graph g(3);
-    g.addEdge(0, 1);
-    EXPECT_THROW(edgeWeight(g, 0, 2), ConfigError);
 }
 
 TEST(Graph, NeighborsAndDegree)

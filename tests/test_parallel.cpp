@@ -135,16 +135,20 @@ TEST(ParallelFor, ExceptionInSerialFallbackPropagates)
 
 TEST(ParallelFor, NestedSubmissionCompletes)
 {
-    ThreadPool pool(4);
-    const std::size_t outer = 8, inner = 64;
-    std::vector<std::atomic<long>> sums(outer);
-    parallelFor(0, outer, [&](std::size_t o) {
-        parallelFor(0, inner, [&](std::size_t i) {
-            sums[o] += static_cast<long>(i);
-        }, 4, &pool);
-    }, 1, &pool);
-    for (std::size_t o = 0; o < outer; ++o)
-        EXPECT_EQ(sums[o].load(), (0L + 63L) * 64L / 2L);
+    // Two lanes is the pool the hierarchical scale-out benchmark runs.
+    for (std::size_t lanes : {4u, 2u}) {
+        ThreadPool pool(lanes);
+        const std::size_t outer = 8, inner = 64;
+        std::vector<std::atomic<long>> sums(outer);
+        parallelFor(0, outer, [&](std::size_t o) {
+            parallelFor(0, inner, [&](std::size_t i) {
+                sums[o] += static_cast<long>(i);
+            }, 4, &pool);
+        }, 1, &pool);
+        for (std::size_t o = 0; o < outer; ++o)
+            EXPECT_EQ(sums[o].load(), (0L + 63L) * 64L / 2L)
+                << lanes << " lanes";
+    }
 }
 
 TEST(ParallelFor, SerialPoolRunsInAscendingOrder)

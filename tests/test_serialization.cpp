@@ -48,8 +48,8 @@ TEST(Serialization, RoundTripPlans)
         EXPECT_EQ(loaded.zPlan.groups[g].fanout,
                   designed().design.zPlan.groups[g].fanout);
     }
-    EXPECT_EQ(loaded.readout.feedlines,
-              designed().design.readout.feedlines);
+    EXPECT_EQ(loaded.readoutPlan.lines,
+              designed().design.readoutPlan.lines);
 }
 
 TEST(Serialization, RoundTripNumericExact)

@@ -1,13 +1,10 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "chip/topology_builder.hpp"
 #include "common/error.hpp"
 #include "graph/graph.hpp"
 #include "graph/shortest_path.hpp"
 #include "noise/equivalent_distance.hpp"
-#include "oracles/retired.hpp"
 
 namespace youtiao {
 namespace {
@@ -105,32 +102,6 @@ TEST(ShortestPath, AllPairsMatchesSingleSource)
                              static_cast<double>(bfs.hops[j] *
                                                  bfs.pathCount[j]));
     }
-}
-
-TEST(ShortestPath, DijkstraWeighted)
-{
-    Graph g(4);
-    g.addEdge(0, 1, 1.0);
-    g.addEdge(1, 2, 1.0);
-    g.addEdge(0, 2, 5.0);
-    g.addEdge(2, 3, 1.0);
-    const auto dist = dijkstra(g, 0);
-    EXPECT_DOUBLE_EQ(dist[2], 2.0); // via 1, not the direct 5.0 edge
-    EXPECT_DOUBLE_EQ(dist[3], 3.0);
-}
-
-TEST(ShortestPath, DijkstraUnreachableInfinite)
-{
-    Graph g(2);
-    const auto dist = dijkstra(g, 0);
-    EXPECT_TRUE(std::isinf(dist[1]));
-}
-
-TEST(ShortestPath, DijkstraNegativeWeightThrows)
-{
-    Graph g(2);
-    g.addEdge(0, 1, -1.0);
-    EXPECT_THROW(dijkstra(g, 0), ConfigError);
 }
 
 } // namespace

@@ -2,7 +2,6 @@
 
 #include "chip/topology.hpp"
 #include "common/error.hpp"
-#include "oracles/retired.hpp"
 
 namespace youtiao {
 namespace {
@@ -64,29 +63,6 @@ TEST(ChipTopology, QubitGraphEdgeIsCouplerIndex)
     EXPECT_EQ(chip.qubitGraph().edgeCount(), chip.couplerCount());
     EXPECT_EQ(chip.couplerBetween(1, 2), c);
     EXPECT_EQ(chip.couplerBetween(0, 2), ChipTopology::npos);
-}
-
-TEST(ChipTopology, DeviceGraphStructure)
-{
-    const ChipTopology chip = twoQubitChip();
-    const Graph dg = deviceGraph(chip);
-    EXPECT_EQ(dg.vertexCount(), 3u);
-    EXPECT_EQ(dg.edgeCount(), 2u);
-    EXPECT_TRUE(dg.hasEdge(0, 2));
-    EXPECT_TRUE(dg.hasEdge(1, 2));
-    EXPECT_FALSE(dg.hasEdge(0, 1));
-}
-
-TEST(ChipTopology, DeviceGraphRefreshesAfterMutation)
-{
-    ChipTopology chip = twoQubitChip();
-    EXPECT_EQ(deviceGraph(chip).vertexCount(), 3u);
-    QubitInfo q;
-    q.position = Point{2.0, 0.0};
-    chip.addQubit(q);
-    chip.addCoupler(1, 2);
-    EXPECT_EQ(deviceGraph(chip).vertexCount(), 5u);
-    EXPECT_EQ(deviceGraph(chip).edgeCount(), 4u);
 }
 
 TEST(ChipTopology, PhysicalDistance)

@@ -135,8 +135,8 @@ TEST(Trace, ParallelRunLandsEventsOnMultipleTracks)
 {
     trace::Tracer::global().enable();
     ThreadPool pool(4);
-    // Tasks long enough that the submitting thread cannot drain the
-    // queue alone before a worker wakes and steals some.
+    // Tasks long enough that the submitting thread cannot claim every
+    // chunk alone before a worker wakes and claims some.
     parallelFor(
         0, 64,
         [&](std::size_t) {
