@@ -1,5 +1,7 @@
 #include "common/prng.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 
 namespace youtiao {
@@ -79,6 +81,23 @@ Prng
 Prng::split()
 {
     return Prng(next());
+}
+
+UniformIntDraw::UniformIntDraw(std::uint64_t n)
+    : n_(n)
+{
+    if (n == 0) // not requireInternal: no message built per draw
+        throw InternalError("uniformInt(n) needs n > 0");
+    limit_ = UINT64_MAX - UINT64_MAX % n;
+    // With l = ceil(log2 n), m = floor(2^64 (2^l - n) / n) + 1 fits in
+    // 64 bits, and floor(v / n) = (t + ((v - t) >> min(l, 1)))
+    // >> max(l - 1, 0) with t = floor(m v / 2^64) (Fig. 4.1 with N = 64).
+    __extension__ using Wide = unsigned __int128;
+    const auto l = static_cast<unsigned>(std::bit_width(n - 1));
+    const Wide excess = (Wide{1} << l) - n; // < 2^64 even at l = 64
+    multiplier_ = static_cast<std::uint64_t>((excess << 64) / n + 1);
+    shift1_ = std::min(l, 1u);
+    shift2_ = l - shift1_;
 }
 
 } // namespace youtiao

@@ -72,22 +72,8 @@ class Prng
     /** Uniform double in [lo, hi). */
     double uniform(double lo, double hi);
 
-    /** Uniform integer in [0, n); n must be > 0. Inline, so a loop of
-     *  draws under one n (a bootstrap bag) computes the limit once. */
-    std::size_t
-    uniformInt(std::size_t n)
-    {
-        if (n == 0) // not requireInternal: no message built per draw
-            throw InternalError("uniformInt(n) needs n > 0");
-        // Rejection sampling to avoid modulo bias.
-        const std::uint64_t bound = n;
-        const std::uint64_t limit = UINT64_MAX - UINT64_MAX % bound;
-        std::uint64_t v;
-        do {
-            v = next();
-        } while (v >= limit);
-        return static_cast<std::size_t>(v % bound);
-    }
+    /** Uniform integer in [0, n); n must be > 0. One UniformIntDraw. */
+    std::size_t uniformInt(std::size_t n);
 
     /** Standard normal via Box-Muller. */
     double gaussian();
@@ -120,6 +106,60 @@ class Prng
     bool haveSpareGaussian_ = false;
     double spareGaussian_ = 0.0;
 };
+
+/**
+ * Uniform integers in [0, n), the stream of Prng::uniformInt(n): raw draws
+ * at or above the largest multiple of n are redrawn (no modulo bias), and
+ * v % n is taken by a multiply-high reciprocal instead of a hardware
+ * division. The reciprocal is Granlund & Montgomery's ("Division by
+ * Invariant Integers using Multiplication", PLDI 1994, Fig. 4.1), exact
+ * for every 64-bit v. Build one per n: a forest's bootstrap bags reuse
+ * one for all their draws.
+ */
+class UniformIntDraw
+{
+  public:
+    /** Draws in [0, @p n); n must be > 0. */
+    explicit UniformIntDraw(std::uint64_t n);
+
+    /** uniformInt(n)'s rejection limit: raw draws >= it are redrawn. */
+    std::uint64_t limit() const { return limit_; }
+
+    /** @p v % n, without a division. */
+    std::uint64_t
+    remainder(std::uint64_t v) const
+    {
+        __extension__ using Wide = unsigned __int128;
+        const auto t1 = static_cast<std::uint64_t>(
+            (static_cast<Wide>(multiplier_) * v) >> 64);
+        const std::uint64_t q = (t1 + ((v - t1) >> shift1_)) >> shift2_;
+        return v - q * n_;
+    }
+
+    /** The next uniformInt(n) value of @p prng's stream. */
+    std::size_t
+    operator()(Prng &prng) const
+    {
+        std::uint64_t v;
+        do {
+            v = prng.next();
+        } while (v >= limit_);
+        return static_cast<std::size_t>(remainder(v));
+    }
+
+  private:
+    std::uint64_t n_;
+    std::uint64_t limit_;
+    std::uint64_t multiplier_;
+    unsigned shift1_;
+    unsigned shift2_;
+};
+
+inline std::size_t
+Prng::uniformInt(std::size_t n)
+{
+    return UniformIntDraw(n)(*this);
+}
 
 } // namespace youtiao
 

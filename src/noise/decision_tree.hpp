@@ -9,17 +9,21 @@
  * tree is its in-order thresholds (strictly increasing) and its leaves.
  *
  * The fit is presorted. With one feature every node is a contiguous run
- * of its samples in x order, so a fit keeps two arrays of the same
- * samples: the live one in draw order, partitioned at each split as the
- * per-node-sort fit did (it fixes every node's summation order and so
- * every leaf mean), and one sorted by x, built in O(n) from the rows'
- * x order (sortRowsByX). Each node finds its split with one prefix scan
- * of its sorted run. That scan sums tied x values in another order than
- * a sort of the live run would, which moves only the rounding of the
- * split gains; a bound on that rounding certifies the scan's decision,
- * and the rare node it cannot certify sorts its live run and rescans
- * (counted as noise.split_rescans). The fitted tree is therefore bit for
- * bit the per-node-sort tree (decision_tree.cpp has the bound).
+ * of its samples in x order, so a fit keeps the same samples twice: live,
+ * in draw order, and as runs of equal x in x order, each run its count,
+ * sum of y and sum of y^2, laid out in O(n) from the rows' x order
+ * (sortRowsByX). A node sums its live samples for its totals and leaf
+ * mean and partitions them at its split into the order libstdc++'s
+ * std::partition gives, computed here without a branch, so every node
+ * sums in the order of the per-node-sort fit this replaced and every
+ * leaf mean is its bit for bit; the runs need no move. Each node finds
+ * its split with one prefix scan of its runs. That scan adds each
+ * boundary's prefix sums in another order than a sort of the live
+ * samples would, which moves only the rounding of the split gains; a
+ * bound on that rounding certifies the scan's decision, and the rare node
+ * it cannot certify sorts its live samples and rescans them as one-sample
+ * runs (counted as noise.split_rescans). The fitted tree is therefore bit
+ * for bit the per-node-sort tree (decision_tree.cpp has the bound).
  */
 
 #ifndef YOUTIAO_NOISE_DECISION_TREE_HPP
@@ -45,6 +49,24 @@ struct DecisionTreeConfig
  *  presorted fit walks. Throws ConfigError on a NaN, which has no place
  *  in it. */
 std::vector<std::size_t> sortRowsByX(std::span<const double> x);
+
+/** One training sample as a fit holds it. */
+struct TreeSample
+{
+    double x;
+    double y;
+};
+
+/**
+ * Reorder @p live as std::partition(live, x <= threshold) does in
+ * libstdc++ (its two-pointer loop), given @p mid, the number of samples
+ * with x <= threshold, and @p slots, scratch of live.size() entries. The
+ * fit's leaf sums follow this order, so it is computed here rather than
+ * left to the standard library. Throws InternalError if @p mid is not
+ * that count.
+ */
+void partitionAtThreshold(std::span<TreeSample> live, double threshold,
+                          std::size_t mid, std::span<std::size_t> slots);
 
 /** Regression tree over one feature. */
 class DecisionTree

@@ -37,14 +37,16 @@ RandomForest::fit(std::span<const double> x,
     // draw counts in this order for its x-sorted samples.
     const std::vector<std::size_t> by_x = sortRowsByX(x);
     cancel::poll("noise.forest_fit");
+    // Every bag draws uniformInt(n)'s stream with one reciprocal of n.
+    const UniformIntDraw draw(n);
     std::vector<DecisionTree> trees(config_.treeCount,
                                     DecisionTree(config_.tree));
     parallelFor(0, config_.treeCount, [&](std::size_t t) {
         const trace::TraceSpan tree_span("noise.tree_fit", "noise");
         Prng local(seeds[t]);
         std::vector<std::size_t> bag(n);
-        for (std::size_t &draw : bag)
-            draw = local.uniformInt(n);
+        for (std::size_t &row : bag)
+            row = draw(local);
         trees[t].fit(x, targets, bag, by_x);
     });
     trees_ = std::move(trees);

@@ -20,9 +20,12 @@ checkRoutingDrc(const RoutingGrid &grid, std::size_t net_count,
         if (static_cast<std::size_t>(x.byNet) < net_count)
             cells[static_cast<std::size_t>(x.byNet)].push_back(x.cell);
     }
+    // Row-major over owners(): the loop bounds are the grid's, so no cell
+    // needs owner()'s range check.
+    const std::vector<std::int32_t> &owners = grid.owners();
     for (std::size_t y = 0; y < h; ++y) {
         for (std::size_t x = 0; x < w; ++x) {
-            const std::int32_t o = grid.owner(Cell{x, y});
+            const std::int32_t o = owners[y * w + x];
             if (o < 0)
                 continue;
             if (static_cast<std::size_t>(o) >= net_count) {

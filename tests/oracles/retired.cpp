@@ -2,36 +2,12 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <numeric>
 #include <sstream>
-#include <utility>
 
 #include "common/error.hpp"
 #include "multiplex/tdm_scheduler.hpp"
 
 namespace youtiao {
-
-int
-uniformInt(Prng &prng, int lo, int hi)
-{
-    requireInternal(lo <= hi, "uniformInt(lo, hi) needs lo <= hi");
-    const auto span = static_cast<std::size_t>(
-        static_cast<long long>(hi) - lo + 1);
-    return lo + static_cast<int>(prng.uniformInt(span));
-}
-
-std::vector<std::size_t>
-sampleWithoutReplacement(Prng &prng, std::size_t n, std::size_t k)
-{
-    requireConfig(k <= n, "cannot sample more items than the population");
-    std::vector<std::size_t> pool(n);
-    std::iota(pool.begin(), pool.end(), 0);
-    // Partial Fisher-Yates: only the first k draws are needed.
-    for (std::size_t i = 0; i < k; ++i)
-        std::swap(pool[i], pool[i + prng.uniformInt(n - i)]);
-    pool.resize(k);
-    return pool;
-}
 
 double
 tdmDurationNs(const QuantumCircuit &qc, const Schedule &schedule,

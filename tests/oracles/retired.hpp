@@ -3,10 +3,9 @@
  * Retired library functions, kept only with their own tests.
  *
  * No system binary reaches these and no test uses them as a reference:
- * each is the subject of its own tests (uniformInt(prng, lo, hi) also
- * draws test data). They left src/ so the library holds what the system
- * runs; deleting each one together with its tests is an open ROADMAP
- * item.
+ * each is the subject of its own tests. They left src/ so the library
+ * holds what the system runs; deleting each one together with its tests
+ * is an open ROADMAP item.
  */
 
 #ifndef YOUTIAO_TESTS_ORACLES_RETIRED_HPP
@@ -19,21 +18,10 @@
 #include "chip/topology.hpp"
 #include "circuit/circuit.hpp"
 #include "circuit/scheduler.hpp"
-#include "common/prng.hpp"
 #include "multiplex/tdm.hpp"
 #include "sim/pulse.hpp"
 
 namespace youtiao {
-
-// -- sampling --------------------------------------------------------------
-
-/** Uniform integer in [lo, hi] inclusive, drawn as
- *  lo + prng.uniformInt(hi - lo + 1). */
-int uniformInt(Prng &prng, int lo, int hi);
-
-/** Sample k distinct indices from [0, n) (k <= n). */
-std::vector<std::size_t> sampleWithoutReplacement(Prng &prng, std::size_t n,
-                                                  std::size_t k);
 
 // -- schedules and pulses --------------------------------------------------
 

@@ -16,7 +16,6 @@
 #include "common/prng.hpp"
 #include "noise/decision_tree.hpp"
 #include "noise/random_forest.hpp"
-#include "oracles/retired.hpp"
 
 namespace youtiao {
 namespace {
@@ -154,6 +153,106 @@ TEST(DecisionTree, RejectsNaNFeaturesAndBadRowOrders)
     const std::vector<std::size_t> missing{4, 1, 3, 2, 5, 5};
     EXPECT_THROW(tree.fit(x, y, {0, 5}, missing), ConfigError);
     EXPECT_NO_THROW(tree.fit(x, y, {1, 5}, missing)); // row 0 not drawn
+}
+
+// ------------------------------- the partition against a two-pointer loop
+
+/** The two-pointer (Hoare) loop of libstdc++'s std::partition for
+ *  bidirectional iterators: the order the fit's leaves sum in. */
+void
+hoarePartition(std::vector<TreeSample> &items, double threshold)
+{
+    auto first = items.begin();
+    auto last = items.end();
+    while (true) {
+        while (first != last && first->x <= threshold)
+            ++first;
+        if (first == last)
+            return;
+        --last;
+        while (first != last && !(last->x <= threshold))
+            --last;
+        if (first == last)
+            return;
+        std::iter_swap(first, last);
+        ++first;
+    }
+}
+
+TEST(PartitionAtThreshold, MatchesTwoPointerLoop)
+{
+    enum class Shape
+    {
+        AllLeft,
+        AllRight,
+        Alternating,
+        HeavyTies,
+        Random,
+    };
+    Prng prng(0x9A27);
+    for (std::size_t m = 0; m <= 2000; ++m) {
+        for (const Shape shape : {Shape::AllLeft, Shape::AllRight,
+                                  Shape::Alternating, Shape::HeavyTies,
+                                  Shape::Random}) {
+            std::vector<TreeSample> items(m);
+            double threshold = 0.0;
+            for (std::size_t i = 0; i < m; ++i) {
+                double x = 0.0;
+                switch (shape) {
+                case Shape::AllLeft:
+                    x = -static_cast<double>(prng.uniformInt(8));
+                    break;
+                case Shape::AllRight:
+                    x = 1.0 + static_cast<double>(prng.uniformInt(8));
+                    break;
+                case Shape::Alternating:
+                    x = i % 2 == 0 ? 1.0 : -1.0;
+                    break;
+                case Shape::HeavyTies:
+                    x = static_cast<double>(prng.uniformInt(3)) - 1.0;
+                    if (x == 0.0 && prng.bernoulli(0.5))
+                        x = -0.0;
+                    break;
+                case Shape::Random:
+                    x = prng.uniform(-1.0, 1.0);
+                    break;
+                }
+                // y records each sample's draw position.
+                items[i] = {x, static_cast<double>(i)};
+            }
+            if (shape == Shape::Random)
+                threshold = prng.uniform(-1.1, 1.1);
+            const auto left = [threshold](const TreeSample &s) {
+                return s.x <= threshold;
+            };
+            const auto mid =
+                static_cast<std::size_t>(std::ranges::count_if(items, left));
+            std::vector<TreeSample> want = items;
+            hoarePartition(want, threshold);
+            std::vector<std::size_t> slots(m);
+            partitionAtThreshold(items, threshold, mid, slots);
+            for (std::size_t i = 0; i < m; ++i) {
+                ASSERT_EQ(std::bit_cast<std::uint64_t>(items[i].x),
+                          std::bit_cast<std::uint64_t>(want[i].x))
+                    << "m " << m << " shape " << static_cast<int>(shape)
+                    << " at " << i;
+                ASSERT_EQ(items[i].y, want[i].y)
+                    << "m " << m << " shape " << static_cast<int>(shape)
+                    << " at " << i;
+            }
+            // A count that is not #{x <= threshold} is refused.
+            if (mid > 0) {
+                EXPECT_THROW(
+                    partitionAtThreshold(items, threshold, mid - 1, slots),
+                    InternalError);
+            }
+            if (mid < m) {
+                EXPECT_THROW(
+                    partitionAtThreshold(items, threshold, mid + 1, slots),
+                    InternalError);
+            }
+        }
+    }
 }
 
 // ------------------------------------- presorted fit against its oracle
@@ -339,7 +438,8 @@ tieHeavy(std::uint64_t seed, std::size_t n, std::size_t k, Targets targets)
             d.y.push_back(-10.0 + 0.8 * std::sin(x) + prng.gaussian(0.0, 0.4));
             break;
         case Targets::Integer:
-            d.y.push_back(static_cast<double>(uniformInt(prng, -4, 4)));
+            d.y.push_back(
+                -4.0 + static_cast<double>(prng.uniformInt(9)));
             break;
         case Targets::Offset:
             d.y.push_back(1e8 + prng.gaussian(0.0, 1.0));

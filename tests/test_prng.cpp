@@ -8,7 +8,6 @@
 #include "common/binfmt.hpp"
 #include "common/error.hpp"
 #include "common/prng.hpp"
-#include "oracles/retired.hpp"
 
 namespace youtiao {
 namespace {
@@ -70,17 +69,6 @@ TEST(Prng, UniformIntCoversRange)
     EXPECT_EQ(*seen.rbegin(), 6u);
 }
 
-TEST(Prng, UniformIntInclusiveBounds)
-{
-    Prng prng(5);
-    std::set<int> seen;
-    for (int i = 0; i < 1000; ++i)
-        seen.insert(uniformInt(prng, -2, 2));
-    EXPECT_EQ(seen.size(), 5u);
-    EXPECT_TRUE(seen.count(-2));
-    EXPECT_TRUE(seen.count(2));
-}
-
 TEST(Prng, GaussianMoments)
 {
     Prng prng(13);
@@ -125,31 +113,6 @@ TEST(Prng, ShufflePreservesElements)
     EXPECT_EQ(v, w);
 }
 
-TEST(Prng, SampleWithoutReplacementDistinct)
-{
-    Prng prng(29);
-    const auto picks = sampleWithoutReplacement(prng, 50, 20);
-    EXPECT_EQ(picks.size(), 20u);
-    std::set<std::size_t> unique(picks.begin(), picks.end());
-    EXPECT_EQ(unique.size(), 20u);
-    for (std::size_t p : picks)
-        EXPECT_LT(p, 50u);
-}
-
-TEST(Prng, SampleAllIsPermutation)
-{
-    Prng prng(31);
-    const auto picks = sampleWithoutReplacement(prng, 10, 10);
-    std::set<std::size_t> unique(picks.begin(), picks.end());
-    EXPECT_EQ(unique.size(), 10u);
-}
-
-TEST(Prng, SampleTooManyThrows)
-{
-    Prng prng(37);
-    EXPECT_THROW(sampleWithoutReplacement(prng, 3, 4), ConfigError);
-}
-
 TEST(Prng, UniformIntStreamIsPinned)
 {
     // Every forest bootstrap draws its bag through uniformInt(n), so the
@@ -175,6 +138,53 @@ TEST(Prng, UniformIntStreamIsPinned)
     EXPECT_EQ(binfmt::fnv1a(stream.data(),
                             stream.size() * sizeof(std::uint64_t)),
               0x1157dfd7375b1ff4ull);
+}
+
+/** Bounds for the reciprocal draw: the smallest, 2^k - 1, 2^k and
+ *  2^k + 1 for every k, the 2^32 and 2^63 neighbourhoods, the largest,
+ *  and seeded random bounds of every bit width. */
+std::vector<std::uint64_t>
+reciprocalBounds()
+{
+    std::vector<std::uint64_t> bounds{1, 2, 3, UINT64_MAX};
+    for (unsigned k = 1; k < 64; ++k) {
+        const std::uint64_t p = std::uint64_t{1} << k;
+        bounds.insert(bounds.end(), {p - 1, p, p + 1});
+    }
+    Prng prng(0xD1CE);
+    for (unsigned width = 1; width <= 64; ++width) {
+        for (int i = 0; i < 8; ++i) {
+            const std::uint64_t top = std::uint64_t{1} << (width - 1);
+            bounds.push_back(top | (prng.next() & (top - 1)));
+        }
+    }
+    return bounds;
+}
+
+TEST(Prng, ReciprocalRemainderMatchesDivision)
+{
+    Prng prng(0xF00D);
+    for (const std::uint64_t n : reciprocalBounds()) {
+        const UniformIntDraw draw(n);
+        ASSERT_EQ(draw.limit(), UINT64_MAX - UINT64_MAX % n) << "n " << n;
+        std::vector<std::uint64_t> values{0,          1,
+                                          n - 1,      n,
+                                          draw.limit() - 1,
+                                          draw.limit(),
+                                          UINT64_MAX, UINT64_MAX - n};
+        // Around multiples of n, where a quotient off by one shows.
+        for (int i = 0; i < 16; ++i) {
+            const std::uint64_t q = prng.next() / n;
+            values.insert(values.end(), {q * n, q * n + (n - 1)});
+            if (q > 0)
+                values.push_back(q * n - 1);
+        }
+        for (int i = 0; i < 64; ++i)
+            values.push_back(prng.next());
+        for (const std::uint64_t v : values)
+            ASSERT_EQ(draw.remainder(v), v % n) << "n " << n << " v " << v;
+    }
+    EXPECT_THROW(UniformIntDraw{0}, InternalError);
 }
 
 TEST(Prng, SplitDecorrelates)

@@ -18,7 +18,6 @@
 #include "common/prng.hpp"
 #include "core/baselines.hpp"
 #include "core/youtiao.hpp"
-#include "oracles/retired.hpp"
 #include "routing/astar_router.hpp"
 #include "routing/chip_router.hpp"
 #include "routing/corridor_router.hpp"
@@ -294,25 +293,25 @@ randomGrid(Prng &prng)
     RoutingGridConfig config;
     config.cellMm = 1.0;
     config.marginMm = 0.0;
-    const int w = uniformInt(prng, 4, 28);
-    const int h = uniformInt(prng, 4, 28);
+    const int w = 4 + static_cast<int>(prng.uniformInt(25));
+    const int h = 4 + static_cast<int>(prng.uniformInt(25));
     RoutingGrid grid(Point{0, 0}, Point{w - 1.0, h - 1.0}, config);
     auto cell = [&](int x, int y) {
         return Cell{static_cast<std::size_t>(x), static_cast<std::size_t>(y)};
     };
-    for (int k = uniformInt(prng, 0, 6); k > 0; --k) {
-        const int side = uniformInt(prng, 1, 3);
-        const int x0 = uniformInt(prng, 0, w - 1);
-        const int y0 = uniformInt(prng, 0, h - 1);
+    for (int k = static_cast<int>(prng.uniformInt(7)); k > 0; --k) {
+        const int side = 1 + static_cast<int>(prng.uniformInt(3));
+        const int x0 = static_cast<int>(prng.uniformInt(w));
+        const int y0 = static_cast<int>(prng.uniformInt(h));
         for (int y = y0; y < std::min(h, y0 + side); ++y)
             for (int x = x0; x < std::min(w, x0 + side); ++x)
                 grid.setOwner(cell(x, y), RoutingGrid::kObstacle);
     }
     if (prng.bernoulli(0.3)) { // a walled room: targets inside it strand
-        const int x0 = uniformInt(prng, 0, w - 1);
-        const int y0 = uniformInt(prng, 0, h - 1);
-        const int x1 = uniformInt(prng, x0, w - 1);
-        const int y1 = uniformInt(prng, y0, h - 1);
+        const int x0 = static_cast<int>(prng.uniformInt(w));
+        const int y0 = static_cast<int>(prng.uniformInt(h));
+        const int x1 = x0 + static_cast<int>(prng.uniformInt(w - x0));
+        const int y1 = y0 + static_cast<int>(prng.uniformInt(h - y0));
         for (int x = x0; x <= x1; ++x) {
             grid.setOwner(cell(x, y0), RoutingGrid::kObstacle);
             grid.setOwner(cell(x, y1), RoutingGrid::kObstacle);
@@ -322,14 +321,14 @@ randomGrid(Prng &prng)
             grid.setOwner(cell(x1, y), RoutingGrid::kObstacle);
         }
     }
-    for (int k = uniformInt(prng, 0, 8); k > 0; --k) {
-        const std::int32_t owner = uniformInt(prng, 1, 4);
+    for (int k = static_cast<int>(prng.uniformInt(9)); k > 0; --k) {
+        const std::int32_t owner = 1 + static_cast<int>(prng.uniformInt(4));
         const bool across = prng.bernoulli(0.5);
-        const int fixed = across ? uniformInt(prng, 0, h - 1)
-                                 : uniformInt(prng, 0, w - 1);
+        const int fixed = across ? static_cast<int>(prng.uniformInt(h))
+                                 : static_cast<int>(prng.uniformInt(w));
         const int span = across ? w : h;
-        const int a = uniformInt(prng, 0, span - 1);
-        const int b = uniformInt(prng, a, span - 1);
+        const int a = static_cast<int>(prng.uniformInt(span));
+        const int b = a + static_cast<int>(prng.uniformInt(span - a));
         for (int i = a; i <= b; ++i) {
             const Cell c = across ? cell(i, fixed) : cell(fixed, i);
             if (grid.owner(c) == RoutingGrid::kFree)
@@ -411,7 +410,7 @@ TEST(AstarRouter, MatchesDijkstraReferenceOnRandomGrids)
         std::vector<Cell> net_cells{anchor};
         // Every third grid takes the overload that scans for the trunk.
         const bool scan = seed % 3 == 0;
-        for (int k = uniformInt(prng, 5, 25); k > 0; --k) {
+        for (int k = 5 + static_cast<int>(prng.uniformInt(21)); k > 0; --k) {
             const Cell target = random_cell();
             const RoutingGrid before = grid;
             const std::optional<std::int64_t> want =
